@@ -65,6 +65,25 @@ class Categorical:
         return tuple(int(v) for v in np.flatnonzero(self.probs))
 
 
+def _shifted_exp(x: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+    shifted = x - x.max()
+    if temperature != 1.0:  # training loops call this per step at T = 1
+        with np.errstate(over="ignore"):  # -inf near T = 0 leaves only the maxima
+            shifted = shifted / temperature
+    return np.exp(shifted)
+
+
+def _softmax(x: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+    """The distribution proportional to exp(x / temperature)."""
+    w = _shifted_exp(x, temperature)
+    return w / w.sum()
+
+
+def _log_sum_exp(x: np.ndarray, temperature: float = 1.0) -> float:
+    """temperature * log sum exp(x / temperature), shifted as in _softmax."""
+    return float(x.max() + temperature * np.log(_shifted_exp(x, temperature).sum()))
+
+
 def as_index_array(members, alphabet_size: int) -> np.ndarray:
     """Validate an index set against an alphabet and return it as an int array.
 
@@ -121,11 +140,7 @@ def renyi_entropy(p: Categorical, alpha: float) -> float:
         raise InvalidOrderError(f"Renyi order must be positive, got {alpha!r}")
     if alpha == 1.0:
         return entropy(p)
-    logp = np.log(p.probs[p.probs > 0])
-    scaled = alpha * logp
-    peak = scaled.max()  # log-sum-exp keeps large alpha from underflowing
-    log_sum = peak + np.log(np.exp(scaled - peak).sum())
-    return float(log_sum / (1.0 - alpha))
+    return _log_sum_exp(alpha * np.log(p.probs[p.probs > 0])) / (1.0 - alpha)
 
 
 def kl_divergence(p: Categorical, q: Categorical) -> float:

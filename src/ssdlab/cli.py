@@ -20,7 +20,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import toyfsm
-from .categorical import Categorical, entropy, normalize, restrict
+from .categorical import Categorical, _softmax, entropy, normalize, restrict
 from .decode import (
     DecodeConfig,
     argmax_token,
@@ -426,8 +426,7 @@ def _parse_record(line: str) -> DumpRecord:
     if has_logits:
         if values.ndim != 1 or values.size == 0 or not np.all(np.isfinite(values)):
             raise InvalidDistributionError("logits must be a finite 1-d array")
-        w = np.exp(values - values.max())
-        values = w / w.sum()
+        values = _softmax(values)
     try:
         probs = Categorical(values)
     except SsdLabError as exc:
@@ -525,9 +524,7 @@ def _run_train_student(args):
     for state in trajectory:
         if state.step % every and state is not trajectory[-1]:
             continue
-        z = state.logits
-        w = np.exp(z - z.max())
-        p_theta = Categorical(w / w.sum())
+        p_theta = Categorical(_softmax(state.logits))
         rows.append(_decomposition_row(target, p_theta, state.step))
     return DECOMPOSITION_HEADER, rows
 

@@ -4,6 +4,12 @@ The standard pipeline is temper -> top-k -> top-p -> sample. Ties are
 broken by lowest token index everywhere, cumulative-mass thresholds are
 tested with a 1e-12 absolute epsilon, and all sampling goes through
 explicit counter-based streams so every experiment replays bit-identically.
+
+retained_support evaluates the stack as one rank-once prefix power, p^(1/T)
+on a rank prefix of p; temper, top_k_set, top_p_set and decode_normal_form
+run it literally and are its reference. Tempering shifts by log p_max before
+dividing by T: T -> 0 gives the argmax (tied maxima share the mass) and a
+huge T never lets top-k reorder tokens.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .categorical import Categorical, IndexSet, as_index_array, restrict
+from .categorical import Categorical, IndexSet, _softmax, as_index_array, restrict
 from .errors import (
     EmptySetError,
     InvalidOrderError,
@@ -123,10 +129,8 @@ def temper(p: Categorical, temperature: float, members=None) -> Categorical:
         mask &= keep
     if not mask.any():
         raise ZeroMassSupportError("no positive-probability tokens inside the set")
-    logw = np.log(p.probs[mask]) / temperature
-    w = np.exp(logw - logw.max())
     out = np.zeros(p.alphabet_size)
-    out[mask] = w / w.sum()
+    out[mask] = _softmax(np.log(p.probs[mask]), temperature)
     return Categorical(out)
 
 
@@ -162,6 +166,12 @@ def top_p_set(p: Categorical, threshold: float) -> IndexSet:
     return tuple(int(v) for v in order[:m])
 
 
+def _ranked_power(p: Categorical, temperature: float) -> tuple[np.ndarray, np.ndarray]:
+    """Positive-probability tokens in rank order and p^(1/T) normalized over them."""
+    order = rank_descending(p)[: np.count_nonzero(p.probs)]  # zeros rank last
+    return order, _softmax(np.log(p.probs[order]), temperature)
+
+
 def retained_support(p0: Categorical, cfg: DecodeConfig) -> RetainedSupport:
     """Run the standard pipeline on p0 and report survivors.
 
@@ -173,16 +183,18 @@ def retained_support(p0: Categorical, cfg: DecodeConfig) -> RetainedSupport:
             "retained_support requires the standard pipeline order; "
             "use decode_normal_form for other orderings"
         )
-    tempered = temper(p0, cfg.temperature)
-    kept = top_k_set(tempered, cfg.top_k)
-    within = restrict(tempered, kept)
-    support = top_p_set(within, cfg.top_p)
-    operational = restrict(tempered, support)
-    members = np.asarray(support, dtype=np.int64)
+    order, w = _ranked_power(p0, cfg.temperature)
+    m = min(int(np.count_nonzero(w)), cfg.top_k or w.size)  # w falls with rank
+    if cfg.top_p < 1.0:
+        csum = np.cumsum(w[:m] / w[:m].sum())
+        m = min(int(np.searchsorted(csum, cfg.top_p - TOP_P_EPS)) + 1, m)
+    members = order[:m]
+    operational = np.zeros(p0.alphabet_size)
+    operational[members] = w[:m] / w[:m].sum()
     return RetainedSupport(
-        support=support,
+        support=tuple(members.tolist()),
         kept_mass=float(p0.probs[members].sum()),
-        operational=operational,
+        operational=Categorical(operational),
     )
 
 

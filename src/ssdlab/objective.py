@@ -17,6 +17,8 @@ import numpy as np
 from .categorical import (
     Categorical,
     IndexSet,
+    _log_sum_exp,
+    _softmax,
     as_index_array,
     cross_entropy,
     entropy,
@@ -130,9 +132,7 @@ def three_term_decomposition(target: SsdTarget, p_theta: Categorical) -> LossBre
     if T == 1.0:
         reshape = 0.0
     else:
-        logr = np.log(restricted.probs[restricted.probs > 0]) / T
-        peak = logr.max()
-        reshape = float(-T * (peak + np.log(np.exp(logr - peak).sum())))
+        reshape = -_log_sum_exp(np.log(restricted.probs[restricted.probs > 0]), T)
     align = float(T * kl_divergence(target.q, temper(restricted, T)))
     const = float(T * entropy(target.q))
     return LossBreakdown(
@@ -144,9 +144,9 @@ def three_term_decomposition(target: SsdTarget, p_theta: Categorical) -> LossBre
     )
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    w = np.exp(logits - logits.max())
-    return w / w.sum()
+def _gradient(p: np.ndarray, mask: np.ndarray, km: float, q: np.ndarray) -> np.ndarray:
+    cond = np.where(mask, p / km, 0.0)
+    return np.where(mask, -(1.0 - km) * cond + (cond - q), p)
 
 
 def loss_gradient_logits(target: SsdTarget, logits) -> np.ndarray:
@@ -161,11 +161,8 @@ def loss_gradient_logits(target: SsdTarget, logits) -> np.ndarray:
     if not np.all(np.isfinite(z)):
         raise InvalidEntryError("logits must be finite")
     p = _softmax(z)
-    mask = np.zeros(z.size, dtype=bool)
-    mask[np.asarray(target.support, dtype=np.int64)] = True
-    km = float(p[mask].sum())
-    cond = np.where(mask, p / km, 0.0)
-    return np.where(mask, -(1.0 - km) * cond + (cond - target.q.probs), p)
+    mask = target.q.probs > 0  # q is positive exactly on the support
+    return _gradient(p, mask, float(p[mask].sum()), target.q.probs)
 
 
 def self_training_fixed_point_check(
@@ -230,9 +227,7 @@ def train_local_student(
     if not tv_tolerance > 0:
         raise OutOfRangeError(f"tv_tolerance must be positive, got {tv_tolerance!r}")
     target = ssd_target(p0, cfg)
-    idx = np.asarray(target.support, dtype=np.int64)
-    mask = np.zeros(p0.alphabet_size, dtype=bool)
-    mask[idx] = True
+    mask = target.q.probs > 0
     qv = target.q.probs[mask]
     z = np.where(p0.probs > 0, np.log(np.maximum(p0.probs, 1e-300)), LOGIT_FLOOR)
     monitor = DivergenceMonitor()
@@ -256,9 +251,7 @@ def train_local_student(
         if tv < tv_tolerance or step == max_steps:
             break
         monitor.observe(loss)
-        cond = np.where(mask, p / km, 0.0)
-        grad = np.where(mask, -(1.0 - km) * cond + (cond - target.q.probs), p)
-        z = z - learning_rate * grad
+        z = z - learning_rate * _gradient(p, mask, km, target.q.probs)
     return trajectory
 
 

@@ -16,12 +16,13 @@ import numpy as np
 
 from .categorical import (
     Categorical,
+    _softmax,
     as_index_array,
     binary_entropy,
     entropy,
     restrict,
 )
-from .decode import rank_descending, temper
+from .decode import _ranked_power, temper
 from .errors import (
     EmptyEventError,
     InvalidEntryError,
@@ -70,13 +71,6 @@ def escort_distribution(p0: Categorical, members, gamma: float) -> Categorical:
     return temper(p0, 1.0 / gamma, members)
 
 
-def _escort_weights(p0: Categorical, idx: np.ndarray, gamma: float) -> np.ndarray:
-    # log-space softmax of gamma * log p0 over idx; safe for extreme gamma
-    scaled = gamma * np.log(p0.probs[idx])
-    w = np.exp(scaled - scaled.max())
-    return w / w.sum()
-
-
 def escort_sensitivity(p0: Categorical, members, gamma: float, f) -> float:
     """d/dgamma of the escort expectation of f, as Cov(f, log p0) under the escort."""
     if not gamma > 0:
@@ -87,8 +81,8 @@ def escort_sensitivity(p0: Categorical, members, gamma: float, f) -> float:
     if not np.all(np.isfinite(fv)):
         raise InvalidEntryError("f must be finite")
     idx = _positive_members(p0, members)
-    w = _escort_weights(p0, idx, gamma)
     logp = np.log(p0.probs[idx])
+    w = _softmax(gamma * logp)
     f_centered = fv[idx] - w @ fv[idx]
     lp_centered = logp - w @ logp
     return float(w @ (f_centered * lp_centered))
@@ -115,10 +109,10 @@ def set_mass_log_sensitivity(p0: Categorical, members, gamma: float, event) -> f
         raise ZeroProbabilityOnSupportError(
             "event contains a zero-probability token (log p undefined)"
         )
-    w_full = _escort_weights(p0, idx, gamma)
-    w_event = _escort_weights(p0, ev, gamma)
     logp_full = np.log(p0.probs[idx])
     logp_event = np.log(p0.probs[ev])
+    w_full = _softmax(gamma * logp_full)
+    w_event = _softmax(gamma * logp_event)
     return float(w_event @ logp_event - w_full @ logp_full)
 
 
@@ -129,8 +123,8 @@ def entropy_temperature_response(p: Categorical, members, temperature: float) ->
             f"temperature must be positive, got {temperature!r}"
         )
     idx = _positive_members(p, members)
-    w = _escort_weights(p, idx, 1.0 / temperature)
     logp = np.log(p.probs[idx])
+    w = _softmax(logp, temperature)
     centered = logp - w @ logp
     return float((w @ (centered * centered)) / temperature**3)
 
@@ -167,15 +161,12 @@ def prefix_mass_curve(p: Categorical, tau: float, k: int) -> np.ndarray:
         raise NonPositiveTemperatureError(f"tau must be positive, got {tau!r}")
     if k < 1:
         raise OutOfRangeError(f"k must be >= 1, got {k!r}")
-    order = rank_descending(p)
-    order = order[p.probs[order] > 0]
+    order, w = _ranked_power(p, tau)
     if k > order.size:
         raise KTooLargeError(
             f"k = {k} exceeds the {order.size} positive-probability tokens"
         )
-    logw = np.log(p.probs[order[:k]]) / tau
-    w = np.exp(logw - logw.max())
-    csum = np.cumsum(w)
+    csum = np.cumsum(w[:k])
     return csum / csum[-1]
 
 

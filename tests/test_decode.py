@@ -234,9 +234,34 @@ class TestRetainedSupport:
             survivors = top_p_set(restrict(tempered, sorted(expected)), cfg.top_p)
             assert set(rs.support) <= expected
             assert set(rs.support) == set(survivors)
+            prefix = rank_descending(p)[: len(rs.support)]
+            assert rs.support == tuple(prefix.tolist())
+            np.testing.assert_allclose(
+                rs.operational.probs,
+                restrict(tempered, survivors).probs,
+                rtol=0,
+                atol=1e-14,
+            )
             assert rs.kept_mass == pytest.approx(
                 p.probs[list(rs.support)].sum(), abs=1e-14
             )
+
+    @pytest.mark.parametrize(
+        "probs, expected",
+        [([0.5, 0.3, 0.2], [1.0, 0.0, 0.0]), ([0.4, 0.4, 0.2], [0.5, 0.5, 0.0])],
+    )
+    def test_cold_limit_is_argmax(self, probs, expected):
+        p = Categorical(probs)
+        rs = retained_support(p, DecodeConfig(temperature=1e-310))
+        assert rs.support == tuple(np.flatnonzero(expected).tolist())
+        np.testing.assert_array_equal(rs.operational.probs, expected)
+        np.testing.assert_array_equal(temper(p, 1e-310).probs, expected)
+
+    def test_hot_limit_keeps_rank_order(self):
+        p = Categorical([0.1, 0.2, 0.7])
+        rs = retained_support(p, DecodeConfig(temperature=1e20, top_k=1))
+        assert rs.support == (2,)
+        np.testing.assert_array_equal(rs.operational.probs, [0.0, 0.0, 1.0])
 
 
 class TestSampling:

@@ -124,6 +124,16 @@ class TestDecomposition:
         bd = three_term_decomposition(target, p0)
         assert bd.reshape == 0.0
 
+    def test_cold_limit_tie_stays_finite(self):
+        # the target splits evenly over the tied maxima; the reshape term
+        # tends to log 2 and the split must still equal gate + conditional
+        p0 = normalize([0.4, 0.4, 0.2])
+        target = ssd_target(p0, DecodeConfig(temperature=1e-310))
+        gate, cond = gate_conditional_split(target, p0)
+        bd = three_term_decomposition(target, p0)
+        assert bd.reshape == pytest.approx(np.log(2.0), abs=1e-15)
+        assert bd.total == pytest.approx(gate + cond, abs=1e-15)
+
     def test_terms_sum_to_split_total(self, make_dists):
         # gate + conditional cross entropy == gate + reshape + align + const
         for p0, cfg, target in _random_targets(make_dists, N_RANDOM, seed=43):
@@ -253,6 +263,14 @@ class TestTraining:
         assert states[0].step == 0
         assert [st.step for st in states] == list(range(len(states)))
         assert not states[0].logits.flags.writeable
+
+    def test_first_step_is_one_gradient_step(self):
+        p0 = normalize(LOCK_WEIGHTS)
+        z0 = np.log(p0.probs)
+        states = train_local_student(p0, LOCK_CFG, learning_rate=0.5, max_steps=1)
+        grad = loss_gradient_logits(ssd_target(p0, LOCK_CFG), z0)
+        np.testing.assert_array_equal(states[0].logits, z0)
+        np.testing.assert_array_equal(states[1].logits, z0 - 0.5 * grad)
 
     def test_zero_step_budget_records_initial_state(self):
         states = train_local_student(normalize([0.6, 0.4]), DecodeConfig(), max_steps=0)
