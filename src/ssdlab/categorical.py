@@ -65,9 +65,11 @@ class Categorical:
         return tuple(int(v) for v in np.flatnonzero(self.probs))
 
 
-def _shifted_exp(x: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+def _shifted_exp(x: np.ndarray, temperature=1.0) -> np.ndarray:
+    """exp((x - max x) / temperature); a column of temperatures gives one row each."""
     shifted = x - x.max()
-    if temperature != 1.0:  # training loops call this per step at T = 1
+    # training loops call this per step at T = 1, where the divide is skipped
+    if isinstance(temperature, np.ndarray) or temperature != 1.0:
         with np.errstate(over="ignore"):  # -inf near T = 0 leaves only the maxima
             shifted = shifted / temperature
     return np.exp(shifted)

@@ -18,7 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .categorical import Categorical, IndexSet, _softmax, as_index_array, restrict
+from .categorical import (
+    Categorical,
+    IndexSet,
+    _shifted_exp,
+    _softmax,
+    as_index_array,
+    restrict,
+)
 from .errors import (
     EmptySetError,
     InvalidOrderError,
@@ -166,10 +173,49 @@ def top_p_set(p: Categorical, threshold: float) -> IndexSet:
     return tuple(int(v) for v in order[:m])
 
 
-def _ranked_power(p: Categorical, temperature: float) -> tuple[np.ndarray, np.ndarray]:
-    """Positive-probability tokens in rank order and p^(1/T) normalized over them."""
+def _ranked_power(p: Categorical, temperature) -> tuple[np.ndarray, np.ndarray]:
+    """Positive-probability tokens in rank order and p^(1/T) normalized over them.
+
+    A column of temperatures gives one row of weights per temperature.
+    """
     order = rank_descending(p)[: np.count_nonzero(p.probs)]  # zeros rank last
-    return order, _softmax(np.log(p.probs[order]), temperature)
+    w = _shifted_exp(np.log(p.probs[order]), temperature)
+    return order, w / w.sum(axis=-1, keepdims=True)
+
+
+def _retained_mass(
+    p: Categorical, temperatures: np.ndarray, top_p: float, members
+) -> np.ndarray:
+    """Operational mass on members at each temperature, top-k off, in one pass.
+
+    The prefix power of retained_support over a leading temperature axis.
+    Rows are grouped by prefix length and each is normalized over exactly
+    its retained prefix, as retained_support does, so a row is bit-equal to
+    the members' mass in retained_support(p, DecodeConfig(t, 0, top_p)).
+    """
+    if not np.all(temperatures > 0):
+        raise NonPositiveTemperatureError("temperatures must be positive")
+    if not 0.0 < top_p <= 1.0:
+        raise OutOfRangeError(f"top_p must lie in (0, 1], got {top_p!r}")
+    order, w = _ranked_power(p, temperatures[:, None])
+    m = np.count_nonzero(w, axis=1)  # w falls with rank
+
+    def prefixes():
+        """Rows grouped by prefix length k, weights renormalized over the prefix."""
+        for k in np.unique(m):
+            rows = np.flatnonzero(m == k)
+            head = w[rows, :k]
+            yield rows, k, head / head.sum(axis=1, keepdims=True)
+
+    if top_p < 1.0:
+        for rows, k, head in list(prefixes()):  # listed before m is cut
+            cut = np.count_nonzero(np.cumsum(head, axis=1) < top_p - TOP_P_EPS, axis=1)
+            m[rows] = np.minimum(cut + 1, k)
+    operational = np.zeros((temperatures.size, p.alphabet_size))
+    for rows, k, head in prefixes():
+        operational[rows[:, None], order[:k]] = head
+    operational /= operational.sum(axis=1, keepdims=True)  # as Categorical renormalizes
+    return operational[:, np.asarray(members, dtype=np.int64)].sum(axis=1)
 
 
 def retained_support(p0: Categorical, cfg: DecodeConfig) -> RetainedSupport:
@@ -211,16 +257,18 @@ def gumbel_max_sample(operational: Categorical, rng: np.random.Generator, size=N
     The marginal law equals the operational distribution. Noise is
     -log(U) with U uniform on (0, 1], so it is never infinite. With size
     given, returns that many draws from the one stream as an int array.
+    Noise is transformed on the retained (positive-probability) columns
+    only; the uniform block is still drawn in full, so streams replay.
     """
     p = operational.probs
+    cols = np.flatnonzero(p)
     shape = (p.size,) if size is None else (int(size), p.size)
-    u = 1.0 - rng.random(shape)  # in (0, 1]
-    noise = -np.log(u)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scores = np.where(p > 0, p / noise, -1.0)
+    u = 1.0 - rng.random(shape)[..., cols]  # in (0, 1]
+    with np.errstate(divide="ignore"):
+        scores = p[cols] / -np.log(u)
     if size is None:
-        return int(np.argmax(scores))
-    return np.argmax(scores, axis=1)
+        return int(cols[np.argmax(scores)])
+    return cols[np.argmax(scores, axis=1)]
 
 
 def _run_pipeline(p: Categorical, order, alpha: float, k: int, top_p: float) -> Categorical:

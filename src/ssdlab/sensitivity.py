@@ -126,7 +126,9 @@ def entropy_temperature_response(p: Categorical, members, temperature: float) ->
     logp = np.log(p.probs[idx])
     w = _softmax(logp, temperature)
     centered = logp - w @ logp
-    return float((w @ (centered * centered)) / temperature**3)
+    variance = float(w @ (centered * centered))
+    # A collapsed escort (T -> 0) has variance 0, where T**3 can underflow to 0.
+    return variance / temperature**3 if variance > 0 else 0.0
 
 
 def entropy_decomposition(p_theta: Categorical, members) -> EntropyBreakdown:

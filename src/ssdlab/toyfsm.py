@@ -7,6 +7,12 @@ per-state operational probabilities. Each state's distribution has four
 explicit head values and a geometric tail over the remaining tokens. At
 the root, tokens 0 and 1 start the two viable paths; at every other
 state only token 0 advances.
+
+Success is scored in one batched prefix-power pass over a vector of
+temperatures: each state's p is ranked once and every row is cut to its
+top-p prefix. optimize_temperature scores its whole grid that way before
+its ternary refinement, temperature_sweep scores its grid that way, and
+exact_success is the one-temperature case of the same pass.
 """
 
 from __future__ import annotations
@@ -16,7 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .categorical import Categorical, IndexSet
-from .decode import DecodeConfig, gumbel_max_sample, make_stream, retained_support
+from .decode import (
+    DecodeConfig,
+    _retained_mass,
+    gumbel_max_sample,
+    make_stream,
+    retained_support,
+)
 from .errors import EmptySetError, InvalidEntryError, InvalidRatioError, OutOfRangeError
 from .objective import ssd_target
 
@@ -158,18 +170,24 @@ def operational_policy(arch: Archetype, temperature: float, top_p: float) -> Cat
     return retained_support(arch.dist, cfg).operational
 
 
-def _correct_mass(arch: Archetype, temperature: float, top_p: float) -> float:
-    policy = operational_policy(arch, temperature, top_p)
-    return float(policy.probs[np.asarray(arch.correct_tokens, dtype=np.int64)].sum())
+def _success(fsm: Fsm, temperatures: np.ndarray, top_p: float) -> np.ndarray:
+    """Exact success at each temperature, scored in one batched prefix-power pass."""
+
+    def mass(arch: Archetype) -> np.ndarray:
+        return _retained_mass(arch.dist, temperatures, top_p, arch.correct_tokens)
+
+    # Python's float power: numpy's vectorized power differs by an ulp on some inputs
+    locks = np.array([x**fsm.n_locks for x in mass(fsm.lock).tolist()])
+    return mass(fsm.root) * mass(fsm.fork) * locks
 
 
 def exact_success(fsm: Fsm, temperature: float, top_p: float) -> float:
-    """Closed-form success probability: product of correct-token masses per state."""
-    return (
-        _correct_mass(fsm.root, temperature, top_p)
-        * _correct_mass(fsm.fork, temperature, top_p)
-        * _correct_mass(fsm.lock, temperature, top_p) ** fsm.n_locks
-    )
+    """Closed-form success probability: product of correct-token masses per state.
+
+    The one-temperature case of the batched pass optimize_temperature and
+    temperature_sweep score their grids with.
+    """
+    return float(_success(fsm, np.array([float(temperature)]), top_p)[0])
 
 
 def _distill_archetype(arch: Archetype, cfg: DecodeConfig) -> Archetype:
@@ -195,10 +213,13 @@ def temperature_sweep(teacher: Fsm, student: Fsm, t_grid, top_p: float) -> Sweep
         raise EmptySetError("temperature grid is empty")
     if any(not t > 0 for t in grid):
         raise OutOfRangeError("temperature grid entries must be positive")
+    temperatures = np.array(grid)
     rows = []
-    for t in grid:
-        ts = exact_success(teacher, t, top_p)
-        ss = exact_success(student, t, top_p)
+    for t, ts, ss in zip(
+        grid,
+        _success(teacher, temperatures, top_p).tolist(),
+        _success(student, temperatures, top_p).tolist(),
+    ):
         rows.append(
             SweepRow(
                 temperature=t,
@@ -228,19 +249,20 @@ def optimize_temperature(
     lo, hi = float(bounds[0]), float(bounds[1])
     if not 0 < lo < hi:
         raise OutOfRangeError(f"bounds must satisfy 0 < lo < hi, got {bounds!r}")
-    best_t, best_v = lo, -1.0
+    ts = np.arange(lo, hi + grid_step / 2, grid_step)
+    grid = np.clip(ts, lo, hi)  # grid accumulation can overshoot by an ulp
+    values = _success(fsm, grid, top_p)
+    i = int(np.argmax(values))  # the first maximum, as sequential probes keep it
+    best_t, best_v = float(grid[i]), float(values[i])
 
     def probe(t: float) -> float:
         nonlocal best_t, best_v
-        t = min(max(t, lo), hi)  # grid accumulation can overshoot by an ulp
+        t = min(max(t, lo), hi)
         v = exact_success(fsm, t, top_p)
         if v > best_v:
             best_t, best_v = t, v
         return v
 
-    ts = np.arange(lo, hi + grid_step / 2, grid_step)
-    values = [probe(float(t)) for t in ts]
-    i = int(np.argmax(values))
     a = float(ts[max(i - 1, 0)])
     b = float(ts[min(i + 1, len(ts) - 1)])
     while b - a > refine_tol:

@@ -294,6 +294,44 @@ class TestSampling:
         assert tv < 4.0 * np.sqrt(p.alphabet_size / n)
 
 
+def _full_row_gumbel_max(operational, rng, size=None):
+    """The literal sampler: noise on every column, zero-probability ones masked."""
+    p = operational.probs
+    shape = (p.size,) if size is None else (int(size), p.size)
+    u = 1.0 - rng.random(shape)
+    noise = -np.log(u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = np.where(p > 0, p / noise, -1.0)
+    if size is None:
+        return int(np.argmax(scores))
+    return np.argmax(scores, axis=1)
+
+
+class TestSupportColumnSampler:
+    POLICIES = {
+        "one_survivor": Categorical([0.0, 0.0, 1.0, 0.0, 0.0]),
+        "partial": Categorical([0.0, 0.45, 0.0, 0.3, 0.25, 0.0, 0.0]),
+        "full": normalize([0.08, 0.46, 0.21, 0.25, 0.01, 0.3]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(POLICIES))
+    @pytest.mark.parametrize("size", [None, 1, 9, 5000])
+    def test_matches_full_row_reference(self, name, size):
+        p = self.POLICIES[name]
+        for seed in range(5):
+            got_rng, ref_rng = make_stream(seed, 2), make_stream(seed, 2)
+            for _ in range(3):
+                got = gumbel_max_sample(p, got_rng, size=size)
+                ref = _full_row_gumbel_max(p, ref_rng, size=size)
+                if size is None:
+                    assert isinstance(got, int) and got == ref
+                else:
+                    assert got.dtype == ref.dtype
+                    np.testing.assert_array_equal(got, ref)
+            # the whole uniform block was consumed, so the streams stay in step
+            np.testing.assert_array_equal(got_rng.random(8), ref_rng.random(8))
+
+
 class TestNormalForm:
     def test_power_law_on_rank_prefix(self):
         p = normalize([0.5, 0.3, 0.2])

@@ -194,6 +194,17 @@ class TestEntropyResponse:
         with pytest.raises(NonPositiveTemperatureError):
             entropy_temperature_response(p, (0, 1), 0.0)
 
+    def test_cold_limit_is_zero(self):
+        # the escort collapses to the argmax and T**3 underflows to 0
+        p = Categorical([0.5, 0.3, 0.2])
+        assert entropy_temperature_response(p, (0, 1, 2), 1e-310) == 0.0
+
+    def test_cold_limit_with_tied_maximum_is_zero(self):
+        # the escort collapses to the uniform law on the tied maxima
+        p = Categorical([0.4, 0.4, 0.2])
+        assert entropy_temperature_response(p, (0, 1, 2), 1e-310) == 0.0
+        assert entropy_temperature_response(p, (0, 1), 1.0) == 0.0
+
 
 class TestEntropyDecomposition:
     def test_small_example(self):

@@ -7,6 +7,7 @@ from ssdlab import (
     EmptySetError,
     InvalidEntryError,
     InvalidRatioError,
+    NonPositiveTemperatureError,
     OutOfRangeError,
     build_archetype,
     build_toy_fsm,
@@ -17,13 +18,14 @@ from ssdlab import (
     operational_policy,
     optimize_temperature,
     restrict,
+    retained_support,
     ssd_target,
     temper,
     temperature_sweep,
     top_p_set,
     topp_robustness_grid,
 )
-from ssdlab.decode import DecodeConfig
+from ssdlab.decode import DecodeConfig, _retained_mass
 from ssdlab.toyfsm import (
     DEFAULT_N_LOCKS,
     DEFAULT_TAIL_RATIO,
@@ -31,6 +33,7 @@ from ssdlab.toyfsm import (
     LOCK_HEAD,
     ROOT_HEAD,
     VOCAB_SIZE,
+    _success,
 )
 
 # Frozen tail leads: residual * (1 - r) / (1 - r^12) with r = 1/2.
@@ -152,6 +155,71 @@ class TestExactSuccess:
             top_p = float(rng.uniform(0.3, 1.0))
             val = exact_success(teacher, t, top_p)
             assert 0.0 <= val <= 1.0
+
+
+def _literal_success(fsm, temperature, top_p):
+    """Product of per-state correct masses, each from its own retained_support."""
+
+    def mass(arch):
+        cfg = DecodeConfig(temperature=temperature, top_p=top_p)
+        probs = retained_support(arch.dist, cfg).operational.probs
+        return float(probs[np.asarray(arch.correct_tokens)].sum())
+
+    return mass(fsm.root) * mass(fsm.fork) * mass(fsm.lock) ** fsm.n_locks
+
+
+class TestBatchedSuccess:
+    EDGE_TEMPERATURES = (1e-310, 1e20)
+
+    @pytest.mark.parametrize("role", ["teacher", "student"])
+    def test_matches_literal_product(self, role, teacher, student, rng):
+        fsm = teacher if role == "teacher" else student
+        top_ps = [1.0, 0.8, *rng.uniform(0.05, 1.0, 18).tolist()]
+        checked = 0
+        for top_p in top_ps:
+            temps = np.concatenate(
+                [self.EDGE_TEMPERATURES, 10.0 ** rng.uniform(-3.0, 3.0, 10)]
+            )
+            batch = _success(fsm, temps, top_p)
+            assert batch.shape == temps.shape
+            assert np.all(np.isfinite(batch))
+            for t, value in zip(temps.tolist(), batch.tolist()):
+                assert value == pytest.approx(
+                    _literal_success(fsm, t, top_p), rel=0, abs=1e-15
+                )
+                assert _success(fsm, np.array([t]), top_p)[0] == value
+                assert exact_success(fsm, t, top_p) == value
+                checked += 1
+        assert checked >= 200
+
+    def test_state_masses_bit_equal_retained_support(self, teacher, student, rng):
+        # same operations in the same order, one row per temperature
+        temps = np.concatenate(
+            [self.EDGE_TEMPERATURES, 10.0 ** rng.uniform(-2.0, 2.0, 300)]
+        )
+        for fsm in (teacher, student):
+            for arch in (fsm.root, fsm.fork, fsm.lock):
+                for top_p in (1.0, 0.8, 0.35):
+                    got = _retained_mass(arch.dist, temps, top_p, arch.correct_tokens)
+                    for t, value in zip(temps.tolist(), got.tolist()):
+                        cfg = DecodeConfig(temperature=t, top_p=top_p)
+                        probs = retained_support(arch.dist, cfg).operational.probs
+                        assert value == float(probs[list(arch.correct_tokens)].sum())
+
+    def test_edges_are_finite_limits(self, teacher):
+        # the cold limit is greedy: the root's argmax (token 2) is wrong
+        assert exact_success(teacher, 1e-310, 0.8) == 0.0
+        # the hot limit is uniform over all 16 tokens
+        hot = exact_success(teacher, 1e20, 1.0)
+        assert hot == pytest.approx((2 / 16) * (1 / 16) * (1 / 16) ** 3, abs=1e-15)
+
+    def test_invalid_settings_rejected(self, teacher):
+        with pytest.raises(NonPositiveTemperatureError):
+            _success(teacher, np.array([0.5, 0.0]), 0.8)
+        with pytest.raises(NonPositiveTemperatureError):
+            exact_success(teacher, float("nan"), 0.8)
+        with pytest.raises(OutOfRangeError):
+            exact_success(teacher, 1.0, 1.5)
 
 
 class TestDistillation:
