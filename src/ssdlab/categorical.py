@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     AllZeroError,
+    EmptyEventError,
     EmptySetError,
     InvalidEntryError,
     InvalidOrderError,
@@ -100,6 +101,18 @@ def as_index_array(members, alphabet_size: int) -> np.ndarray:
         )
     if np.unique(idx).size != idx.size:
         raise InvalidEntryError("index set contains duplicate indices")
+    return idx
+
+
+def _event_array(event, container, name: str) -> np.ndarray:
+    """An event as an int array: nonempty, no duplicates, inside the named container."""
+    idx = np.asarray(tuple(event), dtype=np.int64)
+    if idx.size == 0:
+        raise EmptyEventError("event set is empty")
+    if np.unique(idx).size != idx.size:
+        raise InvalidEntryError("event set contains duplicate indices")
+    if not set(idx.tolist()) <= set(container):
+        raise OutOfRangeError(f"event set is not contained in the {name}")
     return idx
 
 

@@ -25,7 +25,6 @@ from .decode import (
     DecodeConfig,
     argmax_token,
     greedy_guard,
-    rank_descending,
     retained_support,
 )
 from .errors import (
@@ -518,6 +517,11 @@ def _run_train_student(args):
         max_steps=args["max_steps"],
         tv_tolerance=args["tv_tolerance"],
     )
+    tv, tol = trajectory[-1].on_support_tv, args["tv_tolerance"]
+    if tv >= tol:
+        print(f"warning: train-student stopped at the step cap of {args['max_steps']} "
+              f"with on-support TV {tv:.3g}, above the tolerance {tol:.3g}",
+              file=sys.stderr)
     target = ssd_target(p0, cfg)
     every = args["log_every"]
     rows = []
@@ -664,8 +668,9 @@ def _run_analyze_dump(args):
     rows = []
     for record in records:
         rs = retained_support(record.probs, cfg)
-        order = rank_descending(record.probs)
-        top20 = float(record.probs.probs[order[:20]].sum())
+        p = record.probs.probs
+        top = p.size - min(20, p.size)  # the 20 largest, summed in descending order
+        top20 = float(np.sort(np.partition(p, top)[top:])[::-1].sum())
         rows.append(
             (
                 record.context_id,

@@ -5,11 +5,14 @@ broken by lowest token index everywhere, cumulative-mass thresholds are
 tested with a 1e-12 absolute epsilon, and all sampling goes through
 explicit counter-based streams so every experiment replays bit-identically.
 
-retained_support evaluates the stack as one rank-once prefix power, p^(1/T)
-on a rank prefix of p; temper, top_k_set, top_p_set and decode_normal_form
-run it literally and are its reference. Tempering shifts by log p_max before
-dividing by T: T -> 0 gives the argmax (tied maxima share the mass) and a
-huge T never lets top-k reorder tokens.
+_prefix_power is the one kernel for the standard stack: for a column of
+temperatures it ranks p once and gives each row p^(1/T) on a rank prefix,
+cut by top-k, then top-p. retained_support is its one-temperature case and
+DecodeConfig has no order field; temper, top_k_set, top_p_set and
+decode_normal_form run the operators literally, in any order, and are its
+reference. Tempering shifts by log p_max before dividing by T: T -> 0
+gives the argmax (tied maxima share the mass) and a huge T never lets
+top-k reorder tokens.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .categorical import (
     restrict,
 )
 from .errors import (
-    EmptySetError,
     InvalidOrderError,
     NonPositiveTemperatureError,
     NormalFormViolationError,
@@ -63,7 +65,6 @@ class DecodeConfig:
     temperature: float = 1.0
     top_k: int = 0
     top_p: float = 1.0
-    order: tuple[str, str, str] = DEFAULT_ORDER
 
     def __post_init__(self) -> None:
         if not self.temperature > 0:
@@ -74,7 +75,6 @@ class DecodeConfig:
             raise OutOfRangeError(f"top_k must be >= 0, got {self.top_k!r}")
         if not 0.0 < self.top_p <= 1.0:
             raise OutOfRangeError(f"top_p must lie in (0, 1], got {self.top_p!r}")
-        object.__setattr__(self, "order", _check_order(self.order))
 
 
 @dataclass(frozen=True)
@@ -183,15 +183,15 @@ def _ranked_power(p: Categorical, temperature) -> tuple[np.ndarray, np.ndarray]:
     return order, w / w.sum(axis=-1, keepdims=True)
 
 
-def _retained_mass(
-    p: Categorical, temperatures: np.ndarray, top_p: float, members
-) -> np.ndarray:
-    """Operational mass on members at each temperature, top-k off, in one pass.
+def _prefix_power(
+    p: Categorical, temperatures: np.ndarray, top_k: int, top_p: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The standard pipeline at each temperature of a column, in one rank-once pass.
 
-    The prefix power of retained_support over a leading temperature axis.
-    Rows are grouped by prefix length and each is normalized over exactly
-    its retained prefix, as retained_support does, so a row is bit-equal to
-    the members' mass in retained_support(p, DecodeConfig(t, 0, top_p)).
+    Returns p's positive tokens in rank order, each row's prefix length
+    (positive count, then top_k, then the top-p cut) and the (n_T, V) rows,
+    each p^(1/T) normalized over its prefix: row i is the evaluation at
+    temperatures[i] alone, bit for bit, as rows are grouped by length.
     """
     if not np.all(temperatures > 0):
         raise NonPositiveTemperatureError("temperatures must be positive")
@@ -199,6 +199,8 @@ def _retained_mass(
         raise OutOfRangeError(f"top_p must lie in (0, 1], got {top_p!r}")
     order, w = _ranked_power(p, temperatures[:, None])
     m = np.count_nonzero(w, axis=1)  # w falls with rank
+    if top_k:
+        m = np.minimum(m, top_k)
 
     def prefixes():
         """Rows grouped by prefix length k, weights renormalized over the prefix."""
@@ -209,13 +211,12 @@ def _retained_mass(
 
     if top_p < 1.0:
         for rows, k, head in list(prefixes()):  # listed before m is cut
-            cut = np.count_nonzero(np.cumsum(head, axis=1) < top_p - TOP_P_EPS, axis=1)
+            cut = (np.cumsum(head, axis=1) < top_p - TOP_P_EPS).sum(axis=1)
             m[rows] = np.minimum(cut + 1, k)
     operational = np.zeros((temperatures.size, p.alphabet_size))
     for rows, k, head in prefixes():
         operational[rows[:, None], order[:k]] = head
-    operational /= operational.sum(axis=1, keepdims=True)  # as Categorical renormalizes
-    return operational[:, np.asarray(members, dtype=np.int64)].sum(axis=1)
+    return order, m, operational
 
 
 def retained_support(p0: Categorical, cfg: DecodeConfig) -> RetainedSupport:
@@ -224,23 +225,13 @@ def retained_support(p0: Categorical, cfg: DecodeConfig) -> RetainedSupport:
     kept_mass is measured against the raw base distribution; the
     operational distribution is the tempered restriction to the survivors.
     """
-    if cfg.order != DEFAULT_ORDER:
-        raise InvalidOrderError(
-            "retained_support requires the standard pipeline order; "
-            "use decode_normal_form for other orderings"
-        )
-    order, w = _ranked_power(p0, cfg.temperature)
-    m = min(int(np.count_nonzero(w)), cfg.top_k or w.size)  # w falls with rank
-    if cfg.top_p < 1.0:
-        csum = np.cumsum(w[:m] / w[:m].sum())
-        m = min(int(np.searchsorted(csum, cfg.top_p - TOP_P_EPS)) + 1, m)
-    members = order[:m]
-    operational = np.zeros(p0.alphabet_size)
-    operational[members] = w[:m] / w[:m].sum()
+    t = np.array([cfg.temperature])
+    order, m, operational = _prefix_power(p0, t, cfg.top_k, cfg.top_p)
+    members = order[: m[0]]
     return RetainedSupport(
         support=tuple(members.tolist()),
         kept_mass=float(p0.probs[members].sum()),
-        operational=Categorical(operational),
+        operational=Categorical(operational[0]),
     )
 
 

@@ -17,6 +17,7 @@ import numpy as np
 from .categorical import (
     Categorical,
     IndexSet,
+    _event_array,
     _log_sum_exp,
     _softmax,
     as_index_array,
@@ -29,7 +30,6 @@ from .decode import DecodeConfig, make_stream, retained_support, temper
 from .errors import (
     CompositionViolationError,
     DivergenceError,
-    EmptyEventError,
     InvalidEntryError,
     OutOfRangeError,
     ZeroMassEventError,
@@ -285,13 +285,7 @@ def local_gain(p0: Categorical, cfg: DecodeConfig, tau: float, event) -> LocalGa
     if not tau > 0:
         raise OutOfRangeError(f"tau must be positive, got {tau!r}")
     target = ssd_target(p0, cfg)
-    idx = np.asarray(tuple(event), dtype=np.int64)
-    if idx.size == 0:
-        raise EmptyEventError("event set is empty")
-    if np.unique(idx).size != idx.size:
-        raise InvalidEntryError("event set contains duplicate indices")
-    if not set(idx.tolist()) <= set(target.support):
-        raise OutOfRangeError("event set is not contained in the retained support")
+    idx = _event_array(event, target.support, "retained support")
     p0_tau = temper(p0, tau)
     m_tau = float(p0_tau.probs[np.asarray(target.support, dtype=np.int64)].sum())
     train_escort = restrict(

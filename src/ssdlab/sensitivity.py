@@ -16,6 +16,7 @@ import numpy as np
 
 from .categorical import (
     Categorical,
+    _event_array,
     _softmax,
     as_index_array,
     binary_entropy,
@@ -24,7 +25,6 @@ from .categorical import (
 )
 from .decode import _ranked_power, temper
 from .errors import (
-    EmptyEventError,
     InvalidEntryError,
     KTooLargeError,
     NonPositiveTemperatureError,
@@ -97,14 +97,8 @@ def set_mass_log_sensitivity(p0: Categorical, members, gamma: float, event) -> f
     if not gamma > 0:
         raise OutOfRangeError(f"gamma must be positive, got {gamma!r}")
     idx = _positive_members(p0, members)
-    ev = np.asarray(tuple(event), dtype=np.int64)
-    if ev.size == 0:
-        raise EmptyEventError("event set is empty")
-    if np.unique(ev).size != ev.size:
-        raise InvalidEntryError("event set contains duplicate indices")
-    full = set(int(v) for v in as_index_array(members, p0.alphabet_size))
-    if not set(ev.tolist()) <= full:
-        raise OutOfRangeError("event set is not contained in the support set")
+    full = as_index_array(members, p0.alphabet_size).tolist()
+    ev = _event_array(event, full, "support set")
     if np.any(p0.probs[ev] == 0):
         raise ZeroProbabilityOnSupportError(
             "event contains a zero-probability token (log p undefined)"

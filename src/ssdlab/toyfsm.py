@@ -8,11 +8,11 @@ explicit head values and a geometric tail over the remaining tokens. At
 the root, tokens 0 and 1 start the two viable paths; at every other
 state only token 0 advances.
 
-Success is scored in one batched prefix-power pass over a vector of
-temperatures: each state's p is ranked once and every row is cut to its
-top-p prefix. optimize_temperature scores its whole grid that way before
-its ternary refinement, temperature_sweep scores its grid that way, and
-exact_success is the one-temperature case of the same pass.
+Success is scored with decode's prefix-power kernel, the one behind
+retained_support, over a vector of temperatures: each state's p is ranked
+once and every row is cut to its top-p prefix. optimize_temperature and
+temperature_sweep score their whole grids that way, and exact_success is
+the one-temperature case of the same pass.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from .categorical import Categorical, IndexSet
 from .decode import (
     DecodeConfig,
-    _retained_mass,
+    _prefix_power,
     gumbel_max_sample,
     make_stream,
     retained_support,
@@ -174,7 +174,9 @@ def _success(fsm: Fsm, temperatures: np.ndarray, top_p: float) -> np.ndarray:
     """Exact success at each temperature, scored in one batched prefix-power pass."""
 
     def mass(arch: Archetype) -> np.ndarray:
-        return _retained_mass(arch.dist, temperatures, top_p, arch.correct_tokens)
+        rows = _prefix_power(arch.dist, temperatures, 0, top_p)[2]
+        rows /= rows.sum(axis=1, keepdims=True)  # as Categorical renormalizes
+        return rows[:, np.asarray(arch.correct_tokens, dtype=np.int64)].sum(axis=1)
 
     # Python's float power: numpy's vectorized power differs by an ulp on some inputs
     locks = np.array([x**fsm.n_locks for x in mass(fsm.lock).tolist()])

@@ -9,6 +9,7 @@ from ssdlab import (
     DecodeConfig,
     exact_success,
     normalize,
+    rank_descending,
     retained_support,
     ssd_target,
 )
@@ -153,6 +154,22 @@ class TestTrainCommand:
         assert code == 0
         _, rows = csv_rows(out)
         assert float(rows[-1][5]) < 1e-6  # on_support_tv at the last logged step
+
+    def test_step_cap_warns_on_stderr(self, capsys):
+        code, out, err = run(
+            capsys, "train-student", "--probs", "0.5,0.3,0.2", "--top-p", "0.8",
+            "--temperature", "0.7", "--max-steps", "5",
+        )
+        assert code == 0
+        assert err.startswith("warning: ")
+        assert "step cap of 5" in err and "tolerance 1e-06" in err
+        assert [int(r[0]) for r in csv_rows(out)[1]] == [0, 1, 2, 3, 4, 5]
+        code, _, err = run(
+            capsys, "train-student", "--probs", "0.6,0.4",
+            "--max-steps", "5000", "--learning-rate", "4.0", "--log-every", "1000",
+        )
+        assert code == 0
+        assert err == ""
 
 
 class TestSensitivityCommand:
@@ -482,6 +499,24 @@ class TestDumpIngestion:
         kept = int(rows[0][2])
         assert kept == 3  # 0.4+0.3 < 0.8-eps so three tokens survive
         assert float(rows[0][6]) == 1.0  # top-20 covers a 4-token alphabet
+
+    def test_analyze_dump_top20_with_ties_and_zeros(self, tmp_path, capsys):
+        small = [0.25, 0.0, 0.125, 0.25, 0.0, 0.125, 0.25]  # V < 20
+        large = np.repeat([0.3, 0.0, 0.2, 0.125, 0.0], 8) / 5.0  # ties across rank 20
+        path = self._write(
+            tmp_path,
+            [
+                json.dumps({"context_id": "small", "probs": small}),
+                json.dumps({"context_id": "large", "probs": large.tolist()}),
+            ],
+        )
+        code, out, _ = run(capsys, "analyze-dump", "--input", str(path))
+        assert code == 0
+        _, rows = csv_rows(out)
+        for row, record in zip(rows, ingest_dump(str(path))):
+            p = record.probs
+            expected = float(p.probs[rank_descending(p)[:20]].sum())
+            assert row[6] == f"{expected:.9g}"
 
     def test_analyze_dump_strict_failure_exits_two(self, tmp_path, capsys):
         path = self._write(tmp_path, ["broken"])

@@ -41,7 +41,6 @@ class TestConfig:
         assert cfg.temperature == 1.0
         assert cfg.top_k == 0
         assert cfg.top_p == 1.0
-        assert cfg.order == DEFAULT_ORDER
 
     @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan")])
     def test_bad_temperature_rejected(self, temperature):
@@ -52,10 +51,6 @@ class TestConfig:
     def test_bad_truncation_rejected(self, kwargs):
         with pytest.raises(OutOfRangeError):
             DecodeConfig(**kwargs)
-
-    def test_bad_order_rejected(self):
-        with pytest.raises(InvalidOrderError):
-            DecodeConfig(order=("temper", "temper", "top_p"))
 
 
 class TestRanking:
@@ -212,12 +207,6 @@ class TestRetainedSupport:
         p = normalize([0.5, 0.3, 0.2])
         rs = retained_support(p, DecodeConfig(temperature=0.2, top_p=0.95))
         assert rs.kept_mass == pytest.approx(p.probs[list(rs.support)].sum(), abs=1e-15)
-
-    def test_requires_canonical_order(self):
-        p = normalize([0.5, 0.5])
-        cfg = DecodeConfig(order=("top_p", "top_k", "temper"))
-        with pytest.raises(InvalidOrderError):
-            retained_support(p, cfg)
 
     def test_truncations_compose(self, make_dists):
         for i, w in enumerate(make_dists(N_RANDOM, seed=31)):

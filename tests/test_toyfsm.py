@@ -1,9 +1,12 @@
 """Chain-of-states world: calibration, exact success, optimization, sampling."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from ssdlab import (
+    Categorical,
     EmptySetError,
     InvalidEntryError,
     InvalidRatioError,
@@ -25,7 +28,7 @@ from ssdlab import (
     top_p_set,
     topp_robustness_grid,
 )
-from ssdlab.decode import DecodeConfig, _retained_mass
+from ssdlab.decode import DecodeConfig, _prefix_power
 from ssdlab.toyfsm import (
     DEFAULT_N_LOCKS,
     DEFAULT_TAIL_RATIO,
@@ -193,18 +196,21 @@ class TestBatchedSuccess:
         assert checked >= 200
 
     def test_state_masses_bit_equal_retained_support(self, teacher, student, rng):
-        # same operations in the same order, one row per temperature
+        # row i of a temperature column is retained_support at T_i, bit for bit
         temps = np.concatenate(
             [self.EDGE_TEMPERATURES, 10.0 ** rng.uniform(-2.0, 2.0, 300)]
         )
         for fsm in (teacher, student):
             for arch in (fsm.root, fsm.fork, fsm.lock):
-                for top_p in (1.0, 0.8, 0.35):
-                    got = _retained_mass(arch.dist, temps, top_p, arch.correct_tokens)
-                    for t, value in zip(temps.tolist(), got.tolist()):
-                        cfg = DecodeConfig(temperature=t, top_p=top_p)
-                        probs = retained_support(arch.dist, cfg).operational.probs
-                        assert value == float(probs[list(arch.correct_tokens)].sum())
+                for top_k, top_p in itertools.product((0, 1, 3, 16), (1.0, 0.8, 0.35)):
+                    order, m, rows = _prefix_power(arch.dist, temps, top_k, top_p)
+                    for t, k, row in zip(temps.tolist(), m.tolist(), rows):
+                        cfg = DecodeConfig(temperature=t, top_k=top_k, top_p=top_p)
+                        rs = retained_support(arch.dist, cfg)
+                        assert tuple(order[:k].tolist()) == rs.support
+                        np.testing.assert_array_equal(
+                            Categorical(row).probs, rs.operational.probs, strict=True
+                        )
 
     def test_edges_are_finite_limits(self, teacher):
         # the cold limit is greedy: the root's argmax (token 2) is wrong
