@@ -6,13 +6,14 @@ tested with a 1e-12 absolute epsilon, and all sampling goes through
 explicit counter-based streams so every experiment replays bit-identically.
 
 _prefix_power is the one kernel for the standard stack: for a column of
-temperatures it ranks p once and gives each row p^(1/T) on a rank prefix,
-cut by top-k, then top-p. retained_support is its one-temperature case and
-DecodeConfig has no order field; temper, top_k_set, top_p_set and
-decode_normal_form run the operators literally, in any order, and are its
-reference. Tempering shifts by log p_max before dividing by T: T -> 0
-gives the argmax (tied maxima share the mass) and a huge T never lets
-top-k reorder tokens.
+temperatures it ranks p once and, in one masked pass, gives each row
+p^(1/T) on a rank prefix, cut by top-k, then top-p. Each row is computed
+alone at the full positive width, so it does not depend on the other rows.
+retained_support is its one-temperature case and DecodeConfig has no order
+field; temper, top_k_set, top_p_set and decode_normal_form run the
+operators literally, in any order, and are its reference. Tempering shifts
+by log p_max before dividing by T: T -> 0 gives the argmax (tied maxima
+share the mass) and a huge T never lets top-k reorder tokens.
 """
 
 from __future__ import annotations
@@ -173,16 +174,6 @@ def top_p_set(p: Categorical, threshold: float) -> IndexSet:
     return tuple(int(v) for v in order[:m])
 
 
-def _ranked_power(p: Categorical, temperature) -> tuple[np.ndarray, np.ndarray]:
-    """Positive-probability tokens in rank order and p^(1/T) normalized over them.
-
-    A column of temperatures gives one row of weights per temperature.
-    """
-    order = rank_descending(p)[: np.count_nonzero(p.probs)]  # zeros rank last
-    w = _shifted_exp(np.log(p.probs[order]), temperature)
-    return order, w / w.sum(axis=-1, keepdims=True)
-
-
 def _prefix_power(
     p: Categorical, temperatures: np.ndarray, top_k: int, top_p: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -190,32 +181,29 @@ def _prefix_power(
 
     Returns p's positive tokens in rank order, each row's prefix length
     (positive count, then top_k, then the top-p cut) and the (n_T, V) rows,
-    each p^(1/T) normalized over its prefix: row i is the evaluation at
-    temperatures[i] alone, bit for bit, as rows are grouped by length.
+    each p^(1/T) normalized over its prefix. Every row is computed alone at
+    the full positive width, so row i is the evaluation at temperatures[i]
+    alone, bit for bit.
     """
     if not np.all(temperatures > 0):
         raise NonPositiveTemperatureError("temperatures must be positive")
     if not 0.0 < top_p <= 1.0:
         raise OutOfRangeError(f"top_p must lie in (0, 1], got {top_p!r}")
-    order, w = _ranked_power(p, temperatures[:, None])
+    order = rank_descending(p)[: np.count_nonzero(p.probs)]  # zeros rank last
+    w = _shifted_exp(np.log(p.probs[order]), temperatures[:, None])
+    w /= w.sum(axis=1, keepdims=True)
     m = np.count_nonzero(w, axis=1)  # w falls with rank
     if top_k:
         m = np.minimum(m, top_k)
-
-    def prefixes():
-        """Rows grouped by prefix length k, weights renormalized over the prefix."""
-        for k in np.unique(m):
-            rows = np.flatnonzero(m == k)
-            head = w[rows, :k]
-            yield rows, k, head / head.sum(axis=1, keepdims=True)
-
+    rank = np.arange(order.size)
+    w *= rank < m[:, None]  # zero each row past its prefix, in place
     if top_p < 1.0:
-        for rows, k, head in list(prefixes()):  # listed before m is cut
-            cut = (np.cumsum(head, axis=1) < top_p - TOP_P_EPS).sum(axis=1)
-            m[rows] = np.minimum(cut + 1, k)
+        csum = np.cumsum(w, axis=1)  # flat from rank m - 1 on, so the cut is < m
+        m = (csum < (top_p - TOP_P_EPS) * csum[:, -1:]).sum(axis=1) + 1
+        w *= rank < m[:, None]
+    w /= w.sum(axis=1, keepdims=True)
     operational = np.zeros((temperatures.size, p.alphabet_size))
-    for rows, k, head in prefixes():
-        operational[rows[:, None], order[:k]] = head
+    operational[:, order] = w
     return order, m, operational
 
 

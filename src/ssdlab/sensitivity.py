@@ -23,7 +23,7 @@ from .categorical import (
     entropy,
     restrict,
 )
-from .decode import _ranked_power, temper
+from .decode import _prefix_power, temper
 from .errors import (
     InvalidEntryError,
     KTooLargeError,
@@ -157,12 +157,12 @@ def prefix_mass_curve(p: Categorical, tau: float, k: int) -> np.ndarray:
         raise NonPositiveTemperatureError(f"tau must be positive, got {tau!r}")
     if k < 1:
         raise OutOfRangeError(f"k must be >= 1, got {k!r}")
-    order, w = _ranked_power(p, tau)
+    order, _, rows = _prefix_power(p, np.array([tau]), k, 1.0)
     if k > order.size:
         raise KTooLargeError(
             f"k = {k} exceeds the {order.size} positive-probability tokens"
         )
-    csum = np.cumsum(w[:k])
+    csum = np.cumsum(rows[0, order[:k]])
     return csum / csum[-1]
 
 

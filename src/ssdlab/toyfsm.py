@@ -10,9 +10,10 @@ state only token 0 advances.
 
 Success is scored with decode's prefix-power kernel, the one behind
 retained_support, over a vector of temperatures: each state's p is ranked
-once and every row is cut to its top-p prefix. optimize_temperature and
-temperature_sweep score their whole grids that way, and exact_success is
-the one-temperature case of the same pass.
+once, every row is cut to its top-p prefix, and success is the root, fork
+and lock masses of correct tokens multiplied straight from the kernel's
+rows. optimize_temperature and temperature_sweep score their whole grids
+that way, and exact_success is the one-temperature case of the same pass.
 """
 
 from __future__ import annotations
@@ -175,12 +176,9 @@ def _success(fsm: Fsm, temperatures: np.ndarray, top_p: float) -> np.ndarray:
 
     def mass(arch: Archetype) -> np.ndarray:
         rows = _prefix_power(arch.dist, temperatures, 0, top_p)[2]
-        rows /= rows.sum(axis=1, keepdims=True)  # as Categorical renormalizes
         return rows[:, np.asarray(arch.correct_tokens, dtype=np.int64)].sum(axis=1)
 
-    # Python's float power: numpy's vectorized power differs by an ulp on some inputs
-    locks = np.array([x**fsm.n_locks for x in mass(fsm.lock).tolist()])
-    return mass(fsm.root) * mass(fsm.fork) * locks
+    return mass(fsm.root) * mass(fsm.fork) * mass(fsm.lock) ** fsm.n_locks
 
 
 def exact_success(fsm: Fsm, temperature: float, top_p: float) -> float:

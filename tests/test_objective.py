@@ -235,6 +235,11 @@ class TestSelfTrainingFixedPoint:
             worst = self_training_fixed_point_check(Categorical(w))
             assert worst <= 1e-12
 
+    def test_vocabulary_scale(self):
+        # O(V) per trial: a V x V gradient matrix at V = 50k would need 20 GB
+        w = np.random.default_rng(50_000).dirichlet(np.full(50_000, 0.5))
+        assert self_training_fixed_point_check(Categorical(w), n_trials=2) <= 1e-12
+
 
 class TestTraining:
     def test_converges_to_target(self):
