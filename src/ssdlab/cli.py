@@ -34,7 +34,7 @@ from .errors import (
     ParseError,
     SsdLabError,
 )
-from .objective import ssd_target, three_term_decomposition, train_local_student
+from .objective import _student_steps, ssd_target, three_term_decomposition
 from .sensitivity import (
     entropy_decomposition,
     entropy_temperature_response,
@@ -508,28 +508,22 @@ def _run_decompose(args):
 
 
 def _run_train_student(args):
-    p0 = normalize(args["probs"])
-    cfg = _decode_config(args)
-    trajectory = train_local_student(
-        p0,
-        cfg,
-        learning_rate=args["learning_rate"],
-        max_steps=args["max_steps"],
-        tv_tolerance=args["tv_tolerance"],
-    )
-    tv, tol = trajectory[-1].on_support_tv, args["tv_tolerance"]
+    target = ssd_target(normalize(args["probs"]), _decode_config(args))
+    every, tol, rows = args["log_every"], args["tv_tolerance"], []
+
+    def log(state):
+        rows.append(_decomposition_row(target, Categorical(_softmax(state.logits)), state.step))
+
+    for state in _student_steps(target, args["learning_rate"], args["max_steps"], tol):
+        if state.step % every == 0:
+            log(state)
+    if state.step % every:
+        log(state)  # the last step is always reported
+    tv = state.on_support_tv
     if tv >= tol:
         print(f"warning: train-student stopped at the step cap of {args['max_steps']} "
               f"with on-support TV {tv:.3g}, above the tolerance {tol:.3g}",
               file=sys.stderr)
-    target = ssd_target(p0, cfg)
-    every = args["log_every"]
-    rows = []
-    for state in trajectory:
-        if state.step % every and state is not trajectory[-1]:
-            continue
-        p_theta = Categorical(_softmax(state.logits))
-        rows.append(_decomposition_row(target, p_theta, state.step))
     return DECOMPOSITION_HEADER, rows
 
 

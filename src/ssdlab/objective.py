@@ -10,6 +10,7 @@ the exact support.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,6 +207,40 @@ class DivergenceMonitor:
             )
 
 
+def _student_steps(
+    target: SsdTarget, learning_rate: float, max_steps: int, tv_tolerance: float
+) -> Iterator[StudentState]:
+    """Yield train_local_student's states one at a time, starting from target.source.
+
+    Each state holds the loop's own read-only logits: a step rebinds z and
+    never writes into it, so no snapshot copy is taken.
+    """
+    if not learning_rate > 0:
+        raise OutOfRangeError(f"learning_rate must be positive, got {learning_rate!r}")
+    if max_steps < 0:
+        raise OutOfRangeError(f"max_steps must be >= 0, got {max_steps!r}")
+    if not tv_tolerance > 0:
+        raise OutOfRangeError(f"tv_tolerance must be positive, got {tv_tolerance!r}")
+    mask = target.q.probs > 0
+    qv = target.q.probs[mask]
+    p0 = target.source.probs
+    z = np.where(p0 > 0, np.log(np.maximum(p0, 1e-300)), LOGIT_FLOOR)
+    monitor = DivergenceMonitor()
+    for step in range(max_steps + 1):
+        z.flags.writeable = False
+        p = _softmax(z)
+        km = float(p[mask].sum())
+        tv = float(0.5 * np.abs(p[mask] / km - qv).sum())
+        loss = float(-(qv * np.log(p[mask])).sum())
+        yield StudentState(
+            step=step, logits=z, loss=loss, on_support_tv=tv, off_support_mass=1.0 - km
+        )
+        if tv < tv_tolerance or step == max_steps:
+            return
+        monitor.observe(loss)
+        z = z - learning_rate * _gradient(p, mask, km, target.q.probs)
+
+
 def train_local_student(
     p0: Categorical,
     cfg: DecodeConfig,
@@ -217,41 +252,10 @@ def train_local_student(
 
     Logits start at log p0 (zeros floored at -50). Terminates when the
     on-support total variation to q drops below tv_tolerance or the step
-    cap is reached; returns the full trajectory including step 0.
+    cap is reached; returns the full trajectory including step 0, which
+    grows with the step count (train-student streams the same states).
     """
-    if not learning_rate > 0:
-        raise OutOfRangeError(f"learning_rate must be positive, got {learning_rate!r}")
-    if max_steps < 0:
-        raise OutOfRangeError(f"max_steps must be >= 0, got {max_steps!r}")
-    if not tv_tolerance > 0:
-        raise OutOfRangeError(f"tv_tolerance must be positive, got {tv_tolerance!r}")
-    target = ssd_target(p0, cfg)
-    mask = target.q.probs > 0
-    qv = target.q.probs[mask]
-    z = np.where(p0.probs > 0, np.log(np.maximum(p0.probs, 1e-300)), LOGIT_FLOOR)
-    monitor = DivergenceMonitor()
-    trajectory: list[StudentState] = []
-    for step in range(max_steps + 1):
-        p = _softmax(z)
-        km = float(p[mask].sum())
-        tv = float(0.5 * np.abs(p[mask] / km - qv).sum())
-        loss = float(-(qv * np.log(p[mask])).sum())
-        snapshot = z.copy()
-        snapshot.flags.writeable = False
-        trajectory.append(
-            StudentState(
-                step=step,
-                logits=snapshot,
-                loss=loss,
-                on_support_tv=tv,
-                off_support_mass=1.0 - km,
-            )
-        )
-        if tv < tv_tolerance or step == max_steps:
-            break
-        monitor.observe(loss)
-        z = z - learning_rate * _gradient(p, mask, km, target.q.probs)
-    return trajectory
+    return list(_student_steps(ssd_target(p0, cfg), learning_rate, max_steps, tv_tolerance))
 
 
 def ideal_fit_eval(target: SsdTarget, tau: float) -> Categorical:

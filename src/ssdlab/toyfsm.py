@@ -49,6 +49,9 @@ CHAIN_CORRECT = (0,)
 # independent of n's chunking.
 MC_BATCH = 1 << 15
 
+GRID_STEP = 0.001  # optimize_temperature's coarse grid spacing
+REFINE_TOL = 1e-4  # and the width at which its ternary refinement stops
+
 
 @dataclass(frozen=True)
 class Archetype:
@@ -236,8 +239,6 @@ def optimize_temperature(
     fsm: Fsm,
     top_p: float,
     bounds: tuple[float, float] = (0.05, 5.0),
-    grid_step: float = 0.001,
-    refine_tol: float = 1e-4,
 ) -> tuple[float, float]:
     """Maximize exact success over temperature: coarse grid plus ternary refinement.
 
@@ -249,7 +250,7 @@ def optimize_temperature(
     lo, hi = float(bounds[0]), float(bounds[1])
     if not 0 < lo < hi:
         raise OutOfRangeError(f"bounds must satisfy 0 < lo < hi, got {bounds!r}")
-    ts = np.arange(lo, hi + grid_step / 2, grid_step)
+    ts = np.arange(lo, hi + GRID_STEP / 2, GRID_STEP)
     grid = np.clip(ts, lo, hi)  # grid accumulation can overshoot by an ulp
     values = _success(fsm, grid, top_p)
     i = int(np.argmax(values))  # the first maximum, as sequential probes keep it
@@ -265,7 +266,7 @@ def optimize_temperature(
 
     a = float(ts[max(i - 1, 0)])
     b = float(ts[min(i + 1, len(ts) - 1)])
-    while b - a > refine_tol:
+    while b - a > REFINE_TOL:
         m1 = a + (b - a) / 3.0
         m2 = b - (b - a) / 3.0
         if probe(m1) < probe(m2):

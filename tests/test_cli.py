@@ -1,25 +1,33 @@
 """Command-line surface: schemas, determinism, config merging, exit codes."""
 
 import json
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ssdlab import (
+    Categorical,
     DecodeConfig,
     exact_success,
     normalize,
     rank_descending,
     retained_support,
     ssd_target,
+    train_local_student,
 )
+from ssdlab.categorical import _softmax
 from ssdlab.cli import (
     DECOMPOSITION_HEADER,
     DUMP_HEADER,
     SWEEP_HEADER,
+    _decomposition_row,
+    build_parser,
     emit_report,
     ingest_dump,
     main,
+    resolve_args,
 )
 from ssdlab.errors import EmptyReportError, InvalidDistributionError, ParseError
 
@@ -170,6 +178,69 @@ class TestTrainCommand:
         )
         assert code == 0
         assert err == ""
+
+
+def listed_train_report(argv):
+    """train-student's report built from the whole trajectory list, then thinned."""
+    args = resolve_args(build_parser().parse_args(argv))
+    p0 = normalize(args["probs"])
+    cfg = DecodeConfig(
+        temperature=args["temperature"], top_k=args["top_k"], top_p=args["top_p"]
+    )
+    states = train_local_student(
+        p0,
+        cfg,
+        learning_rate=args["learning_rate"],
+        max_steps=args["max_steps"],
+        tv_tolerance=args["tv_tolerance"],
+    )
+    tv, tol = states[-1].on_support_tv, args["tv_tolerance"]
+    if tv >= tol:
+        print(f"warning: train-student stopped at the step cap of {args['max_steps']} "
+              f"with on-support TV {tv:.3g}, above the tolerance {tol:.3g}",
+              file=sys.stderr)
+    target = ssd_target(p0, cfg)
+    logged = [s for s in states if s.step % args["log_every"] == 0 or s is states[-1]]
+    rows = [_decomposition_row(target, Categorical(_softmax(s.logits)), s.step)
+            for s in logged]
+    emit_report(rows, args["format"], args["output"], DECOMPOSITION_HEADER)
+
+
+class TestTrainStream:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--probs", "0.5,0.3,0.2", "--top-p", "0.8", "--temperature", "0.7",
+             "--max-steps", "30", "--log-every", "1", "--learning-rate", "1.0"],
+            ["--probs", "0.5,0.3,0.2", "--top-p", "0.8", "--temperature", "0.7",
+             "--max-steps", "53", "--log-every", "7", "--learning-rate", "1.0"],
+            ["--probs", "0.6,0.4", "--max-steps", "5000", "--learning-rate", "4.0",
+             "--log-every", "1000"],
+        ],
+        ids=["every-step", "every-7th-and-last", "converged-early"],
+    )
+    def test_streamed_report_matches_listed_trajectory(self, capsys, argv):
+        listed_train_report(["train-student", *argv])
+        expected = capsys.readouterr()
+        code, out, err = run(capsys, "train-student", *argv)
+        assert code == 0
+        assert out == expected.out
+        assert err == expected.err
+
+    def test_peak_memory_bounded_by_vocabulary_not_steps(self, tmp_path):
+        v = 4096
+        w = np.random.default_rng(v).gamma(0.3, size=v)
+        argv = ["train-student", "--probs", ",".join(f"{x:.17g}" for x in w / w.sum()),
+                "--temperature", "0.9", "--top-p", "0.85", "--log-every", "1",
+                "--max-steps", "400", "--output", str(tmp_path / "train.csv")]
+        assert main(argv) == 0  # warm-up: first-call imports and caches
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * v * 8  # 64 float arrays of length V, for 401 logged steps
 
 
 class TestSensitivityCommand:

@@ -1,6 +1,8 @@
 """Pipeline operators: tempering, truncation sets, sampling, normal form."""
 
 import itertools
+import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from ssdlab import (
     top_k_set,
     top_p_set,
 )
+from ssdlab.decode import TOP_P_EPS
 
 N_RANDOM = 200
 
@@ -251,6 +254,27 @@ class TestRetainedSupport:
         rs = retained_support(p, DecodeConfig(temperature=1e20, top_k=1))
         assert rs.support == (2,)
         np.testing.assert_array_equal(rs.operational.probs, [0.0, 0.0, 1.0])
+
+    def test_top_p_cut_matches_exact_sum_at_vocabulary_scale(self):
+        # The cut is the smallest prefix whose exactly rounded (fsum) mass
+        # reaches top_p - TOP_P_EPS. Cuts 2e-12 either side of a prefix sum
+        # leave room for the rounding of a float running sum over 32k terms.
+        v = 32_768
+        for seed in range(3):
+            gen = np.random.default_rng([seed, v])
+            p = normalize(gen.gamma(0.3, size=v))
+            order = rank_descending(p)
+            ranked = p.probs[order].tolist()
+            for mass in gen.uniform(0.05, 0.95, size=8):
+                m = int(np.searchsorted(np.cumsum(ranked), mass)) + 1
+                for offset in (-2e-12, 2e-12):
+                    cut = math.fsum(ranked[:m]) + offset
+                    exact = bisect_left(
+                        range(v + 1), True, key=lambda n: math.fsum(ranked[:n]) >= cut
+                    )
+                    assert exact == (m if offset < 0 else m + 1)
+                    rs = retained_support(p, DecodeConfig(top_p=cut + TOP_P_EPS))
+                    assert rs.support == tuple(order[:exact].tolist())
 
 
 class TestSampling:
