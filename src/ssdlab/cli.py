@@ -20,7 +20,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import toyfsm
-from .categorical import Categorical, _softmax, entropy, normalize, restrict
+from .categorical import Categorical, _softmax, entropy, normalize
 from .decode import (
     DecodeConfig,
     argmax_token,
@@ -34,7 +34,7 @@ from .errors import (
     ParseError,
     SsdLabError,
 )
-from .objective import _student_steps, ssd_target, three_term_decomposition
+from .objective import _student_steps, _support_terms, ssd_target
 from .sensitivity import (
     entropy_decomposition,
     entropy_temperature_response,
@@ -486,17 +486,13 @@ def _run_target(args):
     return header, rows
 
 
-def _decomposition_row(target, p_theta: Categorical, step: int):
-    breakdown = three_term_decomposition(target, p_theta)
-    members = np.asarray(target.support, dtype=np.int64)
-    km = float(p_theta.probs[members].sum())
-    tv = 0.5 * float(
-        np.abs(restrict(p_theta, members).probs[members] - target.q.probs[members]).sum()
-    )
-    return (
-        step, breakdown.total, breakdown.gate, breakdown.reshape, breakdown.align,
-        tv, 1.0 - km,
-    )
+def _decomposition_row(target, probs, step: int):
+    """One report row from the student's raw probability array (or a Categorical)."""
+    if isinstance(probs, Categorical):
+        probs = probs.probs
+    bd, km, cond, q = _support_terms(target, probs)
+    tv = 0.5 * float(np.abs(cond - q).sum())
+    return step, bd.total, bd.gate, bd.reshape, bd.align, tv, 1.0 - km
 
 
 def _run_decompose(args):
@@ -512,17 +508,17 @@ def _run_train_student(args):
     every, tol, rows = args["log_every"], args["tv_tolerance"], []
 
     def log(state):
-        rows.append(_decomposition_row(target, Categorical(_softmax(state.logits)), state.step))
+        p = _softmax(state.logits)  # renormalized once, as a Categorical is
+        rows.append(_decomposition_row(target, p / p.sum(), state.step))
 
     for state in _student_steps(target, args["learning_rate"], args["max_steps"], tol):
         if state.step % every == 0:
             log(state)
     if state.step % every:
         log(state)  # the last step is always reported
-    tv = state.on_support_tv
-    if tv >= tol:
+    if state.stop_reason == "step_cap":
         print(f"warning: train-student stopped at the step cap of {args['max_steps']} "
-              f"with on-support TV {tv:.3g}, above the tolerance {tol:.3g}",
+              f"with on-support TV {state.on_support_tv:.3g}, above the tolerance {tol:.3g}",
               file=sys.stderr)
     return DECOMPOSITION_HEADER, rows
 

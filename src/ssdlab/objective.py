@@ -22,9 +22,6 @@ from .categorical import (
     _log_sum_exp,
     _softmax,
     as_index_array,
-    cross_entropy,
-    entropy,
-    kl_divergence,
     restrict,
 )
 from .decode import DecodeConfig, make_stream, retained_support, temper
@@ -33,6 +30,7 @@ from .errors import (
     DivergenceError,
     InvalidEntryError,
     OutOfRangeError,
+    SupportViolationError,
     ZeroMassEventError,
     ZeroMassSupportError,
 )
@@ -74,6 +72,7 @@ class StudentState:
     loss: float
     on_support_tv: float
     off_support_mass: float
+    stop_reason: str | None = None  # "converged" or "step_cap" on the last state
 
 
 @dataclass(frozen=True)
@@ -103,51 +102,53 @@ def kept_mass(p_theta: Categorical, members) -> float:
     return float(p_theta.probs[idx].sum())
 
 
-def _require_positive_on_support(target: SsdTarget, p_theta: Categorical) -> None:
-    # q is positive on all of target.support by construction
+def _support_terms(target: SsdTarget, p: np.ndarray):
+    """The breakdown of a raw student array, its kept mass, p(v|S) and q on the support.
+
+    Indexes target.support in rank order, the order kept_mass sums in; O(|S|).
+    """
+    if p.size != target.q.alphabet_size:
+        raise InvalidEntryError("alphabet sizes differ")
     idx = np.asarray(target.support, dtype=np.int64)
-    if np.any(p_theta.probs[idx] == 0):
+    p_s, q, T = p[idx], target.q.probs[idx], target.train_temperature
+    if np.any(p_s == 0):  # q is positive on all of target.support by construction
         raise ZeroMassSupportError("student vanishes on a target-support token")
+    km = float(p_s.sum())
+    cond = p_s / km
+    cond /= cond.sum()  # unit sum, as restrict's Categorical makes it
+    log_cond, log_q = np.log(cond), np.log(q)
+    tempered = _softmax(log_cond, T)
+    if np.any(tempered == 0):
+        raise SupportViolationError("tempered student vanishes on a target-support token")
+    gate = float(-np.log(km))
+    reshape = 0.0 if T == 1.0 else -_log_sum_exp(log_cond, T)
+    align = T * float((q * (log_q - np.log(tempered))).sum())
+    const = T * float(-(q * log_q).sum())
+    total = gate + reshape + align + const
+    return LossBreakdown(gate, reshape, align, const, total), km, cond, q
 
 
 def gate_conditional_split(target: SsdTarget, p_theta: Categorical) -> tuple[float, float]:
-    """Split cross_entropy(q, p_theta) into -log KeptMass plus the conditional CE."""
-    _require_positive_on_support(target, p_theta)
-    km = kept_mass(p_theta, target.support)
-    gate = float(-np.log(km))
-    conditional = cross_entropy(target.q, restrict(p_theta, target.support))
-    return gate, conditional
+    """Split cross_entropy(q, p_theta) into -log KeptMass plus the conditional CE, in O(|S|)."""
+    breakdown, _, cond, q = _support_terms(target, p_theta.probs)
+    return breakdown.gate, float(-(q * np.log(cond)).sum())
 
 
 def three_term_decomposition(target: SsdTarget, p_theta: Categorical) -> LossBreakdown:
     """Split cross_entropy(q, p_theta) into gate + reshape + align + const.
 
     The reshape term uses the free-energy form -T log sum(restricted^(1/T))
-    and is exactly 0 at T = 1 by the continuous extension.
+    and is exactly 0 at T = 1 by the continuous extension. All four terms
+    are computed on the support index, in O(|S|).
     """
-    _require_positive_on_support(target, p_theta)
-    T = target.train_temperature
-    km = kept_mass(p_theta, target.support)
-    restricted = restrict(p_theta, target.support)
-    gate = float(-np.log(km))
-    if T == 1.0:
-        reshape = 0.0
-    else:
-        reshape = -_log_sum_exp(np.log(restricted.probs[restricted.probs > 0]), T)
-    align = float(T * kl_divergence(target.q, temper(restricted, T)))
-    const = float(T * entropy(target.q))
-    return LossBreakdown(
-        gate=gate,
-        reshape=reshape,
-        align=align,
-        const=const,
-        total=gate + reshape + align + const,
-    )
+    return _support_terms(target, p_theta.probs)[0]
 
 
-def _gradient(p: np.ndarray, mask: np.ndarray, km: float, q: np.ndarray) -> np.ndarray:
-    cond = np.where(mask, p / km, 0.0)
-    return np.where(mask, -(1.0 - km) * cond + (cond - q), p)
+def _gradient(p: np.ndarray, idx: np.ndarray, km: float, q: np.ndarray) -> np.ndarray:
+    cond = p[idx] / km
+    g = p.copy()
+    g[idx] = -(1.0 - km) * cond + (cond - q)
+    return g
 
 
 def loss_gradient_logits(target: SsdTarget, logits) -> np.ndarray:
@@ -162,8 +163,8 @@ def loss_gradient_logits(target: SsdTarget, logits) -> np.ndarray:
     if not np.all(np.isfinite(z)):
         raise InvalidEntryError("logits must be finite")
     p = _softmax(z)
-    mask = target.q.probs > 0  # q is positive exactly on the support
-    return _gradient(p, mask, float(p[mask].sum()), target.q.probs)
+    idx = np.flatnonzero(target.q.probs)  # q is positive exactly on the support
+    return _gradient(p, idx, float(p[idx].sum()), target.q.probs[idx])
 
 
 def self_training_fixed_point_check(
@@ -221,24 +222,26 @@ def _student_steps(
         raise OutOfRangeError(f"max_steps must be >= 0, got {max_steps!r}")
     if not tv_tolerance > 0:
         raise OutOfRangeError(f"tv_tolerance must be positive, got {tv_tolerance!r}")
-    mask = target.q.probs > 0
-    qv = target.q.probs[mask]
+    idx = np.flatnonzero(target.q.probs)
+    qv = target.q.probs[idx]
     p0 = target.source.probs
     z = np.where(p0 > 0, np.log(np.maximum(p0, 1e-300)), LOGIT_FLOOR)
     monitor = DivergenceMonitor()
     for step in range(max_steps + 1):
         z.flags.writeable = False
         p = _softmax(z)
-        km = float(p[mask].sum())
-        tv = float(0.5 * np.abs(p[mask] / km - qv).sum())
-        loss = float(-(qv * np.log(p[mask])).sum())
-        yield StudentState(
-            step=step, logits=z, loss=loss, on_support_tv=tv, off_support_mass=1.0 - km
-        )
-        if tv < tv_tolerance or step == max_steps:
+        p_s = p[idx]
+        km = float(p_s.sum())
+        tv = float(0.5 * np.abs(p_s / km - qv).sum())
+        loss = float(-(qv * np.log(p_s)).sum())
+        stop = ("converged" if tv < tv_tolerance
+                else "step_cap" if step == max_steps else None)
+        yield StudentState(step=step, logits=z, loss=loss, on_support_tv=tv,
+                           off_support_mass=1.0 - km, stop_reason=stop)
+        if stop:
             return
         monitor.observe(loss)
-        z = z - learning_rate * _gradient(p, mask, km, target.q.probs)
+        z = z - learning_rate * _gradient(p, idx, km, qv)
 
 
 def train_local_student(

@@ -611,3 +611,16 @@ class TestDumpIngestion:
     def test_analyze_dump_missing_input_exits_two(self, capsys):
         code, _, err = run(capsys, "analyze-dump", "--input", "/no/such.jsonl")
         assert code == 2
+
+
+def test_convergence_on_the_last_allowed_step_does_not_warn(capsys):
+    argv = ["--probs", "0.5,0.2,0.15,0.1,0.05", "--top-p", "0.8", "--temperature", "0.8",
+            "--learning-rate", "4.0", "--tv-tolerance", "1e-3"]
+    code, out, err = run(capsys, "train-student", *argv, "--log-every", "1000")
+    assert code == 0 and err == ""
+    first = int(csv_rows(out)[1][-1][0])
+    code, out, err = run(capsys, "train-student", *argv, "--max-steps", str(first))
+    assert code == 0 and err == ""
+    assert int(csv_rows(out)[1][-1][0]) == first
+    code, _, err = run(capsys, "train-student", *argv, "--max-steps", str(first - 1))
+    assert code == 0 and f"step cap of {first - 1}" in err

@@ -368,3 +368,38 @@ class TestLocalGain:
         cfg = DecodeConfig()
         with pytest.raises(ZeroMassEventError):
             local_gain(p0, cfg, 0.05, (1,))
+
+
+class TestStopReason:
+    P0 = normalize([0.5, 0.2, 0.15, 0.1, 0.05])
+    CFG = DecodeConfig(temperature=0.8, top_p=0.8)
+
+    def test_converged_before_the_cap(self):
+        states = train_local_student(normalize([0.6, 0.4]), DecodeConfig(temperature=0.7),
+                                     learning_rate=4.0, max_steps=5000)
+        assert states[-1].step < 5000
+        assert states[-1].on_support_tv < 1e-6
+        assert states[-1].stop_reason == "converged"
+        assert all(st.stop_reason is None for st in states[:-1])
+
+    def test_step_cap(self):
+        states = train_local_student(self.P0, self.CFG, learning_rate=2.0, max_steps=40)
+        assert states[-1].step == 40
+        assert states[-1].on_support_tv >= 1e-6
+        assert states[-1].stop_reason == "step_cap"
+        assert all(st.stop_reason is None for st in states[:-1])
+
+    def test_convergence_at_the_cap_counts_as_converged(self):
+        # the tolerance test comes first, so a run whose TV first drops below
+        # tolerance on its last allowed step reports convergence
+        free = train_local_student(self.P0, self.CFG, learning_rate=4.0, max_steps=1000,
+                                   tv_tolerance=1e-3)
+        first = free[-1].step
+        assert free[-1].stop_reason == "converged" and 0 < first < 1000
+        capped = train_local_student(self.P0, self.CFG, learning_rate=4.0, max_steps=first,
+                                     tv_tolerance=1e-3)
+        assert capped[-1].step == first
+        assert capped[-1].stop_reason == "converged"
+        short = train_local_student(self.P0, self.CFG, learning_rate=4.0,
+                                    max_steps=first - 1, tv_tolerance=1e-3)
+        assert short[-1].stop_reason == "step_cap"
