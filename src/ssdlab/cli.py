@@ -34,7 +34,7 @@ from .errors import (
     ParseError,
     SsdLabError,
 )
-from .objective import _student_steps, _support_terms, ssd_target
+from .objective import _student_steps, _support_terms, kept_mass, ssd_target
 from .sensitivity import (
     entropy_decomposition,
     entropy_temperature_response,
@@ -151,14 +151,18 @@ _OUTPUT_FLAGS = [
     Flag("--config", str, None, "key=value config file; flags win on conflict"),
 ]
 
-_DECODE_FLAGS = [
-    Flag("--probs", _floats, None, "token weights, comma separated", required=True),
+_DECODE_CONFIG_FLAGS = [
     Flag("--temperature", float, 1.0, "decode temperature",
          check=_positive, check_msg="temperature must be > 0"),
     Flag("--top-k", int, 0, "top-k cutoff (0 disables)",
          check=_non_negative, check_msg="top-k must be >= 0"),
     Flag("--top-p", float, 1.0, "top-p threshold (1 disables)",
          check=_unit_interval, check_msg="top-p must lie in (0, 1]"),
+]
+
+_DECODE_FLAGS = [
+    Flag("--probs", _floats, None, "token weights, comma separated", required=True),
+    *_DECODE_CONFIG_FLAGS,
 ]
 
 _TRAIN_FLAGS = [
@@ -211,6 +215,16 @@ _FSM_FLAGS = [
 _ROLE_FLAG = Flag("--role", str, "teacher", "which machine to evaluate",
                   choices=("teacher", "student"))
 
+_EVAL_TOP_P_FLAG = Flag("--top-p", float, 0.80, "evaluation top-p",
+                        check=_unit_interval, check_msg="top-p must lie in (0, 1]")
+
+_T_BOUND_FLAGS = [
+    Flag("--t-min", float, 0.05, "lower temperature bound",
+         check=_positive, check_msg="t-min must be > 0"),
+    Flag("--t-max", float, 5.0, "upper temperature bound",
+         check=_positive, check_msg="t-max must be > 0"),
+]
+
 SUBCOMMANDS: dict[str, list[Flag]] = {
     "decode": _DECODE_FLAGS,
     "target": _DECODE_FLAGS,
@@ -224,33 +238,24 @@ SUBCOMMANDS: dict[str, list[Flag]] = {
         Flag("--t-grid", _grid, None, "temperatures: list or lo:hi:step",
              required=True, check=_all_positive,
              check_msg="t-grid entries must be > 0"),
-        Flag("--top-p", float, 0.80, "evaluation top-p",
-             check=_unit_interval, check_msg="top-p must lie in (0, 1]"),
+        _EVAL_TOP_P_FLAG,
     ],
     "toy-optimize": _FSM_FLAGS + [
         _ROLE_FLAG,
-        Flag("--top-p", float, 0.80, "evaluation top-p",
-             check=_unit_interval, check_msg="top-p must lie in (0, 1]"),
-        Flag("--t-min", float, 0.05, "lower temperature bound",
-             check=_positive, check_msg="t-min must be > 0"),
-        Flag("--t-max", float, 5.0, "upper temperature bound",
-             check=_positive, check_msg="t-max must be > 0"),
+        _EVAL_TOP_P_FLAG,
+        *_T_BOUND_FLAGS,
     ],
     "toy-grid": _FSM_FLAGS + [
         Flag("--top-p", _floats, [0.65, 0.70, 0.75, 0.80, 0.85, 0.90],
              "top-p values, comma separated",
              check=_all_unit, check_msg="top-p values must lie in (0, 1]"),
-        Flag("--t-min", float, 0.05, "lower temperature bound",
-             check=_positive, check_msg="t-min must be > 0"),
-        Flag("--t-max", float, 5.0, "upper temperature bound",
-             check=_positive, check_msg="t-max must be > 0"),
+        *_T_BOUND_FLAGS,
     ],
     "toy-mc": _FSM_FLAGS + [
         _ROLE_FLAG,
         Flag("--temperature", float, None, "evaluation temperature", required=True,
              check=_positive, check_msg="temperature must be > 0"),
-        Flag("--top-p", float, 0.80, "evaluation top-p",
-             check=_unit_interval, check_msg="top-p must lie in (0, 1]"),
+        _EVAL_TOP_P_FLAG,
         Flag("--n", int, 1_000_000, "trajectory count",
              check=_positive, check_msg="n must be >= 1"),
         Flag("--seed", int, 0, "random seed"),
@@ -259,12 +264,7 @@ SUBCOMMANDS: dict[str, list[Flag]] = {
         Flag("--input", str, None, "line-delimited record file", required=True),
         Flag("--skip-bad", None, False, "skip malformed lines instead of aborting",
              is_switch=True),
-        Flag("--temperature", float, 1.0, "pipeline temperature",
-             check=_positive, check_msg="temperature must be > 0"),
-        Flag("--top-k", int, 0, "pipeline top-k (0 disables)",
-             check=_non_negative, check_msg="top-k must be >= 0"),
-        Flag("--top-p", float, 1.0, "pipeline top-p (1 disables)",
-             check=_unit_interval, check_msg="top-p must lie in (0, 1]"),
+        *_DECODE_CONFIG_FLAGS,
     ],
 }
 
@@ -288,12 +288,9 @@ def build_parser() -> _Parser:
             if flag.is_switch:
                 sub.add_argument(flag.name, action="store_true", default=_UNSET,
                                  help=flag.help)
-            elif flag.choices:
-                sub.add_argument(flag.name, type=flag.convert, default=_UNSET,
-                                 choices=flag.choices, help=flag.help)
             else:
                 sub.add_argument(flag.name, type=flag.convert, default=_UNSET,
-                                 help=flag.help)
+                                 choices=flag.choices, help=flag.help)
     return parser
 
 
@@ -372,7 +369,7 @@ def _json_value(value):
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
-        return float(f"{float(value) + 0.0:.9g}")
+        return float(_cell(value))
     return str(value)
 
 
@@ -506,16 +503,10 @@ def _run_decompose(args):
 def _run_train_student(args):
     target = ssd_target(normalize(args["probs"]), _decode_config(args))
     every, tol, rows = args["log_every"], args["tv_tolerance"], []
-
-    def log(state):
-        p = _softmax(state.logits)  # renormalized once, as a Categorical is
-        rows.append(_decomposition_row(target, p / p.sum(), state.step))
-
-    for state in _student_steps(target, args["learning_rate"], args["max_steps"], tol):
-        if state.step % every == 0:
-            log(state)
-    if state.step % every:
-        log(state)  # the last step is always reported
+    for state, p in _student_steps(target, args["learning_rate"], args["max_steps"], tol):
+        if state.step % every == 0 or state.stop_reason:  # the last step is always kept
+            # the step's softmax, renormalized once as a Categorical is
+            rows.append(_decomposition_row(target, p / p.sum(), state.step))
     if state.stop_reason == "step_cap":
         print(f"warning: train-student stopped at the step cap of {args['max_steps']} "
               f"with on-support TV {state.on_support_tv:.3g}, above the tolerance {tol:.3g}",
@@ -559,13 +550,12 @@ def _run_sensitivity(args):
         ]
         if args["event"] is None:
             return header, [(gamma, entropy(pi), response, "", "")]
-        event = tuple(args["event"])
-        mass = float(pi.probs[np.asarray(event, dtype=np.int64)].sum())
-        slope = set_mass_log_sensitivity(p0, members, gamma, event)
-        return header, [(gamma, entropy(pi), response, mass, slope)]
+        event = args["event"]
+        slope = set_mass_log_sensitivity(p0, members, gamma, event)  # validates the event
+        return header, [(gamma, entropy(pi), response, kept_mass(pi, event), slope)]
     if mode == "entropy":
         breakdown = entropy_decomposition(p0, members)
-        km = float(p0.probs[np.asarray(members, dtype=np.int64)].sum())
+        km = kept_mass(p0, members)
         header = ["kept_mass", "gate_entropy", "head_entropy", "tail_entropy", "total"]
         return header, [(
             km, breakdown.gate_entropy, breakdown.head_entropy,
@@ -592,6 +582,12 @@ def _build_machines(args) -> tuple[toyfsm.Fsm, toyfsm.Fsm]:
     return teacher, student
 
 
+def _t_bounds(args) -> tuple[float, float]:
+    if not args["t_min"] < args["t_max"]:
+        raise _UsageError("t-min must be below t-max")
+    return args["t_min"], args["t_max"]
+
+
 def _run_toy_sweep(args):
     teacher, student = _build_machines(args)
     sweep = toyfsm.temperature_sweep(teacher, student, args["t_grid"], args["top_p"])
@@ -603,24 +599,18 @@ def _run_toy_sweep(args):
 
 
 def _run_toy_optimize(args):
+    bounds = _t_bounds(args)
     teacher, student = _build_machines(args)
     fsm = teacher if args["role"] == "teacher" else student
-    if not args["t_min"] < args["t_max"]:
-        raise _UsageError("t-min must be below t-max")
-    t_star, p_star = toyfsm.optimize_temperature(
-        fsm, args["top_p"], (args["t_min"], args["t_max"])
-    )
+    t_star, p_star = toyfsm.optimize_temperature(fsm, args["top_p"], bounds)
     header = ["role", "top_p", "t_star", "p_star"]
     return header, [(args["role"], args["top_p"], t_star, p_star)]
 
 
 def _run_toy_grid(args):
+    bounds = _t_bounds(args)
     teacher, student = _build_machines(args)
-    if not args["t_min"] < args["t_max"]:
-        raise _UsageError("t-min must be below t-max")
-    rows = toyfsm.topp_robustness_grid(
-        teacher, student, args["top_p"], (args["t_min"], args["t_max"])
-    )
+    rows = toyfsm.topp_robustness_grid(teacher, student, args["top_p"], bounds)
     header = [
         "top_p", "teacher_t_star", "teacher_p_star",
         "student_t_star", "student_p_star", "gap_pp",
@@ -690,18 +680,12 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-        args = resolve_args(ns)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # argparse --help
-        return int(exc.code or 0)
-    try:
+        args = resolve_args(build_parser().parse_args(argv))
         header, rows = _RUNNERS[args["command"]](args)
         emit_report(rows, args["format"], args["output"], header)
+    except SystemExit as exc:  # argparse --help
+        return int(exc.code or 0)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

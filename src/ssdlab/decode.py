@@ -103,8 +103,7 @@ class PrefixPolicy:
 
 def rank_descending(p: Categorical) -> np.ndarray:
     """Token indices sorted by descending probability, ties by lowest index."""
-    n = p.alphabet_size
-    return np.lexsort((np.arange(n), -p.probs))
+    return np.argsort(-p.probs, kind="stable")
 
 
 def argmax_token(p: Categorical) -> int:
@@ -194,7 +193,7 @@ def _prefix_power(
     w /= w.sum(axis=1, keepdims=True)
     m = np.count_nonzero(w, axis=1)  # w falls with rank
     if top_k:
-        m = np.minimum(m, top_k)
+        m = np.minimum(m, min(top_k, order.size))  # top_k may not fit in an int64
     rank = np.arange(order.size)
     w *= rank < m[:, None]  # zero each row past its prefix, in place
     if top_p < 1.0:

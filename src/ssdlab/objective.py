@@ -210,11 +210,12 @@ class DivergenceMonitor:
 
 def _student_steps(
     target: SsdTarget, learning_rate: float, max_steps: int, tv_tolerance: float
-) -> Iterator[StudentState]:
-    """Yield train_local_student's states one at a time, starting from target.source.
+) -> Iterator[tuple[StudentState, np.ndarray]]:
+    """Yield train_local_student's states one at a time, each with its softmax.
 
-    Each state holds the loop's own read-only logits: a step rebinds z and
-    never writes into it, so no snapshot copy is taken.
+    Starts from target.source. Each state holds the loop's own read-only
+    logits, and comes with the read-only softmax the step took of them: a
+    step rebinds z and p and never writes into either, so no copy is taken.
     """
     if not learning_rate > 0:
         raise OutOfRangeError(f"learning_rate must be positive, got {learning_rate!r}")
@@ -228,8 +229,8 @@ def _student_steps(
     z = np.where(p0 > 0, np.log(np.maximum(p0, 1e-300)), LOGIT_FLOOR)
     monitor = DivergenceMonitor()
     for step in range(max_steps + 1):
-        z.flags.writeable = False
         p = _softmax(z)
+        z.flags.writeable = p.flags.writeable = False
         p_s = p[idx]
         km = float(p_s.sum())
         tv = float(0.5 * np.abs(p_s / km - qv).sum())
@@ -237,7 +238,7 @@ def _student_steps(
         stop = ("converged" if tv < tv_tolerance
                 else "step_cap" if step == max_steps else None)
         yield StudentState(step=step, logits=z, loss=loss, on_support_tv=tv,
-                           off_support_mass=1.0 - km, stop_reason=stop)
+                           off_support_mass=1.0 - km, stop_reason=stop), p
         if stop:
             return
         monitor.observe(loss)
@@ -258,7 +259,8 @@ def train_local_student(
     cap is reached; returns the full trajectory including step 0, which
     grows with the step count (train-student streams the same states).
     """
-    return list(_student_steps(ssd_target(p0, cfg), learning_rate, max_steps, tv_tolerance))
+    steps = _student_steps(ssd_target(p0, cfg), learning_rate, max_steps, tv_tolerance)
+    return [state for state, _ in steps]
 
 
 def ideal_fit_eval(target: SsdTarget, tau: float) -> Categorical:

@@ -92,6 +92,14 @@ class TestDecodeCommand:
         code, _, err = run(capsys, "decode", "--probs", "0.5,oops")
         assert code == 1
 
+    def test_top_k_beyond_int64_keeps_every_token(self, capsys):
+        code, out, err = run(
+            capsys, "decode", "--probs", "0.5,0.3,0.2", "--top-k", "99999999999999999999"
+        )
+        assert (code, err) == (0, "")
+        _, rows = csv_rows(out)
+        assert rows == [["0", "0.5", "0.5"], ["1", "0.3", "0.3"], ["2", "0.2", "0.2"]]
+
 
 class TestTargetCommand:
     def test_matches_library_target(self, capsys):
@@ -312,6 +320,15 @@ class TestSensitivityCommand:
         code, _, err = run(capsys, "sensitivity", "--mode", "entropy")
         assert code == 1
 
+    def test_escort_event_outside_support_exits_two(self, capsys):
+        code, out, err = run(
+            capsys, "sensitivity", "--mode", "escort",
+            "--probs", "0.5,0.3,0.2", "--event", "5",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: event set is not contained in the support set\n"
+
 
 class TestToyCommands:
     def test_sweep_schema_and_values(self, capsys):
@@ -367,6 +384,16 @@ class TestToyCommands:
             "student_t_star", "student_p_star", "gap_pp",
         ]
         assert float(rows[0][5]) == pytest.approx(5.439606, abs=1e-3)
+
+    @pytest.mark.parametrize("command", ["toy-optimize", "toy-grid"])
+    def test_t_bounds_checked_before_building_machines(self, capsys, command):
+        # the lock head sums to 1.8, which the machine builder would reject first
+        code, out, err = run(
+            capsys, command, "--t-min", "3", "--t-max", "2", "--lock-head", "0.9,0.9"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: t-min must be below t-max\n"
 
     def test_mc_reports_exact_and_error(self, capsys):
         code, out, _ = run(

@@ -61,6 +61,17 @@ class TestRanking:
         p = normalize([0.3, 0.4, 0.3])
         assert rank_descending(p).tolist() == [1, 0, 2]
 
+    def test_matches_two_key_lexsort_reference(self):
+        # reference: sort by -p, break ties by index, as two explicit keys
+        gen = np.random.default_rng(1729)
+        sizes = gen.integers(1, 64, size=95).tolist() + [2**10, 2**12, 2**15, 2**16, 2**18]
+        for size in sizes:
+            w = gen.integers(0, 4, size=size).astype(float)  # many ties and zeros
+            w[int(gen.integers(size))] += 1.0
+            p = Categorical(w / w.sum())
+            expected = np.lexsort((np.arange(size), -p.probs))
+            np.testing.assert_array_equal(rank_descending(p), expected)
+
     def test_argmax_prefers_lowest_index_on_tie(self):
         p = normalize([0.4, 0.4, 0.2])
         assert argmax_token(p) == 0
@@ -254,6 +265,13 @@ class TestRetainedSupport:
         rs = retained_support(p, DecodeConfig(temperature=1e20, top_k=1))
         assert rs.support == (2,)
         np.testing.assert_array_equal(rs.operational.probs, [0.0, 0.0, 1.0])
+
+    def test_top_k_beyond_int64_keeps_every_positive_token(self):
+        p = Categorical(np.array([0.1, 0.0, 0.5, 0.4]))
+        rs = retained_support(p, DecodeConfig(temperature=0.7, top_k=10**20))
+        assert rs.support == top_k_set(p, 10**20) == (2, 3, 0)
+        expected = restrict(temper(p, 0.7), rs.support)
+        np.testing.assert_allclose(rs.operational.probs, expected.probs, atol=1e-15)
 
     def test_top_p_cut_matches_exact_sum_at_vocabulary_scale(self):
         # The cut is the smallest prefix whose exactly rounded (fsum) mass

@@ -273,6 +273,8 @@ class TestPrefixMassCurve:
             prefix_mass_curve(p, 1.0, 0)
         with pytest.raises(KTooLargeError):
             prefix_mass_curve(p, 1.0, 3)
+        with pytest.raises(KTooLargeError):
+            prefix_mass_curve(p, 1.0, 10**20)
 
 
 class TestFeasibleInterval:
