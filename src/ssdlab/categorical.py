@@ -87,18 +87,31 @@ def _log_sum_exp(x: np.ndarray, temperature: float = 1.0) -> float:
     return float(x.max() + temperature * np.log(_shifted_exp(x, temperature).sum()))
 
 
+def _int64_members(members, name: str, outside: str) -> np.ndarray:
+    """Set members as an int64 array; a float member or one past int64 is refused."""
+    items = tuple(members)
+    idx = np.asarray(items)
+    if items and idx.dtype.kind not in "biu":  # floats, or ints with no common int type
+        if not all(isinstance(v, (int, np.integer)) for v in items):
+            raise InvalidEntryError(f"{name} contains a non-integer member")
+        if not all(-(2**63) <= v < 2**63 for v in items):
+            raise OutOfRangeError(outside)
+        idx = np.array([int(v) for v in items])
+    # uint64 members past int64 wrap to negatives, which every range check refuses
+    return idx.astype(np.int64, copy=False)
+
+
 def as_index_array(members, alphabet_size: int) -> np.ndarray:
     """Validate an index set against an alphabet and return it as an int array.
 
     Members must be nonempty, unique integers in [0, alphabet_size).
     """
-    idx = np.asarray(tuple(members), dtype=np.int64)
+    outside = f"index set contains values outside [0, {alphabet_size})"
+    idx = _int64_members(members, "index set", outside)
     if idx.size == 0:
         raise EmptySetError("index set is empty")
     if np.any(idx < 0) or np.any(idx >= alphabet_size):
-        raise OutOfRangeError(
-            f"index set contains values outside [0, {alphabet_size})"
-        )
+        raise OutOfRangeError(outside)
     if np.unique(idx).size != idx.size:
         raise InvalidEntryError("index set contains duplicate indices")
     return idx
@@ -106,13 +119,14 @@ def as_index_array(members, alphabet_size: int) -> np.ndarray:
 
 def _event_array(event, container, name: str) -> np.ndarray:
     """An event as an int array: nonempty, no duplicates, inside the named container."""
-    idx = np.asarray(tuple(event), dtype=np.int64)
+    outside = f"event set is not contained in the {name}"
+    idx = _int64_members(event, "event set", outside)
     if idx.size == 0:
         raise EmptyEventError("event set is empty")
     if np.unique(idx).size != idx.size:
         raise InvalidEntryError("event set contains duplicate indices")
     if not set(idx.tolist()) <= set(container):
-        raise OutOfRangeError(f"event set is not contained in the {name}")
+        raise OutOfRangeError(outside)
     return idx
 
 
@@ -155,7 +169,10 @@ def renyi_entropy(p: Categorical, alpha: float) -> float:
         raise InvalidOrderError(f"Renyi order must be positive, got {alpha!r}")
     if alpha == 1.0:
         return entropy(p)
-    return _log_sum_exp(alpha * np.log(p.probs[p.probs > 0])) / (1.0 - alpha)
+    logp = np.log(p.probs[p.probs > 0])
+    top = float(logp.max())  # shifted out before scaling, so a huge order stays finite
+    tail = np.log(_shifted_exp(logp, 1.0 / alpha).sum())
+    return float(alpha / (1.0 - alpha) * top + tail / (1.0 - alpha))
 
 
 def kl_divergence(p: Categorical, q: Categorical) -> float:

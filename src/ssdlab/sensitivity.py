@@ -1,11 +1,11 @@
 """Escort distributions, temperature-sensitivity identities, and entropy splits.
 
 The escort at exponent gamma on a support set S is proportional to
-p0^gamma on S. Derivatives of escort expectations in gamma reduce to
-covariances with log p0; entropy responds to temperature as
-Var(log p) / T^3. Zero-probability tokens are silently dropped from S
-(their escort weight is exactly zero); only an explicit event argument
-touching them is an error.
+p0^gamma on S, and `escort_distribution` returns it. Derivatives of
+escort expectations in gamma are covariances with log p0 under that
+escort; entropy responds to temperature as Var(log p) / T^3. Extreme
+exponents give the finite limits. Zero-probability tokens are silently
+dropped from S; only an explicit event argument touching them is an error.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 from .categorical import (
     Categorical,
     _event_array,
-    _softmax,
     as_index_array,
     binary_entropy,
     entropy,
@@ -30,7 +29,6 @@ from .errors import (
     NonPositiveTemperatureError,
     OutOfRangeError,
     RankOutOfRangeError,
-    ZeroMassSupportError,
     ZeroProbabilityOnSupportError,
 )
 
@@ -56,14 +54,6 @@ class FeasibilityReport:
     k: int
 
 
-def _positive_members(p0: Categorical, members) -> np.ndarray:
-    idx = as_index_array(members, p0.alphabet_size)
-    idx = idx[p0.probs[idx] > 0]
-    if idx.size == 0:
-        raise ZeroMassSupportError("support set carries zero mass")
-    return idx
-
-
 def escort_distribution(p0: Categorical, members, gamma: float) -> Categorical:
     """The distribution proportional to p0^gamma on the set, zero elsewhere."""
     if not gamma > 0:
@@ -71,18 +61,21 @@ def escort_distribution(p0: Categorical, members, gamma: float) -> Categorical:
     return temper(p0, 1.0 / gamma, members)
 
 
+def _escort_terms(p0: Categorical, pi: Categorical) -> tuple[np.ndarray, ...]:
+    """An escort's support, log p0 there, and its weights (underflowed members carry none)."""
+    idx = np.flatnonzero(pi.probs)
+    return idx, np.log(p0.probs[idx]), pi.probs[idx]
+
+
 def escort_sensitivity(p0: Categorical, members, gamma: float, f) -> float:
     """d/dgamma of the escort expectation of f, as Cov(f, log p0) under the escort."""
-    if not gamma > 0:
-        raise OutOfRangeError(f"gamma must be positive, got {gamma!r}")
+    pi = escort_distribution(p0, members, gamma)
     fv = np.asarray(f, dtype=float)
     if fv.ndim != 1 or fv.size != p0.alphabet_size:
         raise InvalidEntryError("f must be a vector over the full alphabet")
     if not np.all(np.isfinite(fv)):
         raise InvalidEntryError("f must be finite")
-    idx = _positive_members(p0, members)
-    logp = np.log(p0.probs[idx])
-    w = _softmax(gamma * logp)
+    idx, logp, w = _escort_terms(p0, pi)
     f_centered = fv[idx] - w @ fv[idx]
     lp_centered = logp - w @ logp
     return float(w @ (f_centered * lp_centered))
@@ -91,38 +84,26 @@ def escort_sensitivity(p0: Categorical, members, gamma: float, f) -> float:
 def set_mass_log_sensitivity(p0: Categorical, members, gamma: float, event) -> float:
     """d/dgamma of log escort-mass of an event inside the set.
 
-    Equals the conditional mean of log p0 on the event minus the
-    unconditional escort mean; positive sign means cooling grows the event.
+    Equals the escort mean of log p0 on the event minus its escort mean
+    on the set; positive sign means cooling grows the event.
     """
-    if not gamma > 0:
-        raise OutOfRangeError(f"gamma must be positive, got {gamma!r}")
-    idx = _positive_members(p0, members)
-    full = as_index_array(members, p0.alphabet_size).tolist()
-    ev = _event_array(event, full, "support set")
+    pi = escort_distribution(p0, members, gamma)
+    ev = _event_array(event, members, "support set")  # members checked by the escort
     if np.any(p0.probs[ev] == 0):
         raise ZeroProbabilityOnSupportError(
             "event contains a zero-probability token (log p undefined)"
         )
-    logp_full = np.log(p0.probs[idx])
-    logp_event = np.log(p0.probs[ev])
-    w_full = _softmax(gamma * logp_full)
-    w_event = _softmax(gamma * logp_event)
+    _, logp_full, w_full = _escort_terms(p0, pi)
+    _, logp_event, w_event = _escort_terms(p0, escort_distribution(p0, ev, gamma))
     return float(w_event @ logp_event - w_full @ logp_full)
 
 
 def entropy_temperature_response(p: Categorical, members, temperature: float) -> float:
     """dH/dT of the tempered restriction of p at T: Var(log p) / T^3, never negative."""
-    if not temperature > 0:
-        raise NonPositiveTemperatureError(
-            f"temperature must be positive, got {temperature!r}"
-        )
-    idx = _positive_members(p, members)
-    logp = np.log(p.probs[idx])
-    w = _softmax(logp, temperature)
+    _, logp, w = _escort_terms(p, temper(p, temperature, members))
     centered = logp - w @ logp
-    variance = float(w @ (centered * centered))
-    # A collapsed escort (T -> 0) has variance 0, where T**3 can underflow to 0.
-    return variance / temperature**3 if variance > 0 else 0.0
+    # T**3 alone would overflow past T ~ 5.6e102 and underflow near T = 0
+    return float(w @ (centered * centered)) / temperature / temperature / temperature
 
 
 def entropy_decomposition(p_theta: Categorical, members) -> EntropyBreakdown:

@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 MASTER_SEED = 20260819
+
+# Property tests draw the same examples on every run and keep no example database.
+settings.register_profile("ssdlab", derandomize=True, database=None)
+settings.load_profile("ssdlab")
 
 
 @pytest.fixture

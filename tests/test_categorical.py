@@ -23,6 +23,7 @@ from ssdlab import (
     renyi_entropy,
     restrict,
 )
+from ssdlab.categorical import _event_array
 
 N_RANDOM = 200
 
@@ -91,6 +92,28 @@ class TestIndexSets:
     def test_duplicates_rejected(self):
         with pytest.raises(InvalidEntryError):
             as_index_array([1, 1], alphabet_size=4)
+
+    @pytest.mark.parametrize("members", [[1.7], [0, 1.0], [1, 10**20, 1.5]])
+    def test_float_member_rejected(self, members):
+        # a float index would otherwise be truncated to the token below it
+        with pytest.raises(InvalidEntryError, match="non-integer member"):
+            as_index_array(members, alphabet_size=4)
+        with pytest.raises(InvalidEntryError):
+            restrict(normalize([0.5, 0.3, 0.2, 0.0]), members)
+
+    @pytest.mark.parametrize("members", [[10**20], [0, 10**20], [2**63], [-1, 2**63]])
+    def test_member_past_int64_is_out_of_range(self, members):
+        with pytest.raises(OutOfRangeError, match=r"outside \[0, 4\)"):
+            as_index_array(members, alphabet_size=4)
+
+    @pytest.mark.parametrize("event", [[10**20], [0, 2**63]])
+    def test_event_past_int64_is_outside_container(self, event):
+        with pytest.raises(OutOfRangeError, match="not contained in the support"):
+            _event_array(event, [0, 1, 2], "support")
+
+    def test_float_event_rejected(self):
+        with pytest.raises(InvalidEntryError, match="event set contains a non-integer"):
+            _event_array([0.5], [0, 1, 2], "support")
 
 
 class TestNormalize:
@@ -197,6 +220,16 @@ class TestRenyi:
         p = Categorical(np.array([0.75, 0.25]))
         assert renyi_entropy(p, 800.0) == pytest.approx(
             800.0 / 799.0 * -math.log(0.75), rel=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "weights", [[0.1] * 10, [0.5, 0.3, 0.2], [0.2, 0.0, 0.4, 0.4]]
+    )
+    def test_huge_order_is_min_entropy(self, weights):
+        # alpha log p overflows at alpha = 1e308; the limit is -log max p
+        p = Categorical(np.array(weights))
+        assert renyi_entropy(p, 1e308) == pytest.approx(
+            -math.log(max(weights)), abs=1e-15
         )
 
     def test_nonincreasing_in_order_randomized(self, make_dists):

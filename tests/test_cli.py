@@ -330,6 +330,38 @@ class TestSensitivityCommand:
         assert err == "error: event set is not contained in the support set\n"
 
 
+    def test_escort_at_tiny_gamma_has_zero_entropy_response(self, capsys):
+        # T = 1e300 here, where T**3 would overflow
+        code, out, err = run(
+            capsys, "sensitivity", "--mode", "escort",
+            "--probs", "0.5,0.3,0.2", "--gamma", "1e-300",
+        )
+        assert (code, err) == (0, "")
+        _, rows = csv_rows(out)
+        assert rows[0][2] == "0"
+
+    def test_escort_at_huge_gamma_has_finite_slope(self, capsys):
+        code, out, _ = run(
+            capsys, "sensitivity", "--mode", "escort",
+            "--probs", ",".join(["1"] * 10), "--gamma", "1e308", "--event", "0",
+        )
+        assert code == 0
+        _, rows = csv_rows(out)
+        assert rows[0][3:] == ["0.1", "0"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--mode", "escort", "--support", "99999999999999999999"),
+         "index set contains values outside [0, 3)"),
+        (("--mode", "escort", "--event", "99999999999999999999"),
+         "event set is not contained in the support set"),
+        (("--mode", "entropy", "--support", "0,99999999999999999999"),
+         "index set contains values outside [0, 3)"),
+    ])
+    def test_index_past_int64_exits_two(self, capsys, argv, message):
+        code, out, err = run(capsys, "sensitivity", "--probs", "0.5,0.3,0.2", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestToyCommands:
     def test_sweep_schema_and_values(self, capsys):
         code, out, _ = run(

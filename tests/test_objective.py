@@ -360,6 +360,8 @@ class TestLocalGain:
             local_gain(p0, cfg, 1.0, (0, 0))
         with pytest.raises(OutOfRangeError):
             local_gain(p0, cfg, 1.0, (2,))  # outside the retained support
+        with pytest.raises(InvalidEntryError):
+            local_gain(p0, DecodeConfig(), 1.0, [0.5])  # not truncated to token 0
 
     def test_underflowed_event_mass_rejected(self):
         # the event token carries so little mass that its escort weight

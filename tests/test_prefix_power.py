@@ -1,10 +1,19 @@
 """Property tests for the rank-once prefix-power kernel and the temper identities."""
 
+from itertools import permutations
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssdlab import DEFAULT_ORDER, decode_normal_form, normalize, rank_descending, temper
+from ssdlab import (
+    DEFAULT_ORDER,
+    decode_normal_form,
+    normalize,
+    power_rigidity_check,
+    rank_descending,
+    temper,
+)
 from ssdlab.decode import _prefix_power
 
 # Small integer weights give exact ties and zeros, and distinct weights stay
@@ -22,7 +31,7 @@ mixed_temperature = st.one_of(
 )
 
 
-@settings(derandomize=True, database=None, max_examples=300)
+@settings(max_examples=300)
 @given(weights, st.lists(any_temperature, min_size=1, max_size=6), top_ks, top_ps)
 def test_support_is_rank_prefix(w, temperatures, top_k, top_p):
     p = normalize(w)
@@ -36,7 +45,7 @@ def test_support_is_rank_prefix(w, temperatures, top_k, top_p):
         assert abs(row.sum() - 1.0) <= 1e-14
 
 
-@settings(derandomize=True, database=None, max_examples=300)
+@settings(max_examples=300)
 @given(weights, st.floats(1e-3, 1e3), top_ks, top_ps)
 def test_matches_literal_pipeline(w, alpha, top_k, top_p):
     p = normalize(w)
@@ -46,9 +55,23 @@ def test_matches_literal_pipeline(w, alpha, top_k, top_p):
     np.testing.assert_allclose(rows[0], policy.dist.probs, rtol=0, atol=1e-14)
 
 
+@settings(max_examples=300)
+@given(weights, st.floats(1e-3, 1e3), top_ks, st.floats(0.0, 1.0, exclude_min=True))
+def test_every_order_closes_on_a_rank_prefix(w, alpha, top_k, top_p):
+    # temper, top-k and top-p in any of the six orders leave p^alpha on a
+    # prefix of p's descending ranking
+    p = normalize(w)
+    ranking = rank_descending(p)
+    for order in permutations(DEFAULT_ORDER):
+        policy = decode_normal_form(p, order, alpha, top_k, top_p)
+        survivors = set(np.flatnonzero(policy.dist.probs).tolist())
+        assert survivors == set(ranking[: policy.prefix_len].tolist())
+        assert power_rigidity_check(policy, p) <= 1e-10
+
+
 # From 8 terms numpy sums pairwise, so a row summed at another width than the
 # full positive one would round differently.
-@settings(derandomize=True, database=None, max_examples=300)
+@settings(max_examples=300)
 @given(
     st.lists(st.integers(0, 20), min_size=8, max_size=200).filter(any),
     st.lists(mixed_temperature, min_size=2, max_size=6),
@@ -66,7 +89,7 @@ def test_rows_independent_of_batch(w, temperatures, top_k, top_p):
         np.testing.assert_array_equal(rows1[0], row, strict=True)
 
 
-@settings(derandomize=True, database=None, max_examples=300)
+@settings(max_examples=300)
 @given(weights, st.floats(1e-2, 1e2), st.floats(1e-2, 1e2))
 def test_temper_composes(w, a, b):
     # tempering at a, then at b, is tempering once at a * b

@@ -206,6 +206,42 @@ class TestEntropyResponse:
         assert entropy_temperature_response(p, (0, 1), 1.0) == 0.0
 
 
+    def test_hot_limit_divides_without_overflow(self):
+        # T**3 overflows past T ~ 5.6e102; the slope itself is Var / T^3
+        p = Categorical([0.5, 0.3, 0.2])
+        logp = np.log(p.probs)
+        variance = float(np.var(logp))  # the escort is uniform at such T
+        got = entropy_temperature_response(p, (0, 1, 2), 1e103)
+        assert 0.0 < got < 2.3e-308  # subnormal, not flushed to 0
+        assert got == pytest.approx(variance * 1e-309, rel=1e-6)
+        assert entropy_temperature_response(p, (0, 1, 2), 1e300) == 0.0
+
+
+class TestExtremeExponents:
+    # each slope is a covariance under the escort itself, so an exponent
+    # that overflows gamma * log p still gives the limiting escort's slope
+    P = Categorical([0.5, 0.3, 0.2])
+
+    def test_uniform_at_huge_exponent_has_zero_slopes(self):
+        p = normalize(np.ones(10))
+        f = np.arange(10.0)
+        assert escort_sensitivity(p, range(10), 1e308, f) == 0.0
+        assert set_mass_log_sensitivity(p, range(10), 1e308, (0,)) == 0.0
+
+    def test_huge_exponent_reads_the_argmaxes(self):
+        got = set_mass_log_sensitivity(self.P, (0, 1, 2), 1e308, (1, 2))
+        assert got == pytest.approx(np.log(0.3) - np.log(0.5), abs=1e-15)
+
+    @pytest.mark.parametrize("gamma", [5e-324, 1e-300, 1.0, 1e300, 1e308])
+    def test_slopes_are_finite(self, gamma):
+        slopes = (
+            escort_sensitivity(self.P, (0, 1, 2), gamma, [1.0, 2.0, 4.0]),
+            set_mass_log_sensitivity(self.P, (0, 1, 2), gamma, (1, 2)),
+            entropy_temperature_response(self.P, (0, 1, 2), 1.0 / gamma),
+        )
+        assert all(np.isfinite(s) for s in slopes)
+
+
 class TestEntropyDecomposition:
     def test_small_example(self):
         p = normalize([0.5, 0.25, 0.15, 0.1])
