@@ -1,10 +1,11 @@
-"""Command-line driver: subcommands, config files, dump ingestion, reports.
+"""Command-line driver: subcommands, config files, dump analysis, reports.
 
 Every run is a pure function of its flags (plus an explicit seed where
 sampling is involved), emitted as CSV or JSON with 9-significant-digit
 numbers, so identical invocations produce byte-identical outputs. Exit
 codes: 0 success, 1 usage/validation error (nothing written), 2
-computation or I/O error.
+computation or I/O error. analyze-dump scores each dump line as it reads
+it, so memory is bounded by the largest record, not by the file.
 """
 
 from __future__ import annotations
@@ -57,15 +58,6 @@ DUMP_HEADER = [
 ]
 
 
-@dataclass(frozen=True)
-class DumpRecord:
-    """One externally produced per-context probability vector."""
-
-    context_id: str
-    probs: Categorical
-    label: str = ""
-
-
 # ---------------------------------------------------------------------------
 # flag plumbing
 
@@ -112,6 +104,10 @@ def _non_negative(x) -> bool:
 
 def _unit_interval(x) -> bool:
     return 0.0 < x <= 1.0
+
+
+def _positive_finite(x) -> bool:
+    return 0 < x < np.inf
 
 
 def _open_unit(x) -> bool:
@@ -220,9 +216,9 @@ _EVAL_TOP_P_FLAG = Flag("--top-p", float, 0.80, "evaluation top-p",
 
 _T_BOUND_FLAGS = [
     Flag("--t-min", float, 0.05, "lower temperature bound",
-         check=_positive, check_msg="t-min must be > 0"),
+         check=_positive_finite, check_msg="t-min must be finite and > 0"),
     Flag("--t-max", float, 5.0, "upper temperature bound",
-         check=_positive, check_msg="t-max must be > 0"),
+         check=_positive_finite, check_msg="t-max must be finite and > 0"),
 ]
 
 SUBCOMMANDS: dict[str, list[Flag]] = {
@@ -318,7 +314,7 @@ def resolve_args(ns: argparse.Namespace) -> dict[str, Any]:
     if config_path is not _UNSET and config_path is not None:
         try:
             config = load_config(config_path)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise _UsageError(f"cannot read config file: {exc}")
         unknown = set(config) - set(by_dest)
         if unknown:
@@ -398,9 +394,16 @@ def emit_report(rows, fmt: str, path: str, header: list[str]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# dump ingestion
+# dump records
 
-def _parse_record(line: str) -> DumpRecord:
+def _parse_record(raw: bytes) -> tuple[str, str, Categorical] | None:
+    """One JSON Lines line as (context_id, label, probs); None for a blank line."""
+    try:
+        line = raw.decode("utf-8").strip()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"invalid UTF-8: {exc.reason} at byte {exc.start}")
+    if not line:
+        return None
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -409,8 +412,6 @@ def _parse_record(line: str) -> DumpRecord:
         raise ParseError("record is not a JSON object")
     if "context_id" not in obj:
         raise ParseError("missing context_id")
-    context_id = str(obj["context_id"])
-    label = str(obj.get("label", ""))
     has_probs = "probs" in obj
     has_logits = "logits" in obj
     if has_probs == has_logits:
@@ -422,35 +423,13 @@ def _parse_record(line: str) -> DumpRecord:
     if has_logits:
         if values.ndim != 1 or values.size == 0 or not np.all(np.isfinite(values)):
             raise InvalidDistributionError("logits must be a finite 1-d array")
-        values = _softmax(values)
+        with np.errstate(over="ignore"):  # a span past DBL_MAX shifts to -inf, weight 0
+            values = _softmax(values)
     try:
         probs = Categorical(values)
     except SsdLabError as exc:
         raise InvalidDistributionError(str(exc)) from exc
-    return DumpRecord(context_id=context_id, probs=probs, label=label)
-
-
-def ingest_dump(path: str, skip_bad: bool = False) -> list[DumpRecord]:
-    """Load line-delimited records; abort on any malformed line unless skipping."""
-    records: list[DumpRecord] = []
-    problems: list[tuple[int, str]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                records.append(_parse_record(line))
-            except SsdLabError as exc:
-                problems.append((lineno, str(exc)))
-    if problems:
-        if not skip_bad:
-            raise ParseError(
-                "; ".join(f"line {n}: {msg}" for n, msg in problems)
-            )
-        for n, msg in problems:
-            print(f"warning: skipped line {n}: {msg}", file=sys.stderr)
-    return records
+    return str(obj["context_id"]), str(obj.get("label", "")), probs
 
 
 # ---------------------------------------------------------------------------
@@ -643,25 +622,27 @@ def _run_toy_mc(args):
 
 
 def _run_analyze_dump(args):
-    records = ingest_dump(args["input"], skip_bad=args["skip_bad"])
-    cfg = _decode_config(args)
-    rows = []
-    for record in records:
-        rs = retained_support(record.probs, cfg)
-        p = record.probs.probs
-        top = p.size - min(20, p.size)  # the 20 largest, summed in descending order
-        top20 = float(np.sort(np.partition(p, top)[top:])[::-1].sum())
-        rows.append(
-            (
-                record.context_id,
-                record.label,
-                len(rs.support),
-                rs.kept_mass,
-                entropy(rs.operational),
-                entropy(record.probs),
-                top20,
-            )
-        )
+    cfg, skip_bad, rows, problems = _decode_config(args), args["skip_bad"], [], []
+    with open(args["input"], "rb") as fh:  # JSON Lines: UTF-8 lines split on \n alone
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                record = _parse_record(raw)
+            except SsdLabError as exc:
+                problems.append(f"line {lineno}: {exc}")
+                continue
+            if record is None or (problems and not skip_bad):  # no report will be written
+                continue
+            context_id, label, probs = record
+            rs = retained_support(probs, cfg)
+            p = probs.probs
+            top = p.size - min(20, p.size)  # the 20 largest, summed in descending order
+            top20 = float(np.sort(np.partition(p, top)[top:])[::-1].sum())
+            rows.append((context_id, label, len(rs.support), rs.kept_mass,
+                         entropy(rs.operational), entropy(probs), top20))
+    if problems and not skip_bad:
+        raise ParseError("; ".join(problems))
+    for problem in problems:
+        print(f"warning: skipped {problem}", file=sys.stderr)
     return DUMP_HEADER, rows
 
 

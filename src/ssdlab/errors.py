@@ -54,7 +54,7 @@ class ZeroMassEventError(SsdLabError):
 
 
 class DivergenceError(SsdLabError):
-    """Training loss increased for too many consecutive steps (bad learning rate)."""
+    """Training loss rose for too many steps or went non-finite (bad learning rate)."""
 
 
 class CompositionViolationError(SsdLabError):

@@ -233,6 +233,10 @@ def _student_steps(
         z.flags.writeable = p.flags.writeable = False
         p_s = p[idx]
         km = float(p_s.sum())
+        # a zero or NaN on the support makes the loss inf or NaN: refuse it before np.log warns
+        if not km > 0 or np.count_nonzero(p_s) < idx.size:
+            raise DivergenceError(f"loss is not finite at step {step}: the student "
+                                  "vanishes on a target-support token")
         tv = float(0.5 * np.abs(p_s / km - qv).sum())
         loss = float(-(qv * np.log(p_s)).sum())
         stop = ("converged" if tv < tv_tolerance

@@ -248,8 +248,8 @@ def optimize_temperature(
     evaluated point.
     """
     lo, hi = float(bounds[0]), float(bounds[1])
-    if not 0 < lo < hi:
-        raise OutOfRangeError(f"bounds must satisfy 0 < lo < hi, got {bounds!r}")
+    if not 0 < lo < hi < np.inf:
+        raise OutOfRangeError(f"bounds must satisfy 0 < lo < hi < inf, got {bounds!r}")
     ts = np.arange(lo, hi + GRID_STEP / 2, GRID_STEP)
     grid = np.clip(ts, lo, hi)  # grid accumulation can overshoot by an ulp
     values = _success(fsm, grid, top_p)

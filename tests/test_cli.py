@@ -1,5 +1,7 @@
 """Command-line surface: schemas, determinism, config merging, exit codes."""
 
+import csv
+import io
 import json
 import sys
 import tracemalloc
@@ -10,6 +12,7 @@ import pytest
 from ssdlab import (
     Categorical,
     DecodeConfig,
+    entropy,
     exact_success,
     normalize,
     rank_descending,
@@ -22,10 +25,12 @@ from ssdlab.cli import (
     DECOMPOSITION_HEADER,
     DUMP_HEADER,
     SWEEP_HEADER,
+    _cell,
     _decomposition_row,
+    _parse_record,
+    _run_analyze_dump,
     build_parser,
     emit_report,
-    ingest_dump,
     main,
     resolve_args,
 )
@@ -186,6 +191,16 @@ class TestTrainCommand:
         )
         assert code == 0
         assert err == ""
+
+
+    def test_non_finite_loss_exits_two(self, capsys):
+        code, out, err = run(
+            capsys, "train-student", "--probs", "0.5,0.3,0.2", "--top-p", "0.8",
+            "--temperature", "0.7", "--learning-rate", "1e300", "--max-steps", "5",
+        )
+        assert (code, out) == (2, "")
+        assert err == ("error: loss is not finite at step 1: "
+                       "the student vanishes on a target-support token\n")
 
 
 def listed_train_report(argv):
@@ -427,6 +442,13 @@ class TestToyCommands:
         assert out == ""
         assert err == "error: t-min must be below t-max\n"
 
+    @pytest.mark.parametrize("command", ["toy-optimize", "toy-grid"])
+    @pytest.mark.parametrize("bound", ["--t-min", "--t-max"])
+    def test_infinite_t_bound_exits_one(self, capsys, command, bound):
+        code, out, err = run(capsys, command, bound, "inf")
+        assert (code, out) == (1, "")
+        assert err == f"error: {bound[2:]} must be finite and > 0\n"
+
     def test_mc_reports_exact_and_error(self, capsys):
         code, out, _ = run(
             capsys, "toy-mc", "--role", "teacher", "--temperature", "0.8",
@@ -530,11 +552,48 @@ class TestConfigFile:
         code, _, _ = run(capsys, "decode", "--probs", "1,1", "--config", "/no/such.cfg")
         assert code == 1
 
+    def test_non_utf8_config_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"probs = 0.5,0.5\ntemperature = \xff\n")
+        code, out, err = run(capsys, "decode", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot read config file: 'utf-8' codec can't decode")
+
     def test_range_checks_apply_to_config_values(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("probs = 0.5,0.5\ntemperature = -2\n")
         code, _, _ = run(capsys, "decode", "--config", str(cfg))
         assert code == 1
+
+
+def dump_lines(rng):
+    """Seeded dump records: probs and logits, zeros, ties across rank 20, V 2-300."""
+    for k in range(40):
+        v = int(rng.integers(2, 301))
+        record = {"context_id": k if k % 5 == 0 else f"ctx-{k}"}
+        if k % 3:
+            record["label"] = ["fork", 'say "hi", then go', "a,b", ""][k % 4]
+        if k % 4 == 3:
+            scale = 1.0 if k % 8 == 3 else 400.0  # a wide spread underflows to zeros
+            record["logits"] = (rng.normal(size=v) * scale).tolist()
+        else:
+            w = rng.integers(0, 4, size=v).astype(float)  # zeros and many ties
+            w[rng.integers(v)] += 1.0
+            record["probs"] = (w / w.sum()).tolist()
+        yield json.dumps(record)
+
+
+def expected_dump_row(line, cfg):
+    """analyze-dump's row for one record, built from the library."""
+    obj = json.loads(line)
+    if "probs" in obj:
+        p = Categorical(np.asarray(obj["probs"]))
+    else:
+        p = Categorical(_softmax(np.asarray(obj["logits"])))
+    rs = retained_support(p, cfg)
+    top20 = float(p.probs[rank_descending(p)[:20]].sum())
+    return (str(obj["context_id"]), obj.get("label", ""), len(rs.support), rs.kept_mass,
+            entropy(rs.operational), entropy(p), top20)
 
 
 class TestDumpIngestion:
@@ -543,23 +602,18 @@ class TestDumpIngestion:
         path.write_text("\n".join(lines) + "\n")
         return path
 
-    def test_probs_and_logits_records(self, tmp_path):
-        path = self._write(
-            tmp_path,
-            [
-                json.dumps({"context_id": "a", "probs": [0.5, 0.3, 0.2]}),
-                json.dumps({"context_id": "b", "logits": [1.0, 0.0, -1.0],
-                            "label": "tagged"}),
-            ],
-        )
-        records = ingest_dump(str(path))
-        assert [r.context_id for r in records] == ["a", "b"]
-        assert records[1].label == "tagged"
+    def test_probs_and_logits_records(self):
+        a = _parse_record(json.dumps({"context_id": "a", "probs": [0.5, 0.3, 0.2]}).encode())
+        b = _parse_record(json.dumps({"context_id": "b", "logits": [1.0, 0.0, -1.0],
+                                      "label": "tagged"}).encode())
+        assert [a[0], b[0]] == ["a", "b"]
+        assert (a[1], b[1]) == ("", "tagged")
         z = np.array([1.0, 0.0, -1.0])
         w = np.exp(z - z.max())
-        np.testing.assert_allclose(records[1].probs.probs, w / w.sum(), atol=1e-12)
+        np.testing.assert_allclose(b[2].probs, w / w.sum(), atol=1e-12)
+        assert _parse_record(b"  \r\n") is None  # a blank line
 
-    def test_strict_mode_names_bad_lines(self, tmp_path):
+    def test_strict_mode_names_bad_lines(self, tmp_path, capsys):
         path = self._write(
             tmp_path,
             [
@@ -568,10 +622,9 @@ class TestDumpIngestion:
                 "not json at all",
             ],
         )
-        with pytest.raises(ParseError) as info:
-            ingest_dump(str(path))
-        assert "line 2" in str(info.value)
-        assert "line 3" in str(info.value)
+        code, out, err = run(capsys, "analyze-dump", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 2: ") and "; line 3: invalid JSON" in err
 
     def test_skip_bad_warns_and_continues(self, tmp_path, capsys):
         path = self._write(
@@ -581,9 +634,10 @@ class TestDumpIngestion:
                 "garbage",
             ],
         )
-        records = ingest_dump(str(path), skip_bad=True)
-        assert len(records) == 1
-        assert "line 2" in capsys.readouterr().err
+        code, out, err = run(capsys, "analyze-dump", "--input", str(path), "--skip-bad")
+        assert code == 0
+        assert [row[0] for row in csv_rows(out)[1]] == ["a"]
+        assert err.startswith("warning: skipped line 2: ")
 
     @pytest.mark.parametrize(
         "record",
@@ -596,18 +650,26 @@ class TestDumpIngestion:
             | {},  # non-finite logits
         ],
     )
-    def test_malformed_records_rejected(self, tmp_path, record):
+    def test_malformed_records_rejected(self, tmp_path, capsys, record):
         try:
             text = json.dumps(record)
         except ValueError:
             text = str(record)
         path = self._write(tmp_path, [text])
-        with pytest.raises(ParseError):
-            ingest_dump(str(path))
+        with pytest.raises((ParseError, InvalidDistributionError)):
+            _parse_record(text.encode())
+        out_file = tmp_path / "report.csv"
+        code, out, err = run(capsys, "analyze-dump", "--input", str(path),
+                             "--output", str(out_file))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 1: ")
+        assert not out_file.exists()
 
     def test_missing_file_raises_filenotfound(self):
+        args = resolve_args(build_parser().parse_args(
+            ["analyze-dump", "--input", "/no/such/dump.jsonl"]))
         with pytest.raises(FileNotFoundError):
-            ingest_dump("/no/such/dump.jsonl")
+            _run_analyze_dump(args)
 
     def test_analyze_dump_end_to_end(self, tmp_path, capsys):
         path = self._write(
@@ -633,18 +695,16 @@ class TestDumpIngestion:
     def test_analyze_dump_top20_with_ties_and_zeros(self, tmp_path, capsys):
         small = [0.25, 0.0, 0.125, 0.25, 0.0, 0.125, 0.25]  # V < 20
         large = np.repeat([0.3, 0.0, 0.2, 0.125, 0.0], 8) / 5.0  # ties across rank 20
-        path = self._write(
-            tmp_path,
-            [
-                json.dumps({"context_id": "small", "probs": small}),
-                json.dumps({"context_id": "large", "probs": large.tolist()}),
-            ],
-        )
+        lines = [
+            json.dumps({"context_id": "small", "probs": small}),
+            json.dumps({"context_id": "large", "probs": large.tolist()}),
+        ]
+        path = self._write(tmp_path, lines)
         code, out, _ = run(capsys, "analyze-dump", "--input", str(path))
         assert code == 0
         _, rows = csv_rows(out)
-        for row, record in zip(rows, ingest_dump(str(path))):
-            p = record.probs
+        for row, line in zip(rows, lines):
+            p = _parse_record(line.encode())[2]
             expected = float(p.probs[rank_descending(p)[:20]].sum())
             assert row[6] == f"{expected:.9g}"
 
@@ -670,6 +730,65 @@ class TestDumpIngestion:
     def test_analyze_dump_missing_input_exits_two(self, capsys):
         code, _, err = run(capsys, "analyze-dump", "--input", "/no/such.jsonl")
         assert code == 2
+
+    def test_reports_match_rows_built_from_the_library(self, tmp_path, capsys):
+        lines = list(dump_lines(np.random.default_rng(10)))
+        path = tmp_path / "dump.jsonl"
+        # blank lines between records and CRLF endings on every other line
+        path.write_bytes(b"".join(
+            line.encode() + (b"\r\n" if k % 2 else b"\n") + (b"\n" if k % 7 == 0 else b"")
+            for k, line in enumerate(lines)))
+        cfg = DecodeConfig(temperature=0.8, top_k=150, top_p=0.9)
+        expected = [expected_dump_row(line, cfg) for line in lines]
+        argv = ["analyze-dump", "--input", str(path), "--temperature", "0.8",
+                "--top-k", "150", "--top-p", "0.9"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert list(csv.reader(io.StringIO(out))) == [
+            DUMP_HEADER, *[[_cell(v) for v in row] for row in expected]]
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == [
+            {k: float(_cell(v)) if isinstance(v, float) else v
+             for k, v in zip(DUMP_HEADER, row)}
+            for row in expected
+        ]
+
+    def test_peak_memory_bounded_by_the_largest_record(self, tmp_path):
+        v = 4096
+        rng = np.random.default_rng(v)
+        path = tmp_path / "dump.jsonl"
+        with open(path, "w") as fh:
+            for k in range(64):
+                w = rng.gamma(0.3, size=v)
+                fh.write(json.dumps({"context_id": k, "probs": (w / w.sum()).tolist()}) + "\n")
+        argv = ["analyze-dump", "--input", str(path), "--temperature", "0.9",
+                "--top-p", "0.85", "--output", str(tmp_path / "report.csv")]
+        assert main(argv) == 0  # warm-up: first-call imports and caches
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * v * 8  # 40 float arrays of length V, for 64 records
+
+    def test_non_utf8_line_is_a_bad_line(self, tmp_path, capsys):
+        path = tmp_path / "dump.jsonl"
+        path.write_bytes(b'{"context_id": "a", "probs": [0.5, 0.5]}\r\n\xff\xfe x\n')
+        code, out, err = run(capsys, "analyze-dump", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: line 2: invalid UTF-8: invalid start byte at byte 0\n"
+        code, out, err = run(capsys, "analyze-dump", "--input", str(path), "--skip-bad")
+        assert code == 0
+        assert [row[0] for row in csv_rows(out)[1]] == ["a"]
+        assert err == "warning: skipped line 2: invalid UTF-8: invalid start byte at byte 0\n"
+
+    def test_logits_spanning_past_double_max_parse_quietly(self, tmp_path, capsys):
+        path = self._write(tmp_path, ['{"context_id":"a","logits":[1e308,-1e308]}'])
+        code, out, err = run(capsys, "analyze-dump", "--input", str(path))
+        assert (code, err) == (0, "")
+        assert csv_rows(out)[1] == [["a", "", "1", "1", "0", "0", "1"]]
 
 
 def test_convergence_on_the_last_allowed_step_does_not_warn(capsys):

@@ -291,6 +291,14 @@ class TestTraining:
             train_local_student(normalize([0.5, 0.5]), DecodeConfig(), **kwargs)
 
 
+    def test_non_finite_loss_raises_naming_the_step(self):
+        # a huge step underflows a support token to 0, which would make the loss inf
+        with pytest.raises(DivergenceError, match="not finite at step 1:"):
+            train_local_student(normalize([0.5, 0.3, 0.2]),
+                                DecodeConfig(temperature=0.7, top_p=0.8),
+                                learning_rate=1e300, max_steps=5)
+
+
 class TestDivergenceMonitor:
     def test_raises_after_window_consecutive_increases(self):
         monitor = DivergenceMonitor(window=5)

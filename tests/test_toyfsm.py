@@ -309,6 +309,13 @@ class TestOptimize:
         t_star, _ = optimize_temperature(teacher, 0.80, bounds=(0.3, 0.5))
         assert 0.3 <= t_star <= 0.5
 
+    @pytest.mark.parametrize(
+        "bounds", [(0.05, np.inf), (np.inf, np.inf), (0.0, 5.0), (0.5, 0.5), (np.nan, 5.0)]
+    )
+    def test_bounds_must_be_finite_and_ordered(self, teacher, bounds):
+        with pytest.raises(OutOfRangeError, match="0 < lo < hi < inf"):
+            optimize_temperature(teacher, 0.80, bounds=bounds)
+
 
 class TestRobustnessGrid:
     def test_two_point_grid_matches_single_optimizations(self, teacher, student):
