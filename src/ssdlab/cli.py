@@ -178,7 +178,7 @@ _SENSITIVITY_FLAGS = [
     Flag("--probs", _floats, None, "token weights for escort/entropy/curve modes"),
     Flag("--support", _ints, None, "support index set (default: full alphabet)"),
     Flag("--gamma", float, 1.0, "escort exponent",
-         check=_positive, check_msg="gamma must be > 0"),
+         check=_positive_finite, check_msg="gamma must be finite and > 0"),
     Flag("--event", _ints, None, "event index set inside the support"),
     Flag("--tau", float, 1.0, "evaluation temperature",
          check=_positive, check_msg="tau must be > 0"),

@@ -229,24 +229,57 @@ def make_stream(seed: int, stream: int = 0) -> np.random.Generator:
     )
 
 
+def _skip_uniforms(rng: np.random.Generator, n: int) -> None:
+    """Move rng past n uniforms as if rng.random(n) had drawn them.
+
+    Philox is counter-based: after the values left in its four-word buffer
+    are drawn, advance steps the counter past whole buffers without
+    computing them, and the tail is drawn. advance drops a pending 32-bit
+    half, so a stream holding one, like any other bit generator, draws the
+    block and discards it.
+    """
+    bitgen = rng.bit_generator
+    state = bitgen.state if isinstance(bitgen, np.random.Philox) else None
+    if state is None or state["has_uint32"]:
+        rng.random(n)
+        return
+    buffered = min(4 - state["buffer_pos"], n)
+    rng.random(buffered)
+    rest = n - buffered
+    if rest >= 4:
+        bitgen.advance(rest // 4)
+    rng.random(rest % 4)
+
+
 def gumbel_max_sample(operational: Categorical, rng: np.random.Generator, size=None):
     """Sample by dividing probabilities by Exp(1) noise and taking the argmax.
 
     The marginal law equals the operational distribution. Noise is
-    -log(U) with U uniform on (0, 1], so it is never infinite. With size
-    given, returns that many draws from the one stream as an int array.
-    Noise is transformed on the retained (positive-probability) columns
-    only; the uniform block is still drawn in full, so streams replay.
+    -log(U) with U uniform on (0, 1], so it is never infinite, and a zero
+    noise gives a score of +inf, which wins. With size given, returns that
+    many draws from the one stream as an int array. Every call moves the
+    stream past one uniform per token and draw, so streams replay. Noise is
+    transformed on the retained (positive-probability) columns only, and a
+    policy with one retained token moves a Philox stream past its block
+    without drawing it, so every later draw is unchanged.
     """
     p = operational.probs
     cols = np.flatnonzero(p)
-    shape = (p.size,) if size is None else (int(size), p.size)
-    u = 1.0 - rng.random(shape)[..., cols]  # in (0, 1]
+    n = 1 if size is None else int(size)
+    if cols.size == 1:
+        _skip_uniforms(rng, n * p.size)
+        token = cols[0]
+        return int(token) if size is None else np.full(n, token, dtype=np.int64)
+    shape = (p.size,) if size is None else (n, p.size)
+    u = rng.random(shape)[..., cols]  # the one copy, transformed in place
+    np.subtract(1.0, u, out=u)  # in (0, 1]
+    np.log(u, out=u)
+    np.subtract(0.0, u, out=u)  # 0.0 - log(1) is +0.0, where -log(1) is -0.0
     with np.errstate(divide="ignore"):
-        scores = p[cols] / -np.log(u)
+        np.divide(p[cols], u, out=u)
     if size is None:
-        return int(cols[np.argmax(scores)])
-    return cols[np.argmax(scores, axis=1)]
+        return int(cols[np.argmax(u)])
+    return cols[np.argmax(u, axis=1)]
 
 
 def _run_pipeline(p: Categorical, order, alpha: float, k: int, top_p: float) -> Categorical:

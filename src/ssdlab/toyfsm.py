@@ -50,6 +50,7 @@ CHAIN_CORRECT = (0,)
 MC_BATCH = 1 << 15
 
 GRID_STEP = 0.001  # optimize_temperature's coarse grid spacing
+GRID_MAX_POINTS = 100_000  # and its largest grid, checked before allocating
 REFINE_TOL = 1e-4  # and the width at which its ternary refinement stops
 
 
@@ -245,11 +246,17 @@ def optimize_temperature(
     Returns the best point actually evaluated. The success curve has
     kinks where the retained support changes, and optima can sit exactly
     on a kink, so probes on the wrong side never displace a better
-    evaluated point.
+    evaluated point. Bounds whose grid would hold more than
+    GRID_MAX_POINTS temperatures are refused before anything is allocated.
     """
     lo, hi = float(bounds[0]), float(bounds[1])
     if not 0 < lo < hi < np.inf:
         raise OutOfRangeError(f"bounds must satisfy 0 < lo < hi < inf, got {bounds!r}")
+    if np.ceil((hi + GRID_STEP / 2 - lo) / GRID_STEP) > GRID_MAX_POINTS:  # arange's length
+        raise OutOfRangeError(
+            f"bounds {bounds!r} need more than {GRID_MAX_POINTS} grid points "
+            f"at step {GRID_STEP}"
+        )
     ts = np.arange(lo, hi + GRID_STEP / 2, GRID_STEP)
     grid = np.clip(ts, lo, hi)  # grid accumulation can overshoot by an ulp
     values = _success(fsm, grid, top_p)
@@ -310,23 +317,21 @@ def monte_carlo_success(
     """Estimate success by simulating n trajectories with the Gumbel-max sampler."""
     if n < 1:
         raise OutOfRangeError(f"n must be >= 1, got {n!r}")
-    policies = [operational_policy(fsm.root, temperature, top_p)]
-    corrects = [fsm.root.correct_tokens]
-    policies.append(operational_policy(fsm.fork, temperature, top_p))
-    corrects.append(fsm.fork.correct_tokens)
-    lock_policy = operational_policy(fsm.lock, temperature, top_p)
-    for _ in range(fsm.n_locks):
-        policies.append(lock_policy)
-        corrects.append(fsm.lock.correct_tokens)
+
+    def state(arch: Archetype) -> tuple[Categorical, np.ndarray]:
+        correct = np.zeros(arch.dist.alphabet_size, dtype=bool)  # a lookup table
+        correct[list(arch.correct_tokens)] = True
+        return operational_policy(arch, temperature, top_p), correct
+
+    states = [state(fsm.root), state(fsm.fork)] + [state(fsm.lock)] * fsm.n_locks
     rng = make_stream(seed)
     successes = 0
     done = 0
     while done < n:
         batch = min(MC_BATCH, n - done)
         alive = np.ones(batch, dtype=bool)
-        for policy, correct in zip(policies, corrects):
-            tokens = gumbel_max_sample(policy, rng, size=batch)
-            alive &= np.isin(tokens, np.asarray(correct, dtype=np.int64))
+        for policy, correct in states:
+            alive &= correct[gumbel_max_sample(policy, rng, size=batch)]
         successes += int(alive.sum())
         done += batch
     estimate = successes / n

@@ -355,6 +355,15 @@ class TestSensitivityCommand:
         _, rows = csv_rows(out)
         assert rows[0][2] == "0"
 
+    @pytest.mark.parametrize("gamma", ["inf", "nan"])
+    def test_non_finite_gamma_exits_one(self, capsys, gamma):
+        code, out, err = run(
+            capsys, "sensitivity", "--mode", "escort",
+            "--probs", "0.5,0.3,0.2", "--gamma", gamma,
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: gamma must be finite and > 0\n"
+
     def test_escort_at_huge_gamma_has_finite_slope(self, capsys):
         code, out, _ = run(
             capsys, "sensitivity", "--mode", "escort",
@@ -448,6 +457,14 @@ class TestToyCommands:
         code, out, err = run(capsys, command, bound, "inf")
         assert (code, out) == (1, "")
         assert err == f"error: {bound[2:]} must be finite and > 0\n"
+
+    @pytest.mark.parametrize("command", ["toy-optimize", "toy-grid"])
+    def test_oversized_t_grid_exits_two(self, capsys, command):
+        code, out, err = run(capsys, command, "--t-max", "1e300")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: bounds (0.05, 1e+300) need more than 100000 grid points at step 0.001\n"
+        )
 
     def test_mc_reports_exact_and_error(self, capsys):
         code, out, _ = run(

@@ -330,7 +330,7 @@ def _full_row_gumbel_max(operational, rng, size=None):
     p = operational.probs
     shape = (p.size,) if size is None else (int(size), p.size)
     u = 1.0 - rng.random(shape)
-    noise = -np.log(u)
+    noise = 0.0 - np.log(u)  # +0.0 at u = 1, so a zero noise scores +inf
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = np.where(p > 0, p / noise, -1.0)
     if size is None:
@@ -338,29 +338,86 @@ def _full_row_gumbel_max(operational, rng, size=None):
     return np.argmax(scores, axis=1)
 
 
+class _FixedUniforms:
+    """A stream stand-in whose random() returns one given block of uniforms."""
+
+    def __init__(self, block):
+        self.block = np.asarray(block, dtype=float)
+
+    def random(self, shape):
+        assert shape == self.block.shape
+        return self.block.copy()
+
+
 class TestSupportColumnSampler:
     POLICIES = {
         "one_survivor": Categorical([0.0, 0.0, 1.0, 0.0, 0.0]),
+        "one_survivor_v7": Categorical([0.0] * 6 + [1.0]),
+        "one_survivor_v16": Categorical([1.0] + [0.0] * 15),
         "partial": Categorical([0.0, 0.45, 0.0, 0.3, 0.25, 0.0, 0.0]),
         "full": normalize([0.08, 0.46, 0.21, 0.25, 0.01, 0.3]),
     }
 
+    @staticmethod
+    def _assert_replays(p, got_rng, ref_rng, size):
+        for _ in range(3):
+            got = gumbel_max_sample(p, got_rng, size=size)
+            ref = _full_row_gumbel_max(p, ref_rng, size=size)
+            if size is None:
+                assert isinstance(got, int) and got == ref
+            else:
+                assert got.dtype == ref.dtype
+                np.testing.assert_array_equal(got, ref)
+        # the streams stand where drawing every uniform block leaves them
+        np.testing.assert_array_equal(got_rng.random(8), ref_rng.random(8))
+
     @pytest.mark.parametrize("name", sorted(POLICIES))
     @pytest.mark.parametrize("size", [None, 1, 9, 5000])
     def test_matches_full_row_reference(self, name, size):
-        p = self.POLICIES[name]
         for seed in range(5):
             got_rng, ref_rng = make_stream(seed, 2), make_stream(seed, 2)
-            for _ in range(3):
-                got = gumbel_max_sample(p, got_rng, size=size)
-                ref = _full_row_gumbel_max(p, ref_rng, size=size)
-                if size is None:
-                    assert isinstance(got, int) and got == ref
-                else:
-                    assert got.dtype == ref.dtype
-                    np.testing.assert_array_equal(got, ref)
-            # the whole uniform block was consumed, so the streams stay in step
-            np.testing.assert_array_equal(got_rng.random(8), ref_rng.random(8))
+            self._assert_replays(self.POLICIES[name], got_rng, ref_rng, size)
+
+    STREAMS = {
+        "philox": lambda seed: make_stream(seed, 2),
+        "pcg64": np.random.default_rng,  # not counter-based: the block is drawn
+    }
+
+    @pytest.mark.parametrize("stream", sorted(STREAMS))
+    @pytest.mark.parametrize("name", sorted(POLICIES))
+    @pytest.mark.parametrize("size", [None, 1, 3, 5000])
+    def test_replays_after_a_partial_buffer(self, stream, name, size):
+        for seed in range(5):
+            got_rng, ref_rng = self.STREAMS[stream](seed), self.STREAMS[stream](seed)
+            for rng in (got_rng, ref_rng):
+                rng.random(3)  # leaves Philox's four-word buffer partly used
+            self._assert_replays(self.POLICIES[name], got_rng, ref_rng, size)
+
+    @pytest.mark.parametrize("size", [None, 9])
+    def test_pending_32_bit_half_survives_a_skipped_block(self, size):
+        p = self.POLICIES["one_survivor_v16"]
+        got_rng, ref_rng = make_stream(4), make_stream(4)
+        for rng in (got_rng, ref_rng):
+            rng.integers(10, size=3, dtype=np.uint32)  # holds back a 32-bit half
+        gumbel_max_sample(p, got_rng, size=size)
+        _full_row_gumbel_max(p, ref_rng, size=size)
+        for _ in range(2):
+            np.testing.assert_array_equal(
+                got_rng.integers(1 << 30, size=3, dtype=np.uint32),
+                ref_rng.integers(1 << 30, size=3, dtype=np.uint32),
+            )
+            np.testing.assert_array_equal(got_rng.random(5), ref_rng.random(5))
+
+    def test_zero_noise_wins(self):
+        # rng.random() can return exactly 0.0: then U = 1, the noise is 0 and
+        # the score p / 0 is +inf, so that token is drawn
+        p = normalize([0.9, 0.1, 0.0])
+        assert gumbel_max_sample(p, _FixedUniforms([0.5, 0.0, 0.5])) == 1
+        block = [[0.5, 0.0, 0.5], [0.0, 0.5, 0.5], [0.0, 0.0, 0.0], [0.5, 0.5, 0.0]]
+        got = gumbel_max_sample(p, _FixedUniforms(block), size=4)
+        np.testing.assert_array_equal(got, [1, 0, 0, 0])
+        ref = _full_row_gumbel_max(p, _FixedUniforms(block), size=4)
+        np.testing.assert_array_equal(got, ref)
 
 
 class TestNormalForm:

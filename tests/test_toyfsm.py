@@ -1,6 +1,8 @@
 """Chain-of-states world: calibration, exact success, optimization, sampling."""
 
+import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from ssdlab import (
     top_p_set,
     topp_robustness_grid,
 )
+from ssdlab.cli import main
 from ssdlab.decode import DecodeConfig, _prefix_power
 from ssdlab.toyfsm import (
     DEFAULT_N_LOCKS,
@@ -316,6 +319,22 @@ class TestOptimize:
         with pytest.raises(OutOfRangeError, match="0 < lo < hi < inf"):
             optimize_temperature(teacher, 0.80, bounds=bounds)
 
+    @pytest.mark.parametrize("bounds", [(0.05, 1e300), (0.05, 100.052), (1.0, 1.5e308)])
+    def test_oversized_grid_rejected_before_allocating(self, teacher, bounds):
+        tracemalloc.start()
+        try:
+            with pytest.raises(OutOfRangeError, match="more than 100000 grid points"):
+                optimize_temperature(teacher, 0.80, bounds=bounds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_largest_grid_is_accepted(self, teacher):
+        # 0.05 + 99 999 steps of 1e-3 is the 100 000th point
+        t_star, _ = optimize_temperature(teacher, 0.80, bounds=(0.05, 100.049))
+        assert t_star == pytest.approx(TEACHER_T_STAR, abs=5e-4)
+
 
 class TestRobustnessGrid:
     def test_two_point_grid_matches_single_optimizations(self, teacher, student):
@@ -349,6 +368,32 @@ class TestMonteCarlo:
         # counts that do not divide the internal batch length still work
         res = monte_carlo_success(teacher, 1.0, 1.0, 70_001, seed=5)
         assert 0.0 < res.estimate < 1.0
+
+    # sha256 of toy-mc's CSV bytes, frozen before the sampler skipped the
+    # blocks of single-survivor states; the runs cover single-survivor locks
+    # (V = 16 and V = 7, where the batch is no multiple of Philox's four-word
+    # buffer) and a top-p 1.0 run that keeps every token
+    GOLDEN_REPORTS = {
+        "--role teacher --temperature 0.6395 --top-p 0.8 --n 250000 --seed 2":
+            "0ab97cbd10088a97809aa22efae5aeaa0499bae860b91337c1f7071e47b9a244",
+        "--role teacher --temperature 0.6395 --top-p 0.8 --n 250000 --seed 3":
+            "12fe149c0a191a7925ce46e55860635b38c77a0a69dfe63f5c9a6640e4f9818d",
+        "--role student --temperature 2.0941 --top-p 0.8 --n 250000 --seed 2":
+            "aa6a6906fd45f29cbdae8102698736145e04132bb942fb03bd3c3dd1ba4125c9",
+        "--role student --temperature 2.0941 --top-p 0.8 --n 250000 --seed 3":
+            "73149255af72cb4cd6c83a55e3a8f4bba0e83c89a813fe1dd324171ed06e4e21",
+        "--role teacher --temperature 0.8 --vocab-size 7 --n 70001 --seed 5":
+            "05f32f41b2949a0646d0b18aae9367dd9fe9aa3812e3eec87db8ee0c2481bd40",
+        "--role teacher --temperature 0.8 --top-p 1.0 --n 70001 --seed 4":
+            "f20ef12e5f02998d6355d5a94acfab3457262717c52a0725d9816ed40351dad4",
+    }
+
+    @pytest.mark.parametrize("argv", sorted(GOLDEN_REPORTS))
+    def test_cli_report_bytes_are_frozen(self, tmp_path, argv):
+        path = tmp_path / "mc.csv"
+        assert main(["toy-mc", *argv.split(), "--output", str(path)]) == 0
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == self.GOLDEN_REPORTS[argv]
 
     def test_three_sigma_agreement_across_grid(self, teacher, student):
         # fixed seeds make this deterministic; worst observed z is 1.9
