@@ -406,8 +406,8 @@ def _parse_record(raw: bytes) -> tuple[str, str, Categorical] | None:
         return None
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}")
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+        raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}")
     if not isinstance(obj, dict):
         raise ParseError("record is not a JSON object")
     if "context_id" not in obj:
@@ -416,8 +416,12 @@ def _parse_record(raw: bytes) -> tuple[str, str, Categorical] | None:
     has_logits = "logits" in obj
     if has_probs == has_logits:
         raise ParseError("record needs exactly one of probs or logits")
+    key = "probs" if has_probs else "logits"
     try:
-        values = np.asarray(obj["probs"] if has_probs else obj["logits"], dtype=float)
+        try:
+            values = np.asarray(obj[key], dtype=float)
+        except OverflowError:  # an integer past DBL_MAX: read it as 1e400 reads, inf
+            values = np.asarray(json.loads(line, parse_int=float)[key], dtype=float)
     except (TypeError, ValueError):
         raise ParseError("probability field is not a numeric array")
     if has_logits:

@@ -6,9 +6,12 @@ tested with a 1e-12 absolute epsilon, and all sampling goes through
 explicit counter-based streams so every experiment replays bit-identically.
 
 _prefix_power is the one kernel for the standard stack: for a column of
-temperatures it ranks p once and, in one masked pass, gives each row
-p^(1/T) on a rank prefix, cut by top-k, then top-p. Each row is computed
-alone at the full positive width, so it does not depend on the other rows.
+temperatures it sorts p's values once and, in one masked pass, gives each
+row p^(1/T) on a rank prefix, cut by top-k, then top-p. Only the longest
+prefix is then ranked by token index, lowest index on ties. The sorted
+values are contiguous, since numpy's SIMD log can round a strided view
+differently. Each row is computed alone at the full positive width, so it
+does not depend on the other rows.
 retained_support is its one-temperature case and DecodeConfig has no order
 field; temper, top_k_set, top_p_set and decode_normal_form run the
 operators literally, in any order, and are its reference. Tempering shifts
@@ -176,33 +179,39 @@ def top_p_set(p: Categorical, threshold: float) -> IndexSet:
 def _prefix_power(
     p: Categorical, temperatures: np.ndarray, top_k: int, top_p: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The standard pipeline at each temperature of a column, in one rank-once pass.
+    """The standard pipeline at each temperature of a column, in one sort-once pass.
 
-    Returns p's positive tokens in rank order, each row's prefix length
-    (positive count, then top_k, then the top-p cut) and the (n_T, V) rows,
-    each p^(1/T) normalized over its prefix. Every row is computed alone at
-    the full positive width, so row i is the evaluation at temperatures[i]
-    alone, bit for bit.
+    Returns the tokens of the longest row prefix in rank order (lowest
+    index on ties), each row's prefix length (positive count, then top_k,
+    then the top-p cut) and the (n_T, V) rows, each p^(1/T) normalized over
+    its prefix. Every row is computed from p's sorted positive values alone
+    at the full positive width, so row i is the evaluation at
+    temperatures[i] alone, bit for bit. Only the longest prefix is ranked
+    by index. The sorted values must be contiguous: numpy's SIMD log can
+    differ by an ulp on a strided view.
     """
     if not np.all(temperatures > 0):
         raise NonPositiveTemperatureError("temperatures must be positive")
     if not 0.0 < top_p <= 1.0:
         raise OutOfRangeError(f"top_p must lie in (0, 1], got {top_p!r}")
-    order = rank_descending(p)[: np.count_nonzero(p.probs)]  # zeros rank last
-    w = _shifted_exp(np.log(p.probs[order]), temperatures[:, None])
+    ranked = -np.sort(-p.probs)[: np.count_nonzero(p.probs)]  # contiguous, zeros last
+    w = _shifted_exp(np.log(ranked), temperatures[:, None])
     w /= w.sum(axis=1, keepdims=True)
     m = np.count_nonzero(w, axis=1)  # w falls with rank
     if top_k:
-        m = np.minimum(m, min(top_k, order.size))  # top_k may not fit in an int64
-    rank = np.arange(order.size)
+        m = np.minimum(m, min(top_k, ranked.size))  # top_k may not fit in an int64
+    rank = np.arange(ranked.size)
     w *= rank < m[:, None]  # zero each row past its prefix, in place
     if top_p < 1.0:
         csum = np.cumsum(w, axis=1)  # flat from rank m - 1 on, so the cut is < m
         m = (csum < (top_p - TOP_P_EPS) * csum[:, -1:]).sum(axis=1) + 1
         w *= rank < m[:, None]
     w /= w.sum(axis=1, keepdims=True)
+    n = int(m.max())
+    head = np.flatnonzero(p.probs >= ranked[n - 1])  # ascending, so ties keep index order
+    order = head[np.argsort(-p.probs[head], kind="stable")[:n]]
     operational = np.zeros((temperatures.size, p.alphabet_size))
-    operational[:, order] = w
+    operational[:, order] = w[:, :n]
     return order, m, operational
 
 

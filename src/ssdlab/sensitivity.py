@@ -138,12 +138,14 @@ def prefix_mass_curve(p: Categorical, tau: float, k: int) -> np.ndarray:
         raise NonPositiveTemperatureError(f"tau must be positive, got {tau!r}")
     if k < 1:
         raise OutOfRangeError(f"k must be >= 1, got {k!r}")
-    order, _, rows = _prefix_power(p, np.array([tau]), k, 1.0)
-    if k > order.size:
+    positive = int(np.count_nonzero(p.probs))
+    if k > positive:
         raise KTooLargeError(
-            f"k = {k} exceeds the {order.size} positive-probability tokens"
+            f"k = {k} exceeds the {positive} positive-probability tokens"
         )
-    csum = np.cumsum(rows[0, order[:k]])
+    order, _, rows = _prefix_power(p, np.array([tau]), k, 1.0)
+    # order stops where p^(1/tau) underflows; the masses past it add 0
+    csum = np.pad(np.cumsum(rows[0, order]), (0, k - order.size), mode="edge")
     return csum / csum[-1]
 
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 import sys
 import tracemalloc
 
@@ -34,7 +35,12 @@ from ssdlab.cli import (
     main,
     resolve_args,
 )
-from ssdlab.errors import EmptyReportError, InvalidDistributionError, ParseError
+from ssdlab.errors import (
+    EmptyReportError,
+    InvalidDistributionError,
+    ParseError,
+    SsdLabError,
+)
 
 
 def run(capsys, *argv):
@@ -800,6 +806,46 @@ class TestDumpIngestion:
         assert code == 0
         assert [row[0] for row in csv_rows(out)[1]] == ["a"]
         assert err == "warning: skipped line 2: invalid UTF-8: invalid start byte at byte 0\n"
+
+    @pytest.mark.parametrize("key", ["probs", "logits"])
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_integer_past_double_max_reads_as_its_float_spelling(
+        self, tmp_path, capsys, key, sign
+    ):
+        # 1 followed by 400 zeros gets the error that 1e400 gets on the same field
+        big = f'{{"context_id":"a","{key}":[0.5,{sign}1{"0" * 400}]}}'
+        spelled = f'{{"context_id":"a","{key}":[0.5,{sign}1e400]}}'
+        with pytest.raises(SsdLabError) as expected:
+            _parse_record(spelled.encode())
+        with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
+            _parse_record(big.encode())
+        good = json.dumps({"context_id": "b", "probs": [0.5, 0.5]})
+        path = self._write(tmp_path, [good, big])
+        code, out, err = run(capsys, "analyze-dump", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: line 2: {expected.value}\n"
+        code, out, err = run(capsys, "analyze-dump", "--input", str(path), "--skip-bad")
+        assert code == 0
+        assert [row[0] for row in csv_rows(out)[1]] == ["b"]
+        assert err == f"warning: skipped line 2: {expected.value}\n"
+
+    def test_integer_past_double_max_beside_a_string_is_not_numeric(self):
+        with pytest.raises(ParseError, match="not a numeric array"):
+            _parse_record(f'{{"context_id":"a","probs":[1{"0" * 400},"x"]}}'.encode())
+
+    def test_integer_past_the_digit_limit_is_invalid_json(self, tmp_path, capsys):
+        huge = f'{{"context_id":"a","probs":[0.5,1{"0" * 5000}]}}'
+        with pytest.raises(ParseError, match="^invalid JSON: "):
+            _parse_record(huge.encode())
+        good = json.dumps({"context_id": "b", "probs": [0.5, 0.5]})
+        path = self._write(tmp_path, [huge, good])
+        code, out, err = run(capsys, "analyze-dump", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 1: invalid JSON: ")
+        code, out, err = run(capsys, "analyze-dump", "--input", str(path), "--skip-bad")
+        assert code == 0
+        assert [row[0] for row in csv_rows(out)[1]] == ["b"]
+        assert err.startswith("warning: skipped line 1: invalid JSON: ")
 
     def test_logits_spanning_past_double_max_parse_quietly(self, tmp_path, capsys):
         path = self._write(tmp_path, ['{"context_id":"a","logits":[1e308,-1e308]}'])

@@ -3,18 +3,21 @@
 from itertools import permutations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssdlab import (
     DEFAULT_ORDER,
+    Categorical,
     decode_normal_form,
     normalize,
     power_rigidity_check,
     rank_descending,
     temper,
 )
-from ssdlab.decode import _prefix_power
+from ssdlab.categorical import _shifted_exp, _softmax
+from ssdlab.decode import TOP_P_EPS, _prefix_power
 
 # Small integer weights give exact ties and zeros, and distinct weights stay
 # distinct under any exponent in [1e-3, 1e3] (their ratio is at least 20/19).
@@ -37,12 +40,84 @@ def test_support_is_rank_prefix(w, temperatures, top_k, top_p):
     p = normalize(w)
     order, m, rows = _prefix_power(p, np.array(temperatures), top_k, top_p)
     positive = int(np.count_nonzero(p.probs))
-    assert order.tolist() == rank_descending(p)[:positive].tolist()
+    assert order.tolist() == rank_descending(p)[: m.max()].tolist()
     assert rows.shape == (len(temperatures), p.alphabet_size)
     for k, row in zip(m.tolist(), rows):
         assert 1 <= k <= (min(top_k, positive) if top_k else positive)
         assert set(np.flatnonzero(row).tolist()) == set(order[:k].tolist())
         assert abs(row.sum() - 1.0) <= 1e-14
+
+
+# continuous weights, with zeros and subnormals among hypothesis' floats
+float_weights = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64).filter(any)
+
+
+def _full_rank_prefix_power(p, temperatures, top_k, top_p):
+    """The kernel as it was when it index-ranked every positive token."""
+    order = rank_descending(p)[: np.count_nonzero(p.probs)]
+    w = _shifted_exp(np.log(p.probs[order]), temperatures[:, None])
+    w /= w.sum(axis=1, keepdims=True)
+    m = np.count_nonzero(w, axis=1)
+    if top_k:
+        m = np.minimum(m, min(top_k, order.size))
+    rank = np.arange(order.size)
+    w *= rank < m[:, None]
+    if top_p < 1.0:
+        csum = np.cumsum(w, axis=1)
+        m = (csum < (top_p - TOP_P_EPS) * csum[:, -1:]).sum(axis=1) + 1
+        w *= rank < m[:, None]
+    w /= w.sum(axis=1, keepdims=True)
+    operational = np.zeros((temperatures.size, p.alphabet_size))
+    operational[:, order] = w
+    return order, m, operational
+
+
+def _assert_bit_equal_to_full_rank(p, temperatures, top_k, top_p):
+    order, m, rows = _prefix_power(p, temperatures, top_k, top_p)
+    ref_order, ref_m, ref_rows = _full_rank_prefix_power(p, temperatures, top_k, top_p)
+    assert order.tobytes() == ref_order[: ref_m.max()].tobytes()
+    assert m.tobytes() == ref_m.tobytes()
+    assert rows.tobytes() == ref_rows.tobytes()
+
+
+@settings(max_examples=500)
+@given(
+    st.one_of(weights, float_weights),
+    st.lists(mixed_temperature, min_size=1, max_size=6),
+    top_ks,
+    top_ps,
+)
+def test_bit_equal_to_full_rank_kernel(w, temperatures, top_k, top_p):
+    # sorting values and index-ranking only the longest prefix changes no bit
+    _assert_bit_equal_to_full_rank(normalize(w), np.array(temperatures), top_k, top_p)
+
+
+# Seeded uniform weights wide enough that numpy's log runs whole SIMD blocks at
+# moderate temperatures, where an ulp of log p moves the rows: a strided sort
+# view, whose log rounds differently, fails here.
+@settings(max_examples=200)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(256, 4096),
+    st.lists(st.floats(-1.0, 1.0).map(lambda e: 10.0**e), min_size=1, max_size=4),
+    st.one_of(st.just(0), st.integers(1, 5000)),
+    top_ps,
+)
+def test_bit_equal_to_full_rank_kernel_on_wide_rows(seed, size, temperatures, top_k, top_p):
+    p = normalize(np.random.default_rng(seed).random(size))
+    _assert_bit_equal_to_full_rank(p, np.array(temperatures), top_k, top_p)
+
+
+@pytest.mark.parametrize("vocab_size", [32768, 262144])
+def test_bit_equal_to_full_rank_kernel_at_vocabulary_scale(vocab_size):
+    # a Zipf tail with gamma noise, shuffled, and the softmax of normal logits,
+    # each tempered at 0.7 and cut at top-p 0.95
+    gen = np.random.default_rng([vocab_size, 12])
+    zipf = np.arange(1, vocab_size + 1, dtype=float) ** -0.9
+    zipf *= gen.gamma(64.0, 1.0 / 64.0, vocab_size)
+    logits = gen.normal(0.0, 1.0, vocab_size)
+    for p in (normalize(gen.permutation(zipf)), Categorical(_softmax(logits))):
+        _assert_bit_equal_to_full_rank(p, np.array([0.7]), 0, 0.95)
 
 
 @settings(max_examples=300)

@@ -301,6 +301,14 @@ class TestPrefixMassCurve:
             curves = np.stack([prefix_mass_curve(p, t, k) for t in taus])
             assert np.all(np.diff(curves, axis=0) <= 1e-12)
 
+    def test_cold_curve_is_flat_past_the_underflow(self):
+        # at tau = 1e-3 every power below the argmax's underflows to 0, and the
+        # curve still has k entries, flat at 1 from rank 1
+        p = normalize([0.2, 0.5, 0.15, 0.15, 0.0])
+        assert prefix_mass_curve(p, 1e-3, 4).tolist() == [1.0, 1.0, 1.0, 1.0]
+        tied = normalize([0.4, 0.1, 0.4, 0.1])
+        assert prefix_mass_curve(tied, 1e-300, 3).tolist() == [0.5, 1.0, 1.0]
+
     def test_parameter_validation(self):
         p = Categorical(np.array([0.5, 0.5, 0.0]))
         with pytest.raises(NonPositiveTemperatureError):
