@@ -46,12 +46,13 @@ print("top-0.6 indices: ", top_p_set(p, 0.6))
 print("mass kept by top-0.6:", kept_mass(p, top_p_set(p, 0.6)))
 
 # The full stack: temper, then top-k, then top-p.  retained_support returns
-# the surviving indices, the mass they kept, and the renormalized
-# operational distribution that the sampler actually uses.
+# the surviving indices (a read-only int64 array, most likely first), the
+# mass they kept, and the renormalized operational distribution that the
+# sampler actually uses.
 cfg = DecodeConfig(temperature=0.7, top_k=6, top_p=0.85)
 ret = retained_support(p, cfg)
 print("\nconfig:", cfg)
-print("support:", ret.support)
+print("support:", ret.support.tolist())
 print("kept mass:", f"{ret.kept_mass:.4f}")
 print("operational:", ret.operational.probs)
 

@@ -32,7 +32,7 @@ cfg = DecodeConfig(temperature=0.8, top_p=0.9)
 
 # The target is the tempered teacher restricted to the retained support.
 target = ssd_target(p0, cfg)
-print("retained support:", target.support)
+print("retained support:", target.support.tolist())
 print("target q:        ", target.q.probs)
 
 # Decompose the loss for a mismatched student.

@@ -81,6 +81,10 @@ def _grid(text: str) -> list[float]:
         lo, hi, step = (float(x) for x in text.split(":"))
         if step <= 0 or hi < lo:
             raise ValueError("range must be lo:hi:step with step > 0 and hi >= lo")
+        if toyfsm._grid_too_long(lo, hi, step):  # refused before arange allocates
+            raise argparse.ArgumentTypeError(
+                f"range {text} holds more than {toyfsm.GRID_MAX_POINTS} points"
+            )
         return [float(t) for t in np.arange(lo, hi + step / 2, step)]
     return _floats(text)
 
@@ -330,7 +334,7 @@ def resolve_args(ns: argparse.Namespace) -> dict[str, Any]:
                         value = _parse_bool(raw)
                     else:
                         value = flag.convert(raw)
-                except ValueError as exc:
+                except (ValueError, argparse.ArgumentTypeError) as exc:
                     raise _UsageError(f"config key {flag.dest}: {exc}")
                 if flag.choices and value not in flag.choices:
                     raise _UsageError(
@@ -396,6 +400,9 @@ def emit_report(rows, fmt: str, path: str, header: list[str]) -> None:
 # ---------------------------------------------------------------------------
 # dump records
 
+_NOT_NUMBERS = frozenset({bool, str, type(None)})  # JSON values a numeric field refuses
+
+
 def _parse_record(raw: bytes) -> tuple[str, str, Categorical] | None:
     """One JSON Lines line as (context_id, label, probs); None for a blank line."""
     try:
@@ -417,9 +424,13 @@ def _parse_record(raw: bytes) -> tuple[str, str, Categorical] | None:
     if has_probs == has_logits:
         raise ParseError("record needs exactly one of probs or logits")
     key = "probs" if has_probs else "logits"
+    field = obj[key]
+    # numpy would read true as 1, "0.25" as 0.25 and null as NaN
+    if isinstance(field, list) and not _NOT_NUMBERS.isdisjoint(map(type, field)):
+        raise ParseError("probability field is not a numeric array")
     try:
         try:
-            values = np.asarray(obj[key], dtype=float)
+            values = np.asarray(field, dtype=float)
         except OverflowError:  # an integer past DBL_MAX: read it as 1e400 reads, inf
             values = np.asarray(json.loads(line, parse_int=float)[key], dtype=float)
     except (TypeError, ValueError):
@@ -467,9 +478,7 @@ def _run_target(args):
 
 
 def _decomposition_row(target, probs, step: int):
-    """One report row from the student's raw probability array (or a Categorical)."""
-    if isinstance(probs, Categorical):
-        probs = probs.probs
+    """One report row from the student's raw probability array."""
     bd, km, cond, q = _support_terms(target, probs)
     tv = 0.5 * float(np.abs(cond - q).sum())
     return step, bd.total, bd.gate, bd.reshape, bd.align, tv, 1.0 - km
@@ -480,7 +489,7 @@ def _run_decompose(args):
     student = args["student_probs"]
     p_theta = p0 if student is None else normalize(student)
     target = ssd_target(p0, _decode_config(args))
-    return DECOMPOSITION_HEADER, [_decomposition_row(target, p_theta, 0)]
+    return DECOMPOSITION_HEADER, [_decomposition_row(target, p_theta.probs, 0)]
 
 
 def _run_train_student(args):

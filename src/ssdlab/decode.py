@@ -81,16 +81,17 @@ class DecodeConfig:
             raise OutOfRangeError(f"top_p must lie in (0, 1], got {self.top_p!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RetainedSupport:
     """Survivors of the truncation pipeline at one context.
 
-    support is stored in descending-probability rank order; kept_mass is
-    the base-model mass of the support; operational is the tempered,
+    support is a read-only int64 array of token indices in descending-
+    probability rank order, lowest index first on ties; kept_mass is the
+    base-model mass of the support; operational is the tempered,
     truncated, renormalized distribution on the full alphabet.
     """
 
-    support: IndexSet
+    support: np.ndarray
     kept_mass: float
     operational: Categorical
 
@@ -224,8 +225,9 @@ def retained_support(p0: Categorical, cfg: DecodeConfig) -> RetainedSupport:
     t = np.array([cfg.temperature])
     order, m, operational = _prefix_power(p0, t, cfg.top_k, cfg.top_p)
     members = order[: m[0]]
+    members.flags.writeable = False
     return RetainedSupport(
-        support=tuple(members.tolist()),
+        support=members,
         kept_mass=float(p0.probs[members].sum()),
         operational=Categorical(operational[0]),
     )

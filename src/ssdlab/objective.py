@@ -17,7 +17,6 @@ import numpy as np
 
 from .categorical import (
     Categorical,
-    IndexSet,
     _event_array,
     _log_sum_exp,
     _softmax,
@@ -42,11 +41,14 @@ LOGIT_FLOOR = -50.0
 DIVERGENCE_WINDOW = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SsdTarget:
-    """The distillation target at one context: q proportional to source^(1/T) on support."""
+    """The distillation target at one context: q proportional to source^(1/T) on support.
 
-    support: IndexSet
+    support is retained_support's read-only int64 array, in rank order.
+    """
+
+    support: np.ndarray
     q: Categorical
     train_temperature: float
     source: Categorical
@@ -109,7 +111,7 @@ def _support_terms(target: SsdTarget, p: np.ndarray):
     """
     if p.size != target.q.alphabet_size:
         raise InvalidEntryError("alphabet sizes differ")
-    idx = np.asarray(target.support, dtype=np.int64)
+    idx = target.support
     p_s, q, T = p[idx], target.q.probs[idx], target.train_temperature
     if np.any(p_s == 0):  # q is positive on all of target.support by construction
         raise ZeroMassSupportError("student vanishes on a target-support token")
@@ -163,7 +165,8 @@ def loss_gradient_logits(target: SsdTarget, logits) -> np.ndarray:
     if not np.all(np.isfinite(z)):
         raise InvalidEntryError("logits must be finite")
     p = _softmax(z)
-    idx = np.flatnonzero(target.q.probs)  # q is positive exactly on the support
+    # the support, ascending, not rank order: the summing order is part of the output bits
+    idx = np.flatnonzero(target.q.probs)
     return _gradient(p, idx, float(p[idx].sum()), target.q.probs[idx])
 
 
@@ -223,6 +226,7 @@ def _student_steps(
         raise OutOfRangeError(f"max_steps must be >= 0, got {max_steps!r}")
     if not tv_tolerance > 0:
         raise OutOfRangeError(f"tv_tolerance must be positive, got {tv_tolerance!r}")
+    # the support, ascending, not rank order: the summing order is part of the output bits
     idx = np.flatnonzero(target.q.probs)
     qv = target.q.probs[idx]
     p0 = target.source.probs
@@ -299,7 +303,7 @@ def local_gain(p0: Categorical, cfg: DecodeConfig, tau: float, event) -> LocalGa
     target = ssd_target(p0, cfg)
     idx = _event_array(event, target.support, "retained support")
     p0_tau = temper(p0, tau)
-    m_tau = float(p0_tau.probs[np.asarray(target.support, dtype=np.int64)].sum())
+    m_tau = float(p0_tau.probs[target.support].sum())
     train_escort = restrict(
         temper(p0, cfg.temperature * tau), target.support
     )

@@ -236,6 +236,11 @@ def temperature_sweep(teacher: Fsm, student: Fsm, t_grid, top_p: float) -> Sweep
     return SweepResult(rows=tuple(rows))
 
 
+def _grid_too_long(lo: float, hi: float, step: float) -> bool:
+    """True when np.arange(lo, hi + step / 2, step) would hold over GRID_MAX_POINTS values."""
+    return np.ceil((hi + step / 2 - lo) / step) > GRID_MAX_POINTS
+
+
 def optimize_temperature(
     fsm: Fsm,
     top_p: float,
@@ -252,7 +257,7 @@ def optimize_temperature(
     lo, hi = float(bounds[0]), float(bounds[1])
     if not 0 < lo < hi < np.inf:
         raise OutOfRangeError(f"bounds must satisfy 0 < lo < hi < inf, got {bounds!r}")
-    if np.ceil((hi + GRID_STEP / 2 - lo) / GRID_STEP) > GRID_MAX_POINTS:  # arange's length
+    if _grid_too_long(lo, hi, GRID_STEP):
         raise OutOfRangeError(
             f"bounds {bounds!r} need more than {GRID_MAX_POINTS} grid points "
             f"at step {GRID_STEP}"

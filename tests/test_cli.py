@@ -1,5 +1,6 @@
 """Command-line surface: schemas, determinism, config merging, exit codes."""
 
+import argparse
 import csv
 import io
 import json
@@ -28,6 +29,7 @@ from ssdlab.cli import (
     SWEEP_HEADER,
     _cell,
     _decomposition_row,
+    _grid,
     _parse_record,
     _run_analyze_dump,
     build_parser,
@@ -41,6 +43,7 @@ from ssdlab.errors import (
     ParseError,
     SsdLabError,
 )
+from ssdlab.toyfsm import GRID_MAX_POINTS
 
 
 def run(capsys, *argv):
@@ -65,7 +68,7 @@ class TestDecodeCommand:
         assert header == ["token", "base_prob", "operational_prob"]
         p0 = normalize([0.5, 0.3, 0.2])
         rs = retained_support(p0, DecodeConfig(temperature=0.7, top_p=0.9))
-        assert [int(r[0]) for r in rows] == list(rs.support)
+        assert [int(r[0]) for r in rows] == rs.support.tolist()
         for row, v in zip(rows, rs.support):
             assert float(row[2]) == pytest.approx(rs.operational.probs[v], abs=1e-9)
 
@@ -124,7 +127,7 @@ class TestTargetCommand:
         target = ssd_target(
             normalize([0.5, 0.3, 0.2]), DecodeConfig(temperature=0.8, top_p=0.8)
         )
-        assert [int(r[0]) for r in rows] == list(target.support)
+        assert [int(r[0]) for r in rows] == target.support.tolist()
         for row, v in zip(rows, target.support):
             assert float(row[2]) == pytest.approx(target.q.probs[v], abs=1e-9)
 
@@ -230,7 +233,7 @@ def listed_train_report(argv):
               file=sys.stderr)
     target = ssd_target(p0, cfg)
     logged = [s for s in states if s.step % args["log_every"] == 0 or s is states[-1]]
-    rows = [_decomposition_row(target, Categorical(_softmax(s.logits)), s.step)
+    rows = [_decomposition_row(target, Categorical(_softmax(s.logits)).probs, s.step)
             for s in logged]
     emit_report(rows, args["format"], args["output"], DECOMPOSITION_HEADER)
 
@@ -422,6 +425,26 @@ class TestToyCommands:
         assert code == 0
         _, rows = csv_rows(out)
         assert [row[0] for row in rows] == ["0.5", "0.75", "1"]
+
+    def test_oversized_range_grid_exits_one(self, capsys, tmp_path):
+        # 1e15 points, which numpy would refuse to allocate (7 PiB)
+        code, out, err = run(capsys, "toy-sweep", "--t-grid", "0.05:1e12:0.001")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: argument --t-grid: range 0.05:1e12:0.001 holds more than 100000 points\n"
+        )
+        config = tmp_path / "sweep.cfg"
+        config.write_text("t-grid = 0.05:1e12:0.001\n")
+        code, out, err = run(capsys, "toy-sweep", "--config", str(config))
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: config key t_grid: range 0.05:1e12:0.001 holds more than 100000 points\n"
+        )
+
+    def test_range_grid_limit_is_inclusive(self):
+        assert len(_grid("0.001:100:0.001")) == GRID_MAX_POINTS
+        with pytest.raises(argparse.ArgumentTypeError, match="more than 100000 points"):
+            _grid("0.001:100.001:0.001")
 
     def test_optimize_narrow_bounds(self, capsys):
         code, out, _ = run(
@@ -635,6 +658,30 @@ class TestDumpIngestion:
         w = np.exp(z - z.max())
         np.testing.assert_allclose(b[2].probs, w / w.sum(), atol=1e-12)
         assert _parse_record(b"  \r\n") is None  # a blank line
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"context_id":"a","probs":[true,false]}',
+            '{"context_id":"a","probs":["0.25","0.75"]}',
+            '{"context_id":"a","probs":[0.5,null,0.5]}',
+            '{"context_id":"a","logits":["1",true]}',
+            '{"context_id":"a","logits":[0.0,false]}',
+        ],
+    )
+    def test_booleans_strings_and_nulls_are_not_numeric(self, tmp_path, capsys, record):
+        message = "probability field is not a numeric array"
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            _parse_record(record.encode())
+        good = json.dumps({"context_id": "b", "probs": [0.5, 0.5]})
+        path = self._write(tmp_path, [record, good])
+        code, out, err = run(capsys, "analyze-dump", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: line 1: {message}\n"
+        code, out, err = run(capsys, "analyze-dump", "--input", str(path), "--skip-bad")
+        assert code == 0
+        assert [row[0] for row in csv_rows(out)[1]] == ["b"]
+        assert err == f"warning: skipped line 1: {message}\n"
 
     def test_strict_mode_names_bad_lines(self, tmp_path, capsys):
         path = self._write(

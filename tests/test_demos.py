@@ -49,7 +49,7 @@ def test_decoding_pipeline_demo(lines):
         "[0.2092 0.1683 0.1342 0.1076 0.0949 0.0802 0.0717 0.0621 0.0359 0.0359]",
         "top-3 indices:    (0, 1, 2)",
         "top-0.6 indices:  (0, 1, 2)",
-        "support: (0, 1, 2)",
+        "support: [0, 1, 2]",
         "kept mass: 0.7000",
         "operational: "
         "[0.5499 0.2953 0.1548 0.     0.     0.     0.     0.     0.     0.    ]",

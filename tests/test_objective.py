@@ -72,7 +72,7 @@ class TestTarget:
     def test_lock_closed_form(self):
         p0 = normalize(LOCK_WEIGHTS)
         target = ssd_target(p0, LOCK_CFG)
-        assert target.support == (0, 1)
+        assert target.support.tolist() == [0, 1]
         assert target.q.probs[0] == pytest.approx(LOCK_Q0, abs=1e-13)
         assert target.q.probs[1] == pytest.approx(LOCK_Q1, abs=1e-13)
         assert target.train_temperature == 0.9
@@ -87,7 +87,7 @@ class TestTarget:
     def test_no_truncation_unit_temperature_is_identity(self):
         p0 = normalize([0.5, 0.3, 0.2])
         target = ssd_target(p0, DecodeConfig())
-        assert target.support == (0, 1, 2)
+        assert target.support.tolist() == [0, 1, 2]
         np.testing.assert_allclose(target.q.probs, p0.probs, atol=1e-15)
 
     def test_matches_tempered_conditional(self, make_dists):

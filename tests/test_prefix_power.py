@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 from ssdlab import (
     DEFAULT_ORDER,
     Categorical,
+    DecodeConfig,
     decode_normal_form,
     normalize,
     power_rigidity_check,
     rank_descending,
+    retained_support,
+    ssd_target,
     temper,
 )
 from ssdlab.categorical import _shifted_exp, _softmax
@@ -46,6 +49,23 @@ def test_support_is_rank_prefix(w, temperatures, top_k, top_p):
         assert 1 <= k <= (min(top_k, positive) if top_k else positive)
         assert set(np.flatnonzero(row).tolist()) == set(order[:k].tolist())
         assert abs(row.sum() - 1.0) <= 1e-14
+
+
+@settings(max_examples=300)
+@given(weights, mixed_temperature, top_ks, top_ps)
+def test_support_is_one_read_only_rank_prefix(w, temperature, top_k, top_p):
+    # retained_support and ssd_target carry the kernel's rank prefix as is
+    p = normalize(w)
+    cfg = DecodeConfig(temperature=temperature, top_k=top_k, top_p=top_p)
+    rs = retained_support(p, cfg)
+    n = int(np.count_nonzero(rs.operational.probs))
+    assert rs.support.dtype == np.int64
+    with pytest.raises(ValueError):
+        rs.support[0] = 0
+    assert rs.support.tolist() == rank_descending(p)[:n].tolist()
+    target = ssd_target(p, cfg)
+    assert target.support.tolist() == rs.support.tolist()
+    assert isinstance(hash(rs), int) and isinstance(hash(target), int)
 
 
 # continuous weights, with zeros and subnormals among hypothesis' floats

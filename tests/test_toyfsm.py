@@ -210,7 +210,7 @@ class TestBatchedSuccess:
                     for t, k, row in zip(temps.tolist(), m.tolist(), rows):
                         cfg = DecodeConfig(temperature=t, top_k=top_k, top_p=top_p)
                         rs = retained_support(arch.dist, cfg)
-                        assert tuple(order[:k].tolist()) == rs.support
+                        assert order[:k].tolist() == rs.support.tolist()
                         np.testing.assert_array_equal(
                             Categorical(row).probs, rs.operational.probs, strict=True
                         )
