@@ -14,200 +14,21 @@ The package provides four layers:
   quantity has a closed form, plus Monte Carlo cross-checks.
 """
 
-from .categorical import (
-    Categorical,
-    IndexSet,
-    as_index_array,
-    binary_entropy,
-    cross_entropy,
-    entropy,
-    kl_divergence,
-    normalize,
-    renyi_entropy,
-    restrict,
-)
-from .decode import (
-    DEFAULT_ORDER,
-    GREEDY_THRESHOLD,
-    OP_TEMPER,
-    OP_TOP_K,
-    OP_TOP_P,
-    DecodeConfig,
-    PrefixPolicy,
-    RetainedSupport,
-    argmax_token,
-    decode_normal_form,
-    greedy_guard,
-    gumbel_max_sample,
-    make_stream,
-    power_rigidity_check,
-    rank_descending,
-    retained_support,
-    temper,
-    top_k_set,
-    top_p_set,
-)
-from .errors import (
-    AllZeroError,
-    CompositionViolationError,
-    DivergenceError,
-    EmptyEventError,
-    EmptyReportError,
-    EmptySetError,
-    InvalidDistributionError,
-    InvalidEntryError,
-    InvalidOrderError,
-    InvalidRatioError,
-    IoError,
-    KTooLargeError,
-    NonPositiveTemperatureError,
-    NormalFormViolationError,
-    OutOfRangeError,
-    ParseError,
-    RankOutOfRangeError,
-    SsdLabError,
-    SupportViolationError,
-    ZeroMassEventError,
-    ZeroMassSupportError,
-    ZeroProbabilityOnSupportError,
-)
-from .objective import (
-    DivergenceMonitor,
-    LocalGain,
-    LossBreakdown,
-    SsdTarget,
-    StudentState,
-    gate_conditional_split,
-    ideal_fit_eval,
-    kept_mass,
-    local_gain,
-    loss_gradient_logits,
-    self_training_fixed_point_check,
-    ssd_target,
-    three_term_decomposition,
-    train_local_student,
-)
-from .sensitivity import (
-    EntropyBreakdown,
-    FeasibilityReport,
-    entropy_decomposition,
-    entropy_temperature_response,
-    escort_distribution,
-    escort_sensitivity,
-    feasible_topp_interval,
-    prefix_mass_curve,
-    set_mass_log_sensitivity,
-)
-from .toyfsm import (
-    Archetype,
-    Fsm,
-    GridRow,
-    McResult,
-    SweepResult,
-    SweepRow,
-    build_archetype,
-    build_toy_fsm,
-    distill_fsm,
-    exact_success,
-    geometric_tail,
-    monte_carlo_success,
-    operational_policy,
-    optimize_temperature,
-    temperature_sweep,
-    topp_robustness_grid,
-)
+from . import categorical, decode, errors, objective, sensitivity, toyfsm
+
+# Each module declares its public names in its own __all__; the package
+# republishes them, which is the one use of wildcard imports PEP 8 allows.
+from .categorical import *  # noqa: F403
+from .decode import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .objective import *  # noqa: F403
+from .sensitivity import *  # noqa: F403
+from .toyfsm import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AllZeroError",
-    "Archetype",
-    "Categorical",
-    "CompositionViolationError",
-    "DEFAULT_ORDER",
-    "DecodeConfig",
-    "DivergenceError",
-    "DivergenceMonitor",
-    "EmptyEventError",
-    "EmptyReportError",
-    "EmptySetError",
-    "EntropyBreakdown",
-    "FeasibilityReport",
-    "Fsm",
-    "GREEDY_THRESHOLD",
-    "GridRow",
-    "IndexSet",
-    "InvalidDistributionError",
-    "InvalidEntryError",
-    "InvalidOrderError",
-    "InvalidRatioError",
-    "IoError",
-    "KTooLargeError",
-    "LocalGain",
-    "LossBreakdown",
-    "McResult",
-    "NonPositiveTemperatureError",
-    "NormalFormViolationError",
-    "OP_TEMPER",
-    "OP_TOP_K",
-    "OP_TOP_P",
-    "OutOfRangeError",
-    "ParseError",
-    "PrefixPolicy",
-    "RankOutOfRangeError",
-    "RetainedSupport",
-    "SsdLabError",
-    "SsdTarget",
-    "StudentState",
-    "SupportViolationError",
-    "SweepResult",
-    "SweepRow",
-    "ZeroMassEventError",
-    "ZeroMassSupportError",
-    "ZeroProbabilityOnSupportError",
-    "argmax_token",
-    "as_index_array",
-    "binary_entropy",
-    "build_archetype",
-    "build_toy_fsm",
-    "cross_entropy",
-    "decode_normal_form",
-    "distill_fsm",
-    "entropy",
-    "entropy_decomposition",
-    "entropy_temperature_response",
-    "escort_distribution",
-    "escort_sensitivity",
-    "exact_success",
-    "feasible_topp_interval",
-    "gate_conditional_split",
-    "geometric_tail",
-    "greedy_guard",
-    "gumbel_max_sample",
-    "ideal_fit_eval",
-    "kept_mass",
-    "kl_divergence",
-    "local_gain",
-    "loss_gradient_logits",
-    "make_stream",
-    "monte_carlo_success",
-    "normalize",
-    "operational_policy",
-    "optimize_temperature",
-    "power_rigidity_check",
-    "prefix_mass_curve",
-    "rank_descending",
-    "renyi_entropy",
-    "restrict",
-    "retained_support",
-    "self_training_fixed_point_check",
-    "set_mass_log_sensitivity",
-    "ssd_target",
-    "temper",
-    "temperature_sweep",
-    "three_term_decomposition",
-    "top_k_set",
-    "top_p_set",
-    "topp_robustness_grid",
-    "train_local_student",
-]
+__all__ = sorted(
+    name
+    for module in (categorical, decode, errors, objective, sensitivity, toyfsm)
+    for name in module.__all__
+)

@@ -23,6 +23,11 @@ from .errors import (
     ZeroMassSupportError,
 )
 
+__all__ = [
+    "Categorical", "IndexSet", "as_index_array", "binary_entropy", "cross_entropy",
+    "entropy", "kl_divergence", "normalize", "renyi_entropy", "restrict",
+]
+
 # Raw inputs farther than this from total mass 1 are rejected; anything
 # closer is renormalized once at construction to stop drift in long chains.
 CONSTRUCTION_TOL = 1e-9
@@ -80,11 +85,6 @@ def _softmax(x: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """The distribution proportional to exp(x / temperature)."""
     w = _shifted_exp(x, temperature)
     return w / w.sum()
-
-
-def _log_sum_exp(x: np.ndarray, temperature: float = 1.0) -> float:
-    """temperature * log sum exp(x / temperature), shifted as in _softmax."""
-    return float(x.max() + temperature * np.log(_shifted_exp(x, temperature).sum()))
 
 
 def _int64_members(members, name: str, outside: str) -> np.ndarray:
@@ -164,13 +164,18 @@ def entropy(p: Categorical) -> float:
 
 
 def renyi_entropy(p: Categorical, alpha: float) -> float:
-    """Renyi entropy of order alpha in nats; alpha = 1 is the Shannon branch."""
+    """Renyi entropy of order alpha in nats; alpha = 1 is the Shannon branch.
+
+    An infinite order gives the limit, the min-entropy -log max p.
+    """
     if not alpha > 0:
         raise InvalidOrderError(f"Renyi order must be positive, got {alpha!r}")
     if alpha == 1.0:
         return entropy(p)
     logp = np.log(p.probs[p.probs > 0])
     top = float(logp.max())  # shifted out before scaling, so a huge order stays finite
+    if alpha == np.inf:  # the min-entropy limit
+        return -top
     tail = np.log(_shifted_exp(logp, 1.0 / alpha).sum())
     return float(alpha / (1.0 - alpha) * top + tail / (1.0 - alpha))
 

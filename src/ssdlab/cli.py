@@ -61,32 +61,43 @@ DUMP_HEADER = [
 # ---------------------------------------------------------------------------
 # flag plumbing
 
-def _floats(text: str) -> list[float]:
-    values = [float(x) for x in text.split(",") if x.strip()]
+# Converters raise ArgumentTypeError, whose message argparse prints as the reason.
+
+def _numbers(text: str, convert, noun: str) -> list:
+    try:
+        values = [convert(x) for x in text.split(",") if x.strip()]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if not values:
-        raise ValueError("expected a comma-separated list of numbers")
+        raise argparse.ArgumentTypeError(f"expected a comma-separated list of {noun}")
     return values
+
+
+def _floats(text: str) -> list[float]:
+    return _numbers(text, float, "numbers")
 
 
 def _ints(text: str) -> list[int]:
-    values = [int(x) for x in text.split(",") if x.strip()]
-    if not values:
-        raise ValueError("expected a comma-separated list of integers")
-    return values
+    return _numbers(text, int, "integers")
 
 
 def _grid(text: str) -> list[float]:
     """Either comma-separated values or an inclusive lo:hi:step range."""
-    if ":" in text:
+    if ":" not in text:
+        return _floats(text)
+    try:
         lo, hi, step = (float(x) for x in text.split(":"))
-        if step <= 0 or hi < lo:
-            raise ValueError("range must be lo:hi:step with step > 0 and hi >= lo")
-        if toyfsm._grid_too_long(lo, hi, step):  # refused before arange allocates
-            raise argparse.ArgumentTypeError(
-                f"range {text} holds more than {toyfsm.GRID_MAX_POINTS} points"
-            )
-        return [float(t) for t in np.arange(lo, hi + step / 2, step)]
-    return _floats(text)
+        valid = bool(np.isfinite([lo, hi, step]).all()) and step > 0 and hi >= lo
+    except ValueError:  # not three numbers
+        valid = False
+    if not valid:
+        raise argparse.ArgumentTypeError(f"range {text} must be lo:hi:step, three finite "
+                                         "numbers with step > 0 and hi >= lo")
+    if toyfsm._grid_too_long(lo, hi, step):  # refused before arange allocates
+        raise argparse.ArgumentTypeError(
+            f"range {text} holds more than {toyfsm.GRID_MAX_POINTS} points"
+        )
+    return [float(t) for t in np.arange(lo, hi + step / 2, step)]
 
 
 def _parse_bool(text: str) -> bool:
@@ -225,50 +236,6 @@ _T_BOUND_FLAGS = [
          check=_positive_finite, check_msg="t-max must be finite and > 0"),
 ]
 
-SUBCOMMANDS: dict[str, list[Flag]] = {
-    "decode": _DECODE_FLAGS,
-    "target": _DECODE_FLAGS,
-    "decompose": _DECODE_FLAGS + [
-        Flag("--student-probs", _floats, None,
-             "student weights (default: same as --probs)"),
-    ],
-    "train-student": _DECODE_FLAGS + _TRAIN_FLAGS,
-    "sensitivity": _SENSITIVITY_FLAGS,
-    "toy-sweep": _FSM_FLAGS + [
-        Flag("--t-grid", _grid, None, "temperatures: list or lo:hi:step",
-             required=True, check=_all_positive,
-             check_msg="t-grid entries must be > 0"),
-        _EVAL_TOP_P_FLAG,
-    ],
-    "toy-optimize": _FSM_FLAGS + [
-        _ROLE_FLAG,
-        _EVAL_TOP_P_FLAG,
-        *_T_BOUND_FLAGS,
-    ],
-    "toy-grid": _FSM_FLAGS + [
-        Flag("--top-p", _floats, [0.65, 0.70, 0.75, 0.80, 0.85, 0.90],
-             "top-p values, comma separated",
-             check=_all_unit, check_msg="top-p values must lie in (0, 1]"),
-        *_T_BOUND_FLAGS,
-    ],
-    "toy-mc": _FSM_FLAGS + [
-        _ROLE_FLAG,
-        Flag("--temperature", float, None, "evaluation temperature", required=True,
-             check=_positive, check_msg="temperature must be > 0"),
-        _EVAL_TOP_P_FLAG,
-        Flag("--n", int, 1_000_000, "trajectory count",
-             check=_positive, check_msg="n must be >= 1"),
-        Flag("--seed", int, 0, "random seed"),
-    ],
-    "analyze-dump": [
-        Flag("--input", str, None, "line-delimited record file", required=True),
-        Flag("--skip-bad", None, False, "skip malformed lines instead of aborting",
-             is_switch=True),
-        *_DECODE_CONFIG_FLAGS,
-    ],
-}
-
-
 class _UsageError(Exception):
     pass
 
@@ -282,7 +249,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> _Parser:
     parser = _Parser(prog="ssdlab", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, flags in SUBCOMMANDS.items():
+    for name, (_, flags) in SUBCOMMANDS.items():
         sub = subs.add_parser(name)
         for flag in flags + _OUTPUT_FLAGS:
             if flag.is_switch:
@@ -311,7 +278,8 @@ def load_config(path: str) -> dict[str, str]:
 
 def resolve_args(ns: argparse.Namespace) -> dict[str, Any]:
     """Merge CLI values, config file values, and declared defaults; validate ranges."""
-    flags = SUBCOMMANDS[ns.command] + _OUTPUT_FLAGS
+    _, command_flags = SUBCOMMANDS[ns.command]
+    flags = command_flags + _OUTPUT_FLAGS
     by_dest = {flag.dest: flag for flag in flags}
     config: dict[str, str] = {}
     config_path = getattr(ns, "config")
@@ -456,25 +424,28 @@ def _decode_config(args) -> DecodeConfig:
     )
 
 
+def _retained_rows(p0: Categorical, args) -> list[tuple]:
+    """(token, base prob, operational prob) over the retained support, in rank order.
+
+    ssd_target's q is this operational distribution on this support, so the
+    target report shares these rows.
+    """
+    rs = retained_support(p0, _decode_config(args))
+    return [(v, float(p0.probs[v]), float(rs.operational.probs[v])) for v in rs.support]
+
+
 def _run_decode(args):
     p0 = normalize(args["probs"])
     header = ["token", "base_prob", "operational_prob"]
     if greedy_guard(args["temperature"]):
         token = argmax_token(p0)
         return header, [(token, float(p0.probs[token]), 1.0)]
-    rs = retained_support(p0, _decode_config(args))
-    rows = [
-        (v, float(p0.probs[v]), float(rs.operational.probs[v])) for v in rs.support
-    ]
-    return header, rows
+    return header, _retained_rows(p0, args)
 
 
 def _run_target(args):
-    p0 = normalize(args["probs"])
-    target = ssd_target(p0, _decode_config(args))
-    header = ["token", "base_prob", "target_prob"]
-    rows = [(v, float(p0.probs[v]), float(target.q.probs[v])) for v in target.support]
-    return header, rows
+    rows = _retained_rows(normalize(args["probs"]), args)
+    return ["token", "base_prob", "target_prob"], rows
 
 
 def _decomposition_row(target, probs, step: int):
@@ -583,11 +554,9 @@ def _t_bounds(args) -> tuple[float, float]:
 def _run_toy_sweep(args):
     teacher, student = _build_machines(args)
     sweep = toyfsm.temperature_sweep(teacher, student, args["t_grid"], args["top_p"])
-    rows = [
-        (r.temperature, r.top_p, r.teacher_success, r.student_success, r.gap)
-        for r in sweep.rows
-    ]
-    return SWEEP_HEADER, rows
+    # a row's fields in declaration order, which is the column order; astuple
+    # would deep-copy them, about 10 us a row on a 100 000-point grid
+    return SWEEP_HEADER, [tuple(vars(r).values()) for r in sweep.rows]
 
 
 def _run_toy_optimize(args):
@@ -607,13 +576,7 @@ def _run_toy_grid(args):
         "top_p", "teacher_t_star", "teacher_p_star",
         "student_t_star", "student_p_star", "gap_pp",
     ]
-    return header, [
-        (
-            r.top_p, r.teacher_t_star, r.teacher_p_star,
-            r.student_t_star, r.student_p_star, r.gap_pp,
-        )
-        for r in rows
-    ]
+    return header, [tuple(vars(r).values()) for r in rows]
 
 
 def _run_toy_mc(args):
@@ -659,24 +622,57 @@ def _run_analyze_dump(args):
     return DUMP_HEADER, rows
 
 
-_RUNNERS = {
-    "decode": _run_decode,
-    "target": _run_target,
-    "decompose": _run_decompose,
-    "train-student": _run_train_student,
-    "sensitivity": _run_sensitivity,
-    "toy-sweep": _run_toy_sweep,
-    "toy-optimize": _run_toy_optimize,
-    "toy-grid": _run_toy_grid,
-    "toy-mc": _run_toy_mc,
-    "analyze-dump": _run_analyze_dump,
+# The one command table: each command's runner and its flags (every command
+# also takes _OUTPUT_FLAGS). A runner maps the resolved flags to (header, rows).
+SUBCOMMANDS: dict[str, tuple[Callable[[dict], tuple[list[str], list]], list[Flag]]] = {
+    "decode": (_run_decode, _DECODE_FLAGS),
+    "target": (_run_target, _DECODE_FLAGS),
+    "decompose": (_run_decompose, _DECODE_FLAGS + [
+        Flag("--student-probs", _floats, None,
+             "student weights (default: same as --probs)"),
+    ]),
+    "train-student": (_run_train_student, _DECODE_FLAGS + _TRAIN_FLAGS),
+    "sensitivity": (_run_sensitivity, _SENSITIVITY_FLAGS),
+    "toy-sweep": (_run_toy_sweep, _FSM_FLAGS + [
+        Flag("--t-grid", _grid, None, "temperatures: list or lo:hi:step",
+             required=True, check=_all_positive,
+             check_msg="t-grid entries must be > 0"),
+        _EVAL_TOP_P_FLAG,
+    ]),
+    "toy-optimize": (_run_toy_optimize, _FSM_FLAGS + [
+        _ROLE_FLAG,
+        _EVAL_TOP_P_FLAG,
+        *_T_BOUND_FLAGS,
+    ]),
+    "toy-grid": (_run_toy_grid, _FSM_FLAGS + [
+        Flag("--top-p", _floats, [0.65, 0.70, 0.75, 0.80, 0.85, 0.90],
+             "top-p values, comma separated",
+             check=_all_unit, check_msg="top-p values must lie in (0, 1]"),
+        *_T_BOUND_FLAGS,
+    ]),
+    "toy-mc": (_run_toy_mc, _FSM_FLAGS + [
+        _ROLE_FLAG,
+        Flag("--temperature", float, None, "evaluation temperature", required=True,
+             check=_positive, check_msg="temperature must be > 0"),
+        _EVAL_TOP_P_FLAG,
+        Flag("--n", int, 1_000_000, "trajectory count",
+             check=_positive, check_msg="n must be >= 1"),
+        Flag("--seed", int, 0, "random seed"),
+    ]),
+    "analyze-dump": (_run_analyze_dump, [
+        Flag("--input", str, None, "line-delimited record file", required=True),
+        Flag("--skip-bad", None, False, "skip malformed lines instead of aborting",
+             is_switch=True),
+        *_DECODE_CONFIG_FLAGS,
+    ]),
 }
 
 
 def main(argv=None) -> int:
     try:
         args = resolve_args(build_parser().parse_args(argv))
-        header, rows = _RUNNERS[args["command"]](args)
+        runner, _ = SUBCOMMANDS[args["command"]]
+        header, rows = runner(args)
         emit_report(rows, args["format"], args["output"], header)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)

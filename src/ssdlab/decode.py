@@ -41,6 +41,13 @@ from .errors import (
     ZeroMassSupportError,
 )
 
+__all__ = [
+    "DEFAULT_ORDER", "DecodeConfig", "GREEDY_THRESHOLD", "OP_TEMPER", "OP_TOP_K",
+    "OP_TOP_P", "PrefixPolicy", "RetainedSupport", "argmax_token", "decode_normal_form",
+    "greedy_guard", "gumbel_max_sample", "make_stream", "power_rigidity_check",
+    "rank_descending", "retained_support", "temper", "top_k_set", "top_p_set",
+]
+
 OP_TEMPER = "temper"
 OP_TOP_K = "top_k"
 OP_TOP_P = "top_p"
@@ -315,8 +322,8 @@ def decode_normal_form(
     ranking; any deviation beyond 1e-10 is an implementation bug.
     """
     order = _check_order(order)
-    if not alpha > 0:
-        raise OutOfRangeError(f"exponent must be positive, got {alpha!r}")
+    if not 0 < alpha < np.inf:  # 1 / inf would reach temper as temperature 0
+        raise OutOfRangeError(f"exponent must be finite and positive, got {alpha!r}")
     if k < 0:
         raise OutOfRangeError(f"top_k must be >= 0, got {k!r}")
     if not 0.0 < top_p <= 1.0:

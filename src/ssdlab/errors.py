@@ -4,6 +4,16 @@ Every failure mode raised by library code derives from SsdLabError so
 callers can distinguish domain errors from programming errors.
 """
 
+__all__ = [
+    "AllZeroError", "CompositionViolationError", "DivergenceError", "EmptyEventError",
+    "EmptyReportError", "EmptySetError", "InvalidDistributionError",
+    "InvalidEntryError", "InvalidOrderError", "InvalidRatioError", "IoError",
+    "KTooLargeError", "NonPositiveTemperatureError", "NormalFormViolationError",
+    "OutOfRangeError", "ParseError", "RankOutOfRangeError", "SsdLabError",
+    "SupportViolationError", "ZeroMassEventError", "ZeroMassSupportError",
+    "ZeroProbabilityOnSupportError",
+]
+
 
 class SsdLabError(Exception):
     """Base class for all library errors."""

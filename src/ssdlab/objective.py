@@ -18,7 +18,7 @@ import numpy as np
 from .categorical import (
     Categorical,
     _event_array,
-    _log_sum_exp,
+    _shifted_exp,
     _softmax,
     as_index_array,
     restrict,
@@ -33,6 +33,13 @@ from .errors import (
     ZeroMassEventError,
     ZeroMassSupportError,
 )
+
+__all__ = [
+    "DivergenceMonitor", "LocalGain", "LossBreakdown", "SsdTarget", "StudentState",
+    "gate_conditional_split", "ideal_fit_eval", "kept_mass", "local_gain",
+    "loss_gradient_logits", "self_training_fixed_point_check", "ssd_target",
+    "three_term_decomposition", "train_local_student",
+]
 
 # Logit floor standing in for -infinity at zero-probability tokens.
 LOGIT_FLOOR = -50.0
@@ -104,26 +111,38 @@ def kept_mass(p_theta: Categorical, members) -> float:
     return float(p_theta.probs[idx].sum())
 
 
-def _support_terms(target: SsdTarget, p: np.ndarray):
-    """The breakdown of a raw student array, its kept mass, p(v|S) and q on the support.
+def _conditional(target: SsdTarget, p: np.ndarray):
+    """A raw student array's kept mass, its conditional p(v|S) and q on the support.
 
     Indexes target.support in rank order, the order kept_mass sums in; O(|S|).
     """
     if p.size != target.q.alphabet_size:
         raise InvalidEntryError("alphabet sizes differ")
-    idx = target.support
-    p_s, q, T = p[idx], target.q.probs[idx], target.train_temperature
+    p_s = p[target.support]
     if np.any(p_s == 0):  # q is positive on all of target.support by construction
         raise ZeroMassSupportError("student vanishes on a target-support token")
     km = float(p_s.sum())
     cond = p_s / km
     cond /= cond.sum()  # unit sum, as restrict's Categorical makes it
+    return km, cond, target.q.probs[target.support]
+
+
+def _support_terms(target: SsdTarget, p: np.ndarray):
+    """The breakdown of a raw student array, then _conditional's kept mass, p(v|S) and q."""
+    km, cond, q = _conditional(target, p)
+    T = target.train_temperature
+    if T == np.inf:  # reshape tends to -inf and const to +inf: their sum has no value
+        raise OutOfRangeError("the loss decomposition needs a finite train temperature, "
+                              f"got {T!r}")
     log_cond, log_q = np.log(cond), np.log(q)
-    tempered = _softmax(log_cond, T)
+    w = _shifted_exp(log_cond, T)
+    norm = w.sum()
+    tempered = w / norm
     if np.any(tempered == 0):
         raise SupportViolationError("tempered student vanishes on a target-support token")
     gate = float(-np.log(km))
-    reshape = 0.0 if T == 1.0 else -_log_sum_exp(log_cond, T)
+    # -T log sum (p(v|S))^(1/T), shifted by the largest log p(v|S) as tempered is
+    reshape = 0.0 if T == 1.0 else -float(log_cond.max() + T * np.log(norm))
     align = T * float((q * (log_q - np.log(tempered))).sum())
     const = T * float(-(q * log_q).sum())
     total = gate + reshape + align + const
@@ -132,8 +151,8 @@ def _support_terms(target: SsdTarget, p: np.ndarray):
 
 def gate_conditional_split(target: SsdTarget, p_theta: Categorical) -> tuple[float, float]:
     """Split cross_entropy(q, p_theta) into -log KeptMass plus the conditional CE, in O(|S|)."""
-    breakdown, _, cond, q = _support_terms(target, p_theta.probs)
-    return breakdown.gate, float(-(q * np.log(cond)).sum())
+    km, cond, q = _conditional(target, p_theta.probs)
+    return float(-np.log(km)), float(-(q * np.log(cond)).sum())
 
 
 def three_term_decomposition(target: SsdTarget, p_theta: Categorical) -> LossBreakdown:
@@ -141,13 +160,14 @@ def three_term_decomposition(target: SsdTarget, p_theta: Categorical) -> LossBre
 
     The reshape term uses the free-energy form -T log sum(restricted^(1/T))
     and is exactly 0 at T = 1 by the continuous extension. All four terms
-    are computed on the support index, in O(|S|).
+    are computed on the support index, in O(|S|). An infinite train
+    temperature is refused with OutOfRangeError: reshape and const diverge.
     """
     return _support_terms(target, p_theta.probs)[0]
 
 
-def _gradient(p: np.ndarray, idx: np.ndarray, km: float, q: np.ndarray) -> np.ndarray:
-    cond = p[idx] / km
+def _gradient(p: np.ndarray, idx: np.ndarray, km: float, cond: np.ndarray,
+              q: np.ndarray) -> np.ndarray:
     g = p.copy()
     g[idx] = -(1.0 - km) * cond + (cond - q)
     return g
@@ -167,7 +187,9 @@ def loss_gradient_logits(target: SsdTarget, logits) -> np.ndarray:
     p = _softmax(z)
     # the support, ascending, not rank order: the summing order is part of the output bits
     idx = np.flatnonzero(target.q.probs)
-    return _gradient(p, idx, float(p[idx].sum()), target.q.probs[idx])
+    p_s = p[idx]
+    km = float(p_s.sum())
+    return _gradient(p, idx, km, p_s / km, target.q.probs[idx])
 
 
 def self_training_fixed_point_check(
@@ -241,7 +263,8 @@ def _student_steps(
         if not km > 0 or np.count_nonzero(p_s) < idx.size:
             raise DivergenceError(f"loss is not finite at step {step}: the student "
                                   "vanishes on a target-support token")
-        tv = float(0.5 * np.abs(p_s / km - qv).sum())
+        cond = p_s / km
+        tv = float(0.5 * np.abs(cond - qv).sum())
         loss = float(-(qv * np.log(p_s)).sum())
         stop = ("converged" if tv < tv_tolerance
                 else "step_cap" if step == max_steps else None)
@@ -250,7 +273,7 @@ def _student_steps(
         if stop:
             return
         monitor.observe(loss)
-        z = z - learning_rate * _gradient(p, idx, km, qv)
+        z = z - learning_rate * _gradient(p, idx, km, cond, qv)
 
 
 def train_local_student(

@@ -32,6 +32,12 @@ from .errors import (
     ZeroProbabilityOnSupportError,
 )
 
+__all__ = [
+    "EntropyBreakdown", "FeasibilityReport", "entropy_decomposition",
+    "entropy_temperature_response", "escort_distribution", "escort_sensitivity",
+    "feasible_topp_interval", "prefix_mass_curve", "set_mass_log_sensitivity",
+]
+
 
 @dataclass(frozen=True)
 class EntropyBreakdown:
@@ -56,8 +62,8 @@ class FeasibilityReport:
 
 def escort_distribution(p0: Categorical, members, gamma: float) -> Categorical:
     """The distribution proportional to p0^gamma on the set, zero elsewhere."""
-    if not gamma > 0:
-        raise OutOfRangeError(f"gamma must be positive, got {gamma!r}")
+    if not 0 < gamma < np.inf:  # 1 / inf would reach temper as temperature 0
+        raise OutOfRangeError(f"gamma must be finite and positive, got {gamma!r}")
     return temper(p0, 1.0 / gamma, members)
 
 

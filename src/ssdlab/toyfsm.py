@@ -33,6 +33,13 @@ from .decode import (
 from .errors import EmptySetError, InvalidEntryError, InvalidRatioError, OutOfRangeError
 from .objective import ssd_target
 
+__all__ = [
+    "Archetype", "Fsm", "GridRow", "McResult", "SweepResult", "SweepRow",
+    "build_archetype", "build_toy_fsm", "distill_fsm", "exact_success",
+    "geometric_tail", "monte_carlo_success", "operational_policy",
+    "optimize_temperature", "temperature_sweep", "topp_robustness_grid",
+]
+
 VOCAB_SIZE = 16
 
 LOCK_HEAD = (0.750, 0.055, 0.050, 0.037)

@@ -232,6 +232,17 @@ class TestRenyi:
             -math.log(max(weights)), abs=1e-15
         )
 
+    @pytest.mark.parametrize(
+        "weights", [[0.1] * 10, [0.5, 0.3, 0.2], [0.2, 0.0, 0.4, 0.4], [1.0]]
+    )
+    def test_infinite_order_is_min_entropy(self, weights):
+        # the limit itself, with no RuntimeWarning (an error in this suite)
+        p = Categorical(np.array(weights))
+        assert renyi_entropy(p, math.inf) == -math.log(max(weights))
+        assert renyi_entropy(p, math.inf) == pytest.approx(
+            renyi_entropy(p, 1e308), abs=1e-15
+        )
+
     def test_nonincreasing_in_order_randomized(self, make_dists):
         orders = [0.25, 0.5, 1.0, 2.0, 4.0, 16.0]
         for w in make_dists(N_RANDOM, seed=17):

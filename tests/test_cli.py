@@ -46,6 +46,9 @@ from ssdlab.errors import (
 from ssdlab.toyfsm import GRID_MAX_POINTS
 
 
+INFINITE_T_ERROR = "error: the loss decomposition needs a finite train temperature, got inf\n"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -163,6 +166,19 @@ class TestDecomposeCommand:
         _, rows = csv_rows(out)
         assert float(rows[0][6]) == pytest.approx(0.25, abs=1e-9)
 
+    def test_infinite_train_temperature_exits_two(self, capsys):
+        # the row was 0,nan,0,-inf,nan,0.166666667,0
+        code, out, err = run(
+            capsys, "decompose", "--probs", "0.5,0.3,0.2",
+            "--student-probs", "0.2,0.3,0.5", "--temperature", "inf",
+        )
+        assert (code, out, err) == (2, "", INFINITE_T_ERROR)
+        for command in ("decode", "target"):  # these keep their uniform report
+            code, out, _ = run(capsys, command, "--probs", "0.5,0.3,0.2",
+                               "--temperature", "inf")
+            assert code == 0
+            assert [row[2] for row in csv_rows(out)[1]] == ["0.333333333"] * 3
+
 
 class TestTrainCommand:
     def test_logs_thin_but_keep_last(self, capsys):
@@ -210,6 +226,13 @@ class TestTrainCommand:
         assert (code, out) == (2, "")
         assert err == ("error: loss is not finite at step 1: "
                        "the student vanishes on a target-support token\n")
+
+    def test_infinite_train_temperature_exits_two(self, capsys):
+        # total and align were nan on every row
+        code, out, err = run(
+            capsys, "train-student", "--probs", "0.5,0.3,0.2", "--temperature", "inf",
+        )
+        assert (code, out, err) == (2, "", INFINITE_T_ERROR)
 
 
 def listed_train_report(argv):
@@ -446,6 +469,17 @@ class TestToyCommands:
         with pytest.raises(argparse.ArgumentTypeError, match="more than 100000 points"):
             _grid("0.001:100.001:0.001")
 
+    @pytest.mark.parametrize("text", ["1:0:0.1", "1:2", "nan:1:0.1", "0:1:inf", "0:x:1"])
+    def test_bad_range_grid_gives_its_reason(self, capsys, tmp_path, text):
+        reason = (f"range {text} must be lo:hi:step, three finite numbers "
+                  "with step > 0 and hi >= lo\n")
+        code, out, err = run(capsys, "toy-sweep", "--t-grid", text)
+        assert (code, out, err) == (1, "", "error: argument --t-grid: " + reason)
+        config = tmp_path / "sweep.cfg"
+        config.write_text(f"t-grid = {text}\n")
+        code, out, err = run(capsys, "toy-sweep", "--config", str(config))
+        assert (code, out, err) == (1, "", "error: config key t_grid: " + reason)
+
     def test_optimize_narrow_bounds(self, capsys):
         code, out, _ = run(
             capsys, "toy-optimize", "--role", "teacher", "--top-p", "0.8",
@@ -610,6 +644,20 @@ class TestConfigFile:
         cfg.write_text("probs = 0.5,0.5\ntemperature = -2\n")
         code, _, _ = run(capsys, "decode", "--config", str(cfg))
         assert code == 1
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["decode", "--probs", ","], "expected a comma-separated list of numbers"),
+    (["decode", "--probs", "0.5,x"], "could not convert string to float: 'x'"),
+    (["sensitivity", "--probs", "1,1", "--support", "0.5"],
+     "invalid literal for int() with base 10: '0.5'"),
+    (["sensitivity", "--probs", "1,1", "--support", " "],
+     "expected a comma-separated list of integers"),
+])
+def test_bad_list_gives_its_reason(capsys, argv, reason):
+    code, out, err = run(capsys, *argv)
+    flag = argv[-2]
+    assert (code, out, err) == (1, "", f"error: argument {flag}: {reason}\n")
 
 
 def dump_lines(rng):

@@ -464,3 +464,8 @@ class TestNormalForm:
             decode_normal_form(p, DEFAULT_ORDER, alpha=1.0, k=-1, top_p=1.0)
         with pytest.raises(InvalidOrderError):
             decode_normal_form(p, ("temper", "top_k"), alpha=1.0, k=0, top_p=1.0)
+
+    def test_infinite_exponent_rejected_by_name(self):
+        p = normalize([0.5, 0.3, 0.2])
+        with pytest.raises(OutOfRangeError, match="exponent must be finite and positive"):
+            decode_normal_form(p, DEFAULT_ORDER, alpha=np.inf, k=0, top_p=1.0)

@@ -169,6 +169,34 @@ class TestDecomposition:
         with pytest.raises(ZeroMassSupportError):
             gate_conditional_split(target, broken)
 
+    def test_infinite_train_temperature_refused_by_decomposition(self):
+        # reshape -> -inf and const -> +inf: the sum was NaN
+        target = ssd_target(normalize([0.5, 0.3, 0.2]), DecodeConfig(temperature=np.inf))
+        with pytest.raises(OutOfRangeError, match="finite train temperature, got inf"):
+            three_term_decomposition(target, normalize([0.2, 0.3, 0.5]))
+
+    def test_split_stays_finite_at_infinite_train_temperature(self):
+        p0, student = normalize([0.5, 0.3, 0.2]), normalize([0.2, 0.3, 0.5])
+        target = ssd_target(p0, DecodeConfig(temperature=np.inf))
+        gate, cond = gate_conditional_split(target, student)
+        assert gate == 0.0
+        # q is uniform, so the conditional CE is the mean of -log student
+        assert cond == pytest.approx(1.16885263, abs=1e-8)
+        assert cond == pytest.approx(-np.mean(np.log(student.probs)), rel=1e-15)
+        # a one-token support: the split never tempers, so nothing warns
+        single = ssd_target(p0, DecodeConfig(temperature=np.inf, top_k=1))
+        gate, cond = gate_conditional_split(single, student)
+        assert (gate, cond) == (pytest.approx(-np.log(0.2), rel=1e-15), 0.0)
+
+    def test_split_needs_no_tempered_student(self):
+        # at T = 1e-310 the retempered student underflows, which only the
+        # three-term decomposition needs; the split stays cross_entropy(q, p)
+        target = ssd_target(normalize([0.4, 0.4, 0.2]), DecodeConfig(temperature=1e-310))
+        student = normalize([0.5, 0.3, 0.2])
+        gate, cond = gate_conditional_split(target, student)
+        assert gate == pytest.approx(-np.log(0.8), rel=1e-15)
+        assert gate + cond == pytest.approx(-0.5 * np.log(0.5 * 0.3), rel=1e-15)
+
 
 class TestGradient:
     def test_matches_finite_differences(self, make_dists):

@@ -78,6 +78,17 @@ class TestEscortDistribution:
         with pytest.raises(OutOfRangeError):
             escort_distribution(p, (0, 1), 0.0)
 
+    def test_infinite_exponent_rejected_by_name(self):
+        # 1 / inf is temperature 0, which no caller passed
+        p = normalize([0.5, 0.3, 0.2])
+        for call in (
+            lambda: escort_distribution(p, (0, 1, 2), np.inf),
+            lambda: escort_sensitivity(p, (0, 1, 2), np.inf, [1.0, 2.0, 3.0]),
+            lambda: set_mass_log_sensitivity(p, (0, 1, 2), np.inf, (0,)),
+        ):
+            with pytest.raises(OutOfRangeError, match="gamma must be finite and positive"):
+                call()
+
 
 class TestEscortSensitivity:
     def test_matches_finite_differences(self, make_dists):
