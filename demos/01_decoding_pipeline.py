@@ -41,8 +41,8 @@ print("composition gap:", np.abs(twice.probs - once.probs).max())
 
 # top-k keeps the k largest indices; top-p keeps the smallest prefix of the
 # descending ranking whose mass reaches the threshold.
-print("top-3 indices:   ", top_k_set(p, 3))
-print("top-0.6 indices: ", top_p_set(p, 0.6))
+print("top-3 indices:   ", top_k_set(p, 3).tolist())
+print("top-0.6 indices: ", top_p_set(p, 0.6).tolist())
 print("mass kept by top-0.6:", kept_mass(p, top_p_set(p, 0.6)))
 
 # The full stack: temper, then top-k, then top-p.  retained_support returns

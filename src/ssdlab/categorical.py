@@ -24,7 +24,7 @@ from .errors import (
 )
 
 __all__ = [
-    "Categorical", "IndexSet", "as_index_array", "binary_entropy", "cross_entropy",
+    "Categorical", "as_index_array", "binary_entropy", "cross_entropy",
     "entropy", "kl_divergence", "normalize", "renyi_entropy", "restrict",
 ]
 
@@ -32,7 +32,10 @@ __all__ = [
 # closer is renormalized once at construction to stop drift in long chains.
 CONSTRUCTION_TOL = 1e-9
 
-IndexSet = tuple[int, ...]
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,17 +61,15 @@ class Categorical:
             raise InvalidEntryError(
                 f"probabilities sum to {total!r}, more than {CONSTRUCTION_TOL} from 1"
             )
-        p = p / total
-        p.flags.writeable = False
-        object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "probs", _read_only(p / total))
 
     @property
     def alphabet_size(self) -> int:
         return int(self.probs.size)
 
-    def support(self) -> IndexSet:
-        """Indices with strictly positive probability, ascending."""
-        return tuple(int(v) for v in np.flatnonzero(self.probs))
+    def support(self) -> np.ndarray:
+        """Indices with strictly positive probability: a read-only int64 array, ascending."""
+        return _read_only(np.flatnonzero(self.probs))
 
 
 def _shifted_exp(x: np.ndarray, temperature=1.0) -> np.ndarray:
@@ -89,6 +90,8 @@ def _softmax(x: np.ndarray, temperature: float = 1.0) -> np.ndarray:
 
 def _int64_members(members, name: str, outside: str) -> np.ndarray:
     """Set members as an int64 array; a float member or one past int64 is refused."""
+    if isinstance(members, np.ndarray) and members.ndim == 1 and members.dtype.kind in "biu":
+        return members.astype(np.int64, copy=False)  # as it is; other input item by item
     items = tuple(members)
     idx = np.asarray(items)
     if items and idx.dtype.kind not in "biu":  # floats, or ints with no common int type
@@ -101,10 +104,16 @@ def _int64_members(members, name: str, outside: str) -> np.ndarray:
     return idx.astype(np.int64, copy=False)
 
 
-def as_index_array(members, alphabet_size: int) -> np.ndarray:
-    """Validate an index set against an alphabet and return it as an int array.
+def _has_duplicates(idx: np.ndarray) -> bool:
+    ranked = np.sort(idx, axis=None)
+    return bool((ranked[1:] == ranked[:-1]).any())
 
-    Members must be nonempty, unique integers in [0, alphabet_size).
+
+def as_index_array(members, alphabet_size: int) -> np.ndarray:
+    """Validate an index set against an alphabet and return it as an int64 array.
+
+    Members must be nonempty, unique integers in [0, alphabet_size); an int64
+    array is returned as it is.
     """
     outside = f"index set contains values outside [0, {alphabet_size})"
     idx = _int64_members(members, "index set", outside)
@@ -112,7 +121,7 @@ def as_index_array(members, alphabet_size: int) -> np.ndarray:
         raise EmptySetError("index set is empty")
     if np.any(idx < 0) or np.any(idx >= alphabet_size):
         raise OutOfRangeError(outside)
-    if np.unique(idx).size != idx.size:
+    if _has_duplicates(idx):
         raise InvalidEntryError("index set contains duplicate indices")
     return idx
 
@@ -123,9 +132,9 @@ def _event_array(event, container, name: str) -> np.ndarray:
     idx = _int64_members(event, "event set", outside)
     if idx.size == 0:
         raise EmptyEventError("event set is empty")
-    if np.unique(idx).size != idx.size:
+    if _has_duplicates(idx):
         raise InvalidEntryError("event set contains duplicate indices")
-    if not set(idx.tolist()) <= set(container):
+    if not np.all(np.isin(idx, container)):
         raise OutOfRangeError(outside)
     return idx
 

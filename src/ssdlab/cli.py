@@ -501,8 +501,7 @@ def _run_sensitivity(args):
     if args["probs"] is None:
         raise _UsageError(f"{mode} mode requires --probs")
     p0 = normalize(args["probs"])
-    support = args["support"]
-    members = tuple(support) if support is not None else tuple(range(p0.alphabet_size))
+    members = np.arange(p0.alphabet_size) if args["support"] is None else args["support"]
     if mode == "escort":
         gamma = args["gamma"]
         pi = escort_distribution(p0, members, gamma)

@@ -27,8 +27,8 @@ import numpy as np
 
 from .categorical import (
     Categorical,
-    IndexSet,
     _shifted_exp,
+    _read_only,
     _softmax,
     as_index_array,
     restrict,
@@ -152,36 +152,32 @@ def temper(p: Categorical, temperature: float, members=None) -> Categorical:
     return Categorical(out)
 
 
-def top_k_set(p: Categorical, k: int) -> IndexSet:
+def top_k_set(p: Categorical, k: int) -> np.ndarray:
     """The k highest-probability indices; k = 0 or k >= V keeps all positive tokens.
 
-    Returned in descending rank order.
+    Returned as a read-only int64 array in descending rank order.
     """
     if k < 0:
         raise OutOfRangeError(f"top_k must be >= 0, got {k!r}")
-    order = rank_descending(p)
     if k == 0 or k >= p.alphabet_size:
-        order = order[p.probs[order] > 0]
-        return tuple(int(v) for v in order)
-    return tuple(int(v) for v in order[:k])
+        k = np.count_nonzero(p.probs)  # zeros rank last
+    return _read_only(rank_descending(p)[:k])
 
 
-def top_p_set(p: Categorical, threshold: float) -> IndexSet:
+def top_p_set(p: Categorical, threshold: float) -> np.ndarray:
     """Smallest descending-rank prefix whose cumulative mass reaches the threshold.
 
-    Never empty; threshold 1 keeps the full positive support. Returned in
-    descending rank order.
+    Never empty; threshold 1 keeps the full positive support. Returned as a
+    read-only int64 array in descending rank order.
     """
     if not 0.0 < threshold <= 1.0:
         raise OutOfRangeError(f"top_p threshold must lie in (0, 1], got {threshold!r}")
-    order = rank_descending(p)
-    order = order[p.probs[order] > 0]
+    order = rank_descending(p)[: np.count_nonzero(p.probs)]  # zeros rank last
     if threshold == 1.0:
-        return tuple(int(v) for v in order)
+        return _read_only(order)
     csum = np.cumsum(p.probs[order])
     m = int(np.searchsorted(csum, threshold - TOP_P_EPS)) + 1
-    m = min(m, order.size)
-    return tuple(int(v) for v in order[:m])
+    return _read_only(order[:m])
 
 
 def _prefix_power(
@@ -231,8 +227,7 @@ def retained_support(p0: Categorical, cfg: DecodeConfig) -> RetainedSupport:
     """
     t = np.array([cfg.temperature])
     order, m, operational = _prefix_power(p0, t, cfg.top_k, cfg.top_p)
-    members = order[: m[0]]
-    members.flags.writeable = False
+    members = _read_only(order[: m[0]])
     return RetainedSupport(
         support=members,
         kept_mass=float(p0.probs[members].sum()),
@@ -331,11 +326,11 @@ def decode_normal_form(
     final = _run_pipeline(p, order, alpha, k, top_p)
     survivors = np.flatnonzero(final.probs)
     m = int(survivors.size)
-    prefix = rank_descending(p)[:m]
-    if set(int(v) for v in prefix) != set(int(v) for v in survivors):
+    prefix = np.sort(rank_descending(p)[:m])
+    if not np.array_equal(prefix, survivors):
         raise NormalFormViolationError(
-            f"pipeline support {sorted(survivors.tolist())} is not the "
-            f"rank prefix {sorted(prefix.tolist())}"
+            f"pipeline support {survivors.tolist()} is not the "
+            f"rank prefix {prefix.tolist()}"
         )
     policy = PrefixPolicy(prefix_len=m, exponent=float(alpha), dist=final)
     deviation = power_rigidity_check(policy, p)

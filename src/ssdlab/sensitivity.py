@@ -94,7 +94,7 @@ def set_mass_log_sensitivity(p0: Categorical, members, gamma: float, event) -> f
     on the set; positive sign means cooling grows the event.
     """
     pi = escort_distribution(p0, members, gamma)
-    ev = _event_array(event, members, "support set")  # members checked by the escort
+    ev = _event_array(event, as_index_array(members, p0.alphabet_size), "support set")
     if np.any(p0.probs[ev] == 0):
         raise ZeroProbabilityOnSupportError(
             "event contains a zero-probability token (log p undefined)"

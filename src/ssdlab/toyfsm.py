@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .categorical import Categorical, IndexSet
+from .categorical import Categorical, _read_only, as_index_array
 from .decode import (
     DecodeConfig,
     _prefix_power,
@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 VOCAB_SIZE = 16
+MAX_VOCAB_SIZE = 1 << 18  # the largest alphabet, checked before any allocation
 
 LOCK_HEAD = (0.750, 0.055, 0.050, 0.037)
 FORK_HEAD = (0.148, 0.280, 0.140, 0.144)
@@ -55,23 +56,24 @@ CHAIN_CORRECT = (0,)
 # Monte Carlo draws are taken in fixed-size batches so results are
 # independent of n's chunking.
 MC_BATCH = 1 << 15
+MC_MAX_LOCKS = 1_000  # monte_carlo_success draws every lock of every trajectory
 
 GRID_STEP = 0.001  # optimize_temperature's coarse grid spacing
 GRID_MAX_POINTS = 100_000  # and its largest grid, checked before allocating
 REFINE_TOL = 1e-4  # and the width at which its ternary refinement stops
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Archetype:
     """One state's token distribution plus its correct continuations.
 
-    head and tail_ratio record the generating parameters; they are None
-    for derived archetypes (e.g. distilled ones).
+    correct_tokens is a read-only int64 array. head and tail_ratio record the
+    generating parameters; they are None for derived (e.g. distilled) ones.
     """
 
     kind: str
     dist: Categorical
-    correct_tokens: IndexSet
+    correct_tokens: np.ndarray
     head: tuple[float, ...] | None = None
     tail_ratio: float | None = None
 
@@ -136,6 +138,8 @@ def build_archetype(
     vocab_size: int = VOCAB_SIZE,
 ) -> Archetype:
     """Assemble head values plus a geometric tail into a full distribution."""
+    if vocab_size > MAX_VOCAB_SIZE:
+        raise OutOfRangeError(f"vocab_size must be <= {MAX_VOCAB_SIZE}, got {vocab_size!r}")
     head = tuple(float(x) for x in head)
     if any(not np.isfinite(x) or x < 0 for x in head):
         raise InvalidEntryError("head values must be finite and nonnegative")
@@ -151,7 +155,7 @@ def build_archetype(
     return Archetype(
         kind=kind,
         dist=dist,
-        correct_tokens=tuple(int(t) for t in correct_tokens),
+        correct_tokens=_read_only(as_index_array(correct_tokens, vocab_size).copy()),
         head=head,
         tail_ratio=float(tail_ratio),
     )
@@ -187,7 +191,7 @@ def _success(fsm: Fsm, temperatures: np.ndarray, top_p: float) -> np.ndarray:
 
     def mass(arch: Archetype) -> np.ndarray:
         rows = _prefix_power(arch.dist, temperatures, 0, top_p)[2]
-        return rows[:, np.asarray(arch.correct_tokens, dtype=np.int64)].sum(axis=1)
+        return rows[:, arch.correct_tokens].sum(axis=1)
 
     return mass(fsm.root) * mass(fsm.fork) * mass(fsm.lock) ** fsm.n_locks
 
@@ -329,10 +333,12 @@ def monte_carlo_success(
     """Estimate success by simulating n trajectories with the Gumbel-max sampler."""
     if n < 1:
         raise OutOfRangeError(f"n must be >= 1, got {n!r}")
+    if fsm.n_locks > MC_MAX_LOCKS:
+        raise OutOfRangeError(f"n_locks must be <= {MC_MAX_LOCKS}, got {fsm.n_locks!r}")
 
     def state(arch: Archetype) -> tuple[Categorical, np.ndarray]:
         correct = np.zeros(arch.dist.alphabet_size, dtype=bool)  # a lookup table
-        correct[list(arch.correct_tokens)] = True
+        correct[arch.correct_tokens] = True
         return operational_policy(arch, temperature, top_p), correct
 
     states = [state(fsm.root), state(fsm.fork)] + [state(fsm.lock)] * fsm.n_locks

@@ -72,7 +72,7 @@ class TestConstruction:
 
     def test_support_skips_zero_entries(self):
         p = Categorical(np.array([0.5, 0.0, 0.5, 0.0]))
-        assert p.support() == (0, 2)
+        assert p.support().tolist() == [0, 2]
 
 
 class TestIndexSets:

@@ -43,7 +43,7 @@ from ssdlab.errors import (
     ParseError,
     SsdLabError,
 )
-from ssdlab.toyfsm import GRID_MAX_POINTS
+from ssdlab.toyfsm import GRID_MAX_POINTS, MAX_VOCAB_SIZE, MC_MAX_LOCKS
 
 
 INFINITE_T_ERROR = "error: the loss decomposition needs a finite train temperature, got inf\n"
@@ -527,6 +527,32 @@ class TestToyCommands:
         assert (code, out) == (2, "")
         assert err == (
             "error: bounds (0.05, 1e+300) need more than 100000 grid points at step 0.001\n"
+        )
+
+    @pytest.mark.parametrize("n_locks", [2**63, MC_MAX_LOCKS + 1])
+    def test_mc_lock_budget_exits_two(self, capsys, n_locks):
+        code, out, err = run(
+            capsys, "toy-mc", "--temperature", "1", "--n", "10", "--n-locks", str(n_locks)
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: n_locks must be <= {MC_MAX_LOCKS}, got {n_locks}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("toy-sweep", "--t-grid", "0.6"),
+        ("toy-optimize", "--t-min", "0.6", "--t-max", "0.7"),
+    ])
+    def test_closed_form_commands_take_any_lock_count(self, capsys, argv):
+        # success is mass ** n_locks, so no trajectory is built
+        code, _, err = run(capsys, *argv, "--n-locks", str(2**63))
+        assert (code, err) == (0, "")
+
+    def test_vocab_budget_exits_two(self, capsys):
+        code, out, err = run(
+            capsys, "toy-sweep", "--t-grid", "1", "--vocab-size", "100000000000000"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: vocab_size must be <= {MAX_VOCAB_SIZE}, got 100000000000000\n"
         )
 
     def test_mc_reports_exact_and_error(self, capsys):

@@ -26,12 +26,15 @@ from ssdlab import (
     power_rigidity_check,
     rank_descending,
     restrict,
+    build_archetype,
     retained_support,
+    ssd_target,
     temper,
     top_k_set,
     top_p_set,
 )
 from ssdlab.decode import TOP_P_EPS
+from ssdlab.toyfsm import ROOT_HEAD
 
 N_RANDOM = 200
 
@@ -155,56 +158,89 @@ class TestTemper:
 class TestTopK:
     def test_literal_k_largest(self):
         p = normalize([0.1, 0.5, 0.2, 0.2])
-        assert top_k_set(p, 2) == (1, 2)
+        assert top_k_set(p, 2).tolist() == [1, 2]
 
     def test_tie_takes_lowest_index(self):
         p = normalize([0.4, 0.3, 0.3])
-        assert top_k_set(p, 2) == (0, 1)
+        assert top_k_set(p, 2).tolist() == [0, 1]
 
     def test_zero_disables(self):
         p = Categorical(np.array([0.6, 0.0, 0.4]))
-        assert top_k_set(p, 0) == (0, 2)
+        assert top_k_set(p, 0).tolist() == [0, 2]
 
     def test_k_at_least_alphabet_keeps_positive_support(self):
         p = Categorical(np.array([0.6, 0.0, 0.4]))
-        assert top_k_set(p, 3) == (0, 2)
-        assert top_k_set(p, 99) == (0, 2)
+        assert top_k_set(p, 3).tolist() == [0, 2]
+        assert top_k_set(p, 99).tolist() == [0, 2]
 
     def test_k_beyond_positive_count_pads_in_rank_order(self):
         p = Categorical(np.array([0.6, 0.0, 0.4, 0.0]))
-        assert top_k_set(p, 3) == (0, 2, 1)
+        assert top_k_set(p, 3).tolist() == [0, 2, 1]
 
 
 class TestTopP:
     def test_smallest_sufficient_prefix(self):
         p = normalize([0.5, 0.3, 0.2])
-        assert top_p_set(p, 0.5) == (0,)
-        assert top_p_set(p, 0.51) == (0, 1)
-        assert top_p_set(p, 0.8) == (0, 1)
-        assert top_p_set(p, 0.8 + 1e-9) == (0, 1, 2)
+        assert top_p_set(p, 0.5).tolist() == [0]
+        assert top_p_set(p, 0.51).tolist() == [0, 1]
+        assert top_p_set(p, 0.8).tolist() == [0, 1]
+        assert top_p_set(p, 0.8 + 1e-9).tolist() == [0, 1, 2]
 
     def test_near_tie_within_epsilon_keeps_short_prefix(self):
         # a boundary within 1e-12 of the cumulative mass counts as reached
         p = normalize([0.5, 0.3, 0.2])
-        assert top_p_set(p, 0.8 + 1e-13) == (0, 1)
+        assert top_p_set(p, 0.8 + 1e-13).tolist() == [0, 1]
 
     def test_always_keeps_at_least_one_token(self):
         p = normalize([0.9, 0.1])
-        assert top_p_set(p, 1e-9) == (0,)
+        assert top_p_set(p, 1e-9).tolist() == [0]
 
     def test_threshold_one_keeps_positive_support(self):
         p = Categorical(np.array([0.7, 0.0, 0.3]))
-        assert top_p_set(p, 1.0) == (0, 2)
+        assert top_p_set(p, 1.0).tolist() == [0, 2]
 
     def test_tie_takes_lowest_index(self):
         p = normalize([0.4, 0.3, 0.3])
-        assert top_p_set(p, 0.7) == (0, 1)
+        assert top_p_set(p, 0.7).tolist() == [0, 1]
 
     @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.0 + 1e-9])
     def test_bad_threshold_rejected(self, threshold):
         p = normalize([0.5, 0.5])
         with pytest.raises(OutOfRangeError):
             top_p_set(p, threshold)
+
+
+# Zeros and ties: the rank order is 0, 3, 2, 4, then the zero at 1.
+TIED = Categorical(np.array([0.3, 0.0, 0.2, 0.3, 0.2]))
+
+# Every index set the package returns, with its documented order.
+INDEX_SETS = {
+    "top_k_set": (lambda: top_k_set(TIED, 3), [0, 3, 2]),
+    "top_p_set": (lambda: top_p_set(TIED, 0.75), [0, 3, 2]),
+    "Categorical.support": (TIED.support, [0, 2, 3, 4]),
+    "retained_support": (
+        lambda: retained_support(TIED, DecodeConfig(top_k=4)).support, [0, 3, 2, 4]
+    ),
+    "ssd_target": (
+        lambda: ssd_target(TIED, DecodeConfig(temperature=1.5, top_p=0.75)).support,
+        [0, 3, 2],
+    ),
+    "Archetype.correct_tokens": (
+        lambda: build_archetype("root", ROOT_HEAD, 0.5, [1, 0]).correct_tokens, [1, 0]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INDEX_SETS))
+def test_index_set_is_a_read_only_int64_array(name):
+    make, expected = INDEX_SETS[name]
+    idx = make()
+    assert isinstance(idx, np.ndarray)
+    assert idx.dtype == np.int64 and idx.ndim == 1
+    assert not idx.flags.writeable
+    with pytest.raises(ValueError):
+        idx[0] = 0
+    assert idx.tolist() == expected
 
 
 class TestRetainedSupport:

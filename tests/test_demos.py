@@ -47,8 +47,8 @@ def test_decoding_pipeline_demo(lines):
         "[0.5728 0.2398 0.0971 0.0401 0.0243 0.0124 0.0079 0.0045 0.0005 0.0005]",
         "T=2.0  sharpened/flattened: "
         "[0.2092 0.1683 0.1342 0.1076 0.0949 0.0802 0.0717 0.0621 0.0359 0.0359]",
-        "top-3 indices:    (0, 1, 2)",
-        "top-0.6 indices:  (0, 1, 2)",
+        "top-3 indices:    [0, 1, 2]",
+        "top-0.6 indices:  [0, 1, 2]",
         "support: [0, 1, 2]",
         "kept mass: 0.7000",
         "operational: "

@@ -37,6 +37,8 @@ from ssdlab.toyfsm import (
     DEFAULT_TAIL_RATIO,
     FORK_HEAD,
     LOCK_HEAD,
+    MAX_VOCAB_SIZE,
+    MC_MAX_LOCKS,
     ROOT_HEAD,
     VOCAB_SIZE,
     _success,
@@ -102,7 +104,7 @@ class TestArchetypes:
         assert arch.dist.probs[4] == pytest.approx(LOCK_TAIL_FIRST, abs=1e-15)
         assert arch.dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert arch.kind == "lock"
-        assert arch.correct_tokens == (0,)
+        assert arch.correct_tokens.tolist() == [0]
 
     def test_head_validation(self):
         with pytest.raises(InvalidEntryError):
@@ -112,11 +114,26 @@ class TestArchetypes:
         with pytest.raises(OutOfRangeError):
             build_archetype("lock", [0.01] * (VOCAB_SIZE + 1), 0.5, (0,))
 
+    def test_vocab_budget_is_inclusive(self):
+        assert build_toy_fsm(vocab_size=MAX_VOCAB_SIZE).lock.dist.alphabet_size == MAX_VOCAB_SIZE
+        with pytest.raises(OutOfRangeError, match="vocab_size must be <= "):
+            build_toy_fsm(vocab_size=MAX_VOCAB_SIZE + 1)
+
+    def test_correct_tokens_are_validated_and_copied(self):
+        tokens = np.array([1, 0])
+        arch = build_archetype("root", ROOT_HEAD, 0.5, tokens)
+        tokens[0] = 5  # the archetype holds its own copy, and the caller's stays writable
+        assert arch.correct_tokens.tolist() == [1, 0]
+        with pytest.raises(OutOfRangeError):
+            build_archetype("root", ROOT_HEAD, 0.5, (VOCAB_SIZE,))
+        with pytest.raises(InvalidEntryError):
+            build_archetype("root", ROOT_HEAD, 0.5, (0, 0))
+
     def test_default_machine_wiring(self, teacher):
         assert teacher.n_locks == DEFAULT_N_LOCKS
-        assert teacher.root.correct_tokens == (0, 1)
-        assert teacher.fork.correct_tokens == (0,)
-        assert teacher.lock.correct_tokens == (0,)
+        assert teacher.root.correct_tokens.tolist() == [0, 1]
+        assert teacher.fork.correct_tokens.tolist() == [0]
+        assert teacher.lock.correct_tokens.tolist() == [0]
         assert teacher.root.tail_ratio == DEFAULT_TAIL_RATIO
         np.testing.assert_allclose(teacher.root.dist.probs[:4], ROOT_HEAD, atol=1e-15)
 
@@ -259,8 +276,8 @@ class TestDistillation:
         assert probs[0] == pytest.approx(0.23355682, abs=1e-8)
 
     def test_metadata_carries_over(self, student):
-        assert student.root.correct_tokens == (0, 1)
-        assert student.lock.correct_tokens == (0,)
+        assert student.root.correct_tokens.tolist() == [0, 1]
+        assert student.lock.correct_tokens.tolist() == [0]
         assert student.lock.head is None
         assert student.lock.tail_ratio is None
         assert student.n_locks == DEFAULT_N_LOCKS
@@ -358,6 +375,12 @@ class TestMonteCarlo:
         assert a.estimate == b.estimate
         c = monte_carlo_success(teacher, 0.8, 0.8, 50_000, seed=4)
         assert a.estimate != c.estimate
+
+    def test_lock_budget_is_inclusive(self):
+        res = monte_carlo_success(build_toy_fsm(n_locks=MC_MAX_LOCKS), 1.0, 1.0, 10, seed=1)
+        assert 0.0 <= res.estimate <= 1.0
+        with pytest.raises(OutOfRangeError, match="n_locks must be <= "):
+            monte_carlo_success(build_toy_fsm(n_locks=MC_MAX_LOCKS + 1), 1.0, 1.0, 10, seed=1)
 
     def test_stderr_formula(self, teacher):
         res = monte_carlo_success(teacher, 0.8, 0.8, 50_000, seed=3)
