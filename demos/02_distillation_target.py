@@ -68,8 +68,8 @@ print("gradient max-norm at q:", f"{np.abs(grad_at_target).max():.2e}")
 traj = train_local_student(
     p0, cfg, learning_rate=4.0, max_steps=120_000, tv_tolerance=1e-6)
 print("\nstep        loss   on-support TV   off-support mass")
-for state in traj[:: max(1, len(traj) // 8)]:
-    print(f"{state.step:>6}  {state.loss:.6f}   {state.on_support_tv:.3e}"
-          f"      {state.off_support_mass:.3e}")
-last = traj[-1]
-print(f"final   {last.loss:.6f} vs target entropy {entropy(target.q):.6f}")
+steps = traj.loss.size  # one row per step, from step 0
+for step in range(0, steps, max(1, steps // 8)):
+    print(f"{step:>6}  {traj.loss[step]:.6f}   {traj.on_support_tv[step]:.3e}"
+          f"      {traj.off_support_mass[step]:.3e}")
+print(f"final   {traj.loss[-1]:.6f} vs target entropy {entropy(target.q):.6f}")

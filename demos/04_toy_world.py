@@ -39,7 +39,7 @@ print("student root:", student.root.dist.probs[:4], "(4 tokens kept)")
 # flattening far longer.
 sweep = temperature_sweep(teacher, student, np.arange(0.4, 3.01, 0.2), 0.80)
 print("\nT      teacher   student   gap(pp)")
-for row in sweep.rows:
+for row in sweep:
     print(f"{row.temperature:.1f}    {row.teacher_success:.4f}"
           f"    {row.student_success:.4f}    {row.gap * 100:+.2f}")
 

@@ -466,13 +466,14 @@ def _run_decompose(args):
 def _run_train_student(args):
     target = ssd_target(normalize(args["probs"]), _decode_config(args))
     every, tol, rows = args["log_every"], args["tv_tolerance"], []
-    for state, p in _student_steps(target, args["learning_rate"], args["max_steps"], tol):
-        if state.step % every == 0 or state.stop_reason:  # the last step is always kept
+    steps = _student_steps(target, args["learning_rate"], args["max_steps"], tol)
+    for step, (stop, _, p, _, tv, _) in enumerate(steps):
+        if step % every == 0 or stop:  # the last step is always kept
             # the step's softmax, renormalized once as a Categorical is
-            rows.append(_decomposition_row(target, p / p.sum(), state.step))
-    if state.stop_reason == "step_cap":
+            rows.append(_decomposition_row(target, p / p.sum(), step))
+    if stop == "step_cap":
         print(f"warning: train-student stopped at the step cap of {args['max_steps']} "
-              f"with on-support TV {state.on_support_tv:.3g}, above the tolerance {tol:.3g}",
+              f"with on-support TV {tv:.3g}, above the tolerance {tol:.3g}",
               file=sys.stderr)
     return DECOMPOSITION_HEADER, rows
 
@@ -555,7 +556,7 @@ def _run_toy_sweep(args):
     sweep = toyfsm.temperature_sweep(teacher, student, args["t_grid"], args["top_p"])
     # a row's fields in declaration order, which is the column order; astuple
     # would deep-copy them, about 10 us a row on a 100 000-point grid
-    return SWEEP_HEADER, [tuple(vars(r).values()) for r in sweep.rows]
+    return SWEEP_HEADER, [tuple(vars(r).values()) for r in sweep]
 
 
 def _run_toy_optimize(args):

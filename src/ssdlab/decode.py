@@ -59,6 +59,10 @@ GREEDY_THRESHOLD = 1e-5
 # Absolute epsilon for cumulative-mass threshold tests.
 TOP_P_EPS = 1e-12
 
+# Byte budget of one (rows, V) float64 block: batched temperature rows and
+# sampler draws are taken in row chunks of this size. Every V=16 call is one block.
+BLOCK_BYTES = 64 << 20
+
 
 def _check_order(order) -> tuple[str, str, str]:
     order = tuple(order)
@@ -180,6 +184,11 @@ def top_p_set(p: Categorical, threshold: float) -> np.ndarray:
     return _read_only(order[:m])
 
 
+def _block_rows(width: int) -> int:
+    """Rows of a float64 block of the given width that fit in BLOCK_BYTES; at least 1."""
+    return max(1, BLOCK_BYTES // (8 * width))
+
+
 def _prefix_power(
     p: Categorical, temperatures: np.ndarray, top_k: int, top_p: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -249,12 +258,14 @@ def _skip_uniforms(rng: np.random.Generator, n: int) -> None:
     are drawn, advance steps the counter past whole buffers without
     computing them, and the tail is drawn. advance drops a pending 32-bit
     half, so a stream holding one, like any other bit generator, draws the
-    block and discards it.
+    block, in BLOCK_BYTES chunks, and discards it.
     """
     bitgen = rng.bit_generator
     state = bitgen.state if isinstance(bitgen, np.random.Philox) else None
     if state is None or state["has_uint32"]:
-        rng.random(n)
+        step = _block_rows(1)
+        for start in range(0, n, step):
+            rng.random(min(step, n - start))
         return
     buffered = min(4 - state["buffer_pos"], n)
     rng.random(buffered)
@@ -271,10 +282,12 @@ def gumbel_max_sample(operational: Categorical, rng: np.random.Generator, size=N
     -log(U) with U uniform on (0, 1], so it is never infinite, and a zero
     noise gives a score of +inf, which wins. With size given, returns that
     many draws from the one stream as an int array. Every call moves the
-    stream past one uniform per token and draw, so streams replay. Noise is
-    transformed on the retained (positive-probability) columns only, and a
-    policy with one retained token moves a Philox stream past its block
-    without drawing it, so every later draw is unchanged.
+    stream past one uniform per token and draw, so streams replay. The
+    uniforms are drawn in row chunks that fit in BLOCK_BYTES, which draws
+    the same stream as one block. Noise is transformed on the retained
+    (positive-probability) columns only, and a policy with one retained
+    token moves a Philox stream past its block without drawing it, so every
+    later draw is unchanged.
     """
     p = operational.probs
     cols = np.flatnonzero(p)
@@ -283,16 +296,18 @@ def gumbel_max_sample(operational: Categorical, rng: np.random.Generator, size=N
         _skip_uniforms(rng, n * p.size)
         token = cols[0]
         return int(token) if size is None else np.full(n, token, dtype=np.int64)
-    shape = (p.size,) if size is None else (n, p.size)
-    u = rng.random(shape)[..., cols]  # the one copy, transformed in place
-    np.subtract(1.0, u, out=u)  # in (0, 1]
-    np.log(u, out=u)
-    np.subtract(0.0, u, out=u)  # 0.0 - log(1) is +0.0, where -log(1) is -0.0
-    with np.errstate(divide="ignore"):
-        np.divide(p[cols], u, out=u)
-    if size is None:
-        return int(cols[np.argmax(u)])
-    return cols[np.argmax(u, axis=1)]
+    tokens = np.empty(n, dtype=np.int64)
+    step = _block_rows(p.size)
+    for start in range(0, n, step):
+        shape = (p.size,) if size is None else (min(step, n - start), p.size)
+        u = rng.random(shape)[..., cols]  # the one copy, transformed in place
+        np.subtract(1.0, u, out=u)  # in (0, 1]
+        np.log(u, out=u)
+        np.subtract(0.0, u, out=u)  # 0.0 - log(1) is +0.0, where -log(1) is -0.0
+        with np.errstate(divide="ignore"):
+            np.divide(p[cols], u, out=u)
+        tokens[start:start + step] = cols[np.argmax(u, axis=-1)]
+    return int(tokens[0]) if size is None else tokens
 
 
 def _run_pipeline(p: Categorical, order, alpha: float, k: int, top_p: float) -> Categorical:

@@ -10,6 +10,7 @@ the exact support.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -18,6 +19,7 @@ import numpy as np
 from .categorical import (
     Categorical,
     _event_array,
+    _read_only,
     _shifted_exp,
     _softmax,
     as_index_array,
@@ -35,7 +37,7 @@ from .errors import (
 )
 
 __all__ = [
-    "DivergenceMonitor", "LocalGain", "LossBreakdown", "SsdTarget", "StudentState",
+    "DivergenceMonitor", "LocalGain", "LossBreakdown", "SsdTarget", "Trajectory",
     "gate_conditional_split", "ideal_fit_eval", "kept_mass", "local_gain",
     "loss_gradient_logits", "self_training_fixed_point_check", "ssd_target",
     "three_term_decomposition", "train_local_student",
@@ -72,16 +74,19 @@ class LossBreakdown:
     total: float
 
 
-@dataclass(frozen=True)
-class StudentState:
-    """One step of the local softmax student: logits plus convergence diagnostics."""
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """A local student's run: read-only float64 columns, one row per step from 0.
 
-    step: int
+    logits are the last step's read-only logits; stop_reason is "converged"
+    or "step_cap".
+    """
+
+    loss: np.ndarray
+    on_support_tv: np.ndarray
+    off_support_mass: np.ndarray
     logits: np.ndarray
-    loss: float
-    on_support_tv: float
-    off_support_mass: float
-    stop_reason: str | None = None  # "converged" or "step_cap" on the last state
+    stop_reason: str
 
 
 @dataclass(frozen=True)
@@ -235,12 +240,12 @@ class DivergenceMonitor:
 
 def _student_steps(
     target: SsdTarget, learning_rate: float, max_steps: int, tv_tolerance: float
-) -> Iterator[tuple[StudentState, np.ndarray]]:
-    """Yield train_local_student's states one at a time, each with its softmax.
+) -> Iterator[tuple[str | None, np.ndarray, np.ndarray, float, float, float]]:
+    """Yield (stop_reason, logits, softmax, loss, on_support_tv, off_support_mass) per step.
 
-    Starts from target.source. Each state holds the loop's own read-only
-    logits, and comes with the read-only softmax the step took of them: a
-    step rebinds z and p and never writes into either, so no copy is taken.
+    Starts from target.source at step 0. stop_reason is None until the last
+    step. The logits and their softmax are the loop's own read-only arrays:
+    a step rebinds z and p and never writes into either, so no copy is taken.
     """
     if not learning_rate > 0:
         raise OutOfRangeError(f"learning_rate must be positive, got {learning_rate!r}")
@@ -268,8 +273,7 @@ def _student_steps(
         loss = float(-(qv * np.log(p_s)).sum())
         stop = ("converged" if tv < tv_tolerance
                 else "step_cap" if step == max_steps else None)
-        yield StudentState(step=step, logits=z, loss=loss, on_support_tv=tv,
-                           off_support_mass=1.0 - km, stop_reason=stop), p
+        yield stop, z, p, loss, tv, 1.0 - km
         if stop:
             return
         monitor.observe(loss)
@@ -282,16 +286,21 @@ def train_local_student(
     learning_rate: float = 0.5,
     max_steps: int = 100_000,
     tv_tolerance: float = 1e-6,
-) -> list[StudentState]:
+) -> Trajectory:
     """Fit a local softmax student to the target by plain gradient descent.
 
     Logits start at log p0 (zeros floored at -50). Terminates when the
     on-support total variation to q drops below tv_tolerance or the step
-    cap is reached; returns the full trajectory including step 0, which
-    grows with the step count (train-student streams the same states).
+    cap is reached; returns the trajectory from step 0 as float64 columns,
+    O(steps) floats, with only the last step's logits (train-student
+    streams the same loop).
     """
-    steps = _student_steps(ssd_target(p0, cfg), learning_rate, max_steps, tv_tolerance)
-    return [state for state, _ in steps]
+    columns = array("d"), array("d"), array("d")
+    for stop, z, _, *row in _student_steps(ssd_target(p0, cfg), learning_rate, max_steps,
+                                           tv_tolerance):
+        for column, x in zip(columns, row):
+            column.append(x)
+    return Trajectory(*(_read_only(np.frombuffer(c)) for c in columns), z, stop)
 
 
 def ideal_fit_eval(target: SsdTarget, tau: float) -> Categorical:

@@ -13,7 +13,8 @@ retained_support, over a vector of temperatures: each state's p is ranked
 once, every row is cut to its top-p prefix, and success is the root, fork
 and lock masses of correct tokens multiplied straight from the kernel's
 rows. optimize_temperature and temperature_sweep score their whole grids
-that way, and exact_success is the one-temperature case of the same pass.
+that way, in row chunks under decode.BLOCK_BYTES, and exact_success is the
+one-temperature case of the same pass.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 from .categorical import Categorical, _read_only, as_index_array
 from .decode import (
     DecodeConfig,
+    _block_rows,
     _prefix_power,
     gumbel_max_sample,
     make_stream,
@@ -34,7 +36,7 @@ from .errors import EmptySetError, InvalidEntryError, InvalidRatioError, OutOfRa
 from .objective import ssd_target
 
 __all__ = [
-    "Archetype", "Fsm", "GridRow", "McResult", "SweepResult", "SweepRow",
+    "Archetype", "Fsm", "GridRow", "McResult", "SweepRow",
     "build_archetype", "build_toy_fsm", "distill_fsm", "exact_success",
     "geometric_tail", "monte_carlo_success", "operational_policy",
     "optimize_temperature", "temperature_sweep", "topp_robustness_grid",
@@ -95,11 +97,6 @@ class SweepRow:
     teacher_success: float
     student_success: float
     gap: float
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    rows: tuple[SweepRow, ...]
 
 
 @dataclass(frozen=True)
@@ -187,13 +184,21 @@ def operational_policy(arch: Archetype, temperature: float, top_p: float) -> Cat
 
 
 def _success(fsm: Fsm, temperatures: np.ndarray, top_p: float) -> np.ndarray:
-    """Exact success at each temperature, scored in one batched prefix-power pass."""
+    """Exact success at each temperature, scored in batched prefix-power passes.
 
-    def mass(arch: Archetype) -> np.ndarray:
-        rows = _prefix_power(arch.dist, temperatures, 0, top_p)[2]
+    The temperatures are taken in chunks whose (rows, V) blocks fit in
+    decode.BLOCK_BYTES; each row is computed alone, so chunking changes no bit.
+    """
+
+    def mass(arch: Archetype, ts: np.ndarray) -> np.ndarray:
+        rows = _prefix_power(arch.dist, ts, 0, top_p)[2]
         return rows[:, arch.correct_tokens].sum(axis=1)
 
-    return mass(fsm.root) * mass(fsm.fork) * mass(fsm.lock) ** fsm.n_locks
+    step = _block_rows(fsm.root.dist.alphabet_size)
+    return np.concatenate([
+        mass(fsm.root, ts) * mass(fsm.fork, ts) * mass(fsm.lock, ts) ** fsm.n_locks
+        for ts in (temperatures[i:i + step] for i in range(0, temperatures.size, step))
+    ])
 
 
 def exact_success(fsm: Fsm, temperature: float, top_p: float) -> float:
@@ -221,7 +226,9 @@ def distill_fsm(fsm: Fsm, train_temperature: float, train_top_p: float) -> Fsm:
     )
 
 
-def temperature_sweep(teacher: Fsm, student: Fsm, t_grid, top_p: float) -> SweepResult:
+def temperature_sweep(
+    teacher: Fsm, student: Fsm, t_grid, top_p: float
+) -> tuple[SweepRow, ...]:
     """Evaluate both machines' exact success over a temperature grid."""
     grid = [float(t) for t in t_grid]
     if not grid:
@@ -244,7 +251,7 @@ def temperature_sweep(teacher: Fsm, student: Fsm, t_grid, top_p: float) -> Sweep
                 gap=ss - ts,
             )
         )
-    return SweepResult(rows=tuple(rows))
+    return tuple(rows)
 
 
 def _grid_too_long(lo: float, hi: float, step: float) -> bool:

@@ -279,15 +279,14 @@ def test_criterion_11_student_training_convergence(teacher):
         traj = train_local_student(
             arch.dist, cfg, learning_rate=4.0, max_steps=250_000,
             tv_tolerance=1e-6)
-        last = traj[-1]
-        off = np.array([s.off_support_mass for s in traj])
-        monotone = bool(np.all(np.diff(off) <= 1e-15))
+        tv, loss = traj.on_support_tv[-1], traj.loss[-1]
+        monotone = bool(np.all(np.diff(traj.off_support_mass) <= 1e-15))
         floor = float(entropy(target.q))
-        good = (last.on_support_tv < 1e-6 and monotone and last.loss > floor)
+        good = (tv < 1e-6 and monotone and loss > floor)
         ok = ok and good
         details.append(
-            f"{label}: tv={last.on_support_tv:.2e} steps={last.step} "
-            f"monotone={monotone} loss={last.loss:.6f}>H(q)={floor:.6f}")
+            f"{label}: tv={tv:.2e} steps={traj.loss.size - 1} "
+            f"monotone={monotone} loss={loss:.6f}>H(q)={floor:.6f}")
     _report(11, "local student training", ok, " ".join(details))
 
 

@@ -20,7 +20,6 @@ from ssdlab import (
     rank_descending,
     retained_support,
     ssd_target,
-    train_local_student,
 )
 from ssdlab.categorical import _softmax
 from ssdlab.cli import (
@@ -43,6 +42,7 @@ from ssdlab.errors import (
     ParseError,
     SsdLabError,
 )
+from ssdlab.objective import _student_steps
 from ssdlab.toyfsm import GRID_MAX_POINTS, MAX_VOCAB_SIZE, MC_MAX_LOCKS
 
 
@@ -236,28 +236,24 @@ class TestTrainCommand:
 
 
 def listed_train_report(argv):
-    """train-student's report built from the whole trajectory list, then thinned."""
+    """train-student's report built from a list of every step's logits, then thinned."""
     args = resolve_args(build_parser().parse_args(argv))
     p0 = normalize(args["probs"])
     cfg = DecodeConfig(
         temperature=args["temperature"], top_k=args["top_k"], top_p=args["top_p"]
     )
-    states = train_local_student(
-        p0,
-        cfg,
-        learning_rate=args["learning_rate"],
-        max_steps=args["max_steps"],
-        tv_tolerance=args["tv_tolerance"],
-    )
-    tv, tol = states[-1].on_support_tv, args["tv_tolerance"]
+    target = ssd_target(p0, cfg)
+    tol = args["tv_tolerance"]
+    steps = list(_student_steps(target, args["learning_rate"], args["max_steps"], tol))
+    tv = steps[-1][4]
     if tv >= tol:
         print(f"warning: train-student stopped at the step cap of {args['max_steps']} "
               f"with on-support TV {tv:.3g}, above the tolerance {tol:.3g}",
               file=sys.stderr)
-    target = ssd_target(p0, cfg)
-    logged = [s for s in states if s.step % args["log_every"] == 0 or s is states[-1]]
-    rows = [_decomposition_row(target, Categorical(_softmax(s.logits)).probs, s.step)
-            for s in logged]
+    last = len(steps) - 1
+    logged = [(k, z) for k, (_, z, *_) in enumerate(steps)
+              if k % args["log_every"] == 0 or k == last]
+    rows = [_decomposition_row(target, Categorical(_softmax(z)).probs, k) for k, z in logged]
     emit_report(rows, args["format"], args["output"], DECOMPOSITION_HEADER)
 
 

@@ -1,5 +1,7 @@
 """Training target, loss decomposition, gradient, and local student dynamics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from ssdlab import (
     three_term_decomposition,
     train_local_student,
 )
+from ssdlab.objective import _student_steps
 
 N_RANDOM = 200
 
@@ -273,42 +276,63 @@ class TestTraining:
     def test_converges_to_target(self):
         p0 = normalize([0.5, 0.2, 0.15, 0.1, 0.05])
         cfg = DecodeConfig(temperature=0.8, top_p=0.8)
-        states = train_local_student(
+        traj = train_local_student(
             p0, cfg, learning_rate=4.0, max_steps=250_000, tv_tolerance=1e-6
         )
-        last = states[-1]
-        assert last.on_support_tv < 1e-6
-        assert last.step < 250_000
+        assert traj.on_support_tv[-1] < 1e-6
+        assert traj.loss.size - 1 < 250_000
 
     def test_off_support_mass_monotone_and_loss_bounded(self):
         p0 = normalize([0.5, 0.2, 0.15, 0.1, 0.05])
         cfg = DecodeConfig(temperature=0.8, top_p=0.8)
-        states = train_local_student(p0, cfg, learning_rate=2.0, max_steps=2_000)
+        traj = train_local_student(p0, cfg, learning_rate=2.0, max_steps=2_000)
         target = ssd_target(p0, cfg)
         floor = entropy(target.q)
-        off = np.array([st.off_support_mass for st in states])
-        assert np.all(np.diff(off) <= 1e-15)
-        assert all(st.loss > floor for st in states)
+        assert np.all(np.diff(traj.off_support_mass) <= 1e-15)
+        assert np.all(traj.loss > floor)
 
     def test_trajectory_bookkeeping(self):
         p0 = normalize([0.6, 0.4])
-        states = train_local_student(p0, DecodeConfig(), max_steps=10)
-        assert states[0].step == 0
-        assert [st.step for st in states] == list(range(len(states)))
-        assert not states[0].logits.flags.writeable
+        traj = train_local_student(p0, DecodeConfig(), max_steps=10)
+        columns = traj.loss, traj.on_support_tv, traj.off_support_mass
+        assert len({c.size for c in columns}) == 1  # one row per step, from step 0
+        for column in columns:
+            assert column.dtype == np.float64
+            assert not column.flags.writeable
+        assert not traj.logits.flags.writeable
+        start = train_local_student(p0, DecodeConfig(), max_steps=0)
+        assert not start.logits.flags.writeable
 
     def test_first_step_is_one_gradient_step(self):
         p0 = normalize(LOCK_WEIGHTS)
         z0 = np.log(p0.probs)
-        states = train_local_student(p0, LOCK_CFG, learning_rate=0.5, max_steps=1)
+        start = train_local_student(p0, LOCK_CFG, learning_rate=0.5, max_steps=0)
+        traj = train_local_student(p0, LOCK_CFG, learning_rate=0.5, max_steps=1)
         grad = loss_gradient_logits(ssd_target(p0, LOCK_CFG), z0)
-        np.testing.assert_array_equal(states[0].logits, z0)
-        np.testing.assert_array_equal(states[1].logits, z0 - 0.5 * grad)
+        np.testing.assert_array_equal(start.logits, z0)
+        assert traj.loss.size == 2
+        np.testing.assert_array_equal(traj.logits, z0 - 0.5 * grad)
 
     def test_zero_step_budget_records_initial_state(self):
-        states = train_local_student(normalize([0.6, 0.4]), DecodeConfig(), max_steps=0)
-        assert len(states) == 1
-        assert states[0].step == 0
+        traj = train_local_student(normalize([0.6, 0.4]), DecodeConfig(), max_steps=0)
+        assert traj.loss.size == traj.on_support_tv.size == traj.off_support_mass.size == 1
+
+    def test_trajectory_memory_is_linear_in_steps(self):
+        # three float columns, not one V-float logits array per step: 1001
+        # steps at V = 32 768 would hold 250 MiB of logits
+        v = 1 << 15
+        rng = np.random.default_rng(v)
+        w = np.arange(1, v + 1) ** -1.1 * rng.gamma(64.0, 1 / 64.0, size=v)
+        p0 = normalize(rng.permutation(w))
+        cfg = DecodeConfig(temperature=0.9, top_p=0.85)
+        tracemalloc.start()
+        try:
+            traj = train_local_student(p0, cfg, max_steps=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+        assert traj.loss.size == 1001
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -412,32 +436,42 @@ class TestStopReason:
     P0 = normalize([0.5, 0.2, 0.15, 0.1, 0.05])
     CFG = DecodeConfig(temperature=0.8, top_p=0.8)
 
+    @staticmethod
+    def stop_reasons(p0, cfg, learning_rate, max_steps):
+        """Each step's stop reason, from the loop train_local_student consumes."""
+        steps = _student_steps(ssd_target(p0, cfg), learning_rate, max_steps, 1e-6)
+        return [step[0] for step in steps]
+
     def test_converged_before_the_cap(self):
-        states = train_local_student(normalize([0.6, 0.4]), DecodeConfig(temperature=0.7),
-                                     learning_rate=4.0, max_steps=5000)
-        assert states[-1].step < 5000
-        assert states[-1].on_support_tv < 1e-6
-        assert states[-1].stop_reason == "converged"
-        assert all(st.stop_reason is None for st in states[:-1])
+        p0, cfg = normalize([0.6, 0.4]), DecodeConfig(temperature=0.7)
+        traj = train_local_student(p0, cfg, learning_rate=4.0, max_steps=5000)
+        assert traj.loss.size - 1 < 5000
+        assert traj.on_support_tv[-1] < 1e-6
+        assert traj.stop_reason == "converged"
+        stops = self.stop_reasons(p0, cfg, 4.0, 5000)
+        assert len(stops) == traj.loss.size and stops[-1] == "converged"
+        assert all(stop is None for stop in stops[:-1])
 
     def test_step_cap(self):
-        states = train_local_student(self.P0, self.CFG, learning_rate=2.0, max_steps=40)
-        assert states[-1].step == 40
-        assert states[-1].on_support_tv >= 1e-6
-        assert states[-1].stop_reason == "step_cap"
-        assert all(st.stop_reason is None for st in states[:-1])
+        traj = train_local_student(self.P0, self.CFG, learning_rate=2.0, max_steps=40)
+        assert traj.loss.size - 1 == 40
+        assert traj.on_support_tv[-1] >= 1e-6
+        assert traj.stop_reason == "step_cap"
+        stops = self.stop_reasons(self.P0, self.CFG, 2.0, 40)
+        assert len(stops) == traj.loss.size and stops[-1] == "step_cap"
+        assert all(stop is None for stop in stops[:-1])
 
     def test_convergence_at_the_cap_counts_as_converged(self):
         # the tolerance test comes first, so a run whose TV first drops below
         # tolerance on its last allowed step reports convergence
         free = train_local_student(self.P0, self.CFG, learning_rate=4.0, max_steps=1000,
                                    tv_tolerance=1e-3)
-        first = free[-1].step
-        assert free[-1].stop_reason == "converged" and 0 < first < 1000
+        first = free.loss.size - 1
+        assert free.stop_reason == "converged" and 0 < first < 1000
         capped = train_local_student(self.P0, self.CFG, learning_rate=4.0, max_steps=first,
                                      tv_tolerance=1e-3)
-        assert capped[-1].step == first
-        assert capped[-1].stop_reason == "converged"
+        assert capped.loss.size - 1 == first
+        assert capped.stop_reason == "converged"
         short = train_local_student(self.P0, self.CFG, learning_rate=4.0,
                                     max_steps=first - 1, tv_tolerance=1e-3)
-        assert short[-1].stop_reason == "step_cap"
+        assert short.stop_reason == "step_cap"

@@ -19,6 +19,8 @@ from ssdlab import (
     distill_fsm,
     exact_success,
     geometric_tail,
+    gumbel_max_sample,
+    make_stream,
     monte_carlo_success,
     operational_policy,
     optimize_temperature,
@@ -30,14 +32,17 @@ from ssdlab import (
     top_p_set,
     topp_robustness_grid,
 )
+from ssdlab import decode
 from ssdlab.cli import main
-from ssdlab.decode import DecodeConfig, _prefix_power
+from ssdlab.decode import DecodeConfig, _block_rows, _prefix_power
 from ssdlab.toyfsm import (
     DEFAULT_N_LOCKS,
     DEFAULT_TAIL_RATIO,
     FORK_HEAD,
+    GRID_MAX_POINTS,
     LOCK_HEAD,
     MAX_VOCAB_SIZE,
+    MC_BATCH,
     MC_MAX_LOCKS,
     ROOT_HEAD,
     VOCAB_SIZE,
@@ -287,8 +292,8 @@ class TestSweep:
     def test_rows_match_exact_success(self, teacher, student):
         grid = [0.5, 1.0, 2.0]
         sweep = temperature_sweep(teacher, student, grid, 0.8)
-        assert [r.temperature for r in sweep.rows] == grid
-        for row in sweep.rows:
+        assert [r.temperature for r in sweep] == grid
+        for row in sweep:
             assert row.top_p == 0.8
             assert row.teacher_success == exact_success(teacher, row.temperature, 0.8)
             assert row.student_success == exact_success(student, row.temperature, 0.8)
@@ -351,6 +356,64 @@ class TestOptimize:
         # 0.05 + 99 999 steps of 1e-3 is the 100 000th point
         t_star, _ = optimize_temperature(teacher, 0.80, bounds=(0.05, 100.049))
         assert t_star == pytest.approx(TEACHER_T_STAR, abs=5e-4)
+
+
+def _traced_peak(fn):
+    """fn()'s result and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestBlockBudget:
+    V = 4096
+    ROWS = 7  # a lowered budget of 7 rows of V floats, so the last chunk is short
+
+    def test_every_v16_call_is_one_block(self):
+        assert _block_rows(VOCAB_SIZE) >= max(GRID_MAX_POINTS, MC_BATCH)
+
+    def test_temperature_rows_are_scored_in_chunks(self, monkeypatch):
+        fsm = build_toy_fsm(vocab_size=self.V)
+        temperatures = np.linspace(0.3, 3.0, 500)
+        whole, whole_peak = _traced_peak(lambda: _success(fsm, temperatures, 0.8))
+        monkeypatch.setattr(decode, "BLOCK_BYTES", self.ROWS * 8 * self.V)
+        chunked, peak = _traced_peak(lambda: _success(fsm, temperatures, 0.8))
+        assert chunked.tobytes() == whole.tobytes()
+        assert whole_peak > 500 * 8 * self.V  # one (500, V) block at the default budget
+        assert peak < 1 << 21
+
+    def test_draws_are_taken_in_chunks_from_one_stream(self, monkeypatch):
+        w = np.random.default_rng(self.V).gamma(0.5, size=self.V)
+        policy = Categorical(w / w.sum())
+        whole_rng, chunked_rng = make_stream(3), make_stream(3)
+        whole, whole_peak = _traced_peak(
+            lambda: gumbel_max_sample(policy, whole_rng, size=1000))
+        monkeypatch.setattr(decode, "BLOCK_BYTES", self.ROWS * 8 * self.V)
+        chunked, peak = _traced_peak(
+            lambda: gumbel_max_sample(policy, chunked_rng, size=1000))
+        assert chunked.dtype == whole.dtype
+        np.testing.assert_array_equal(chunked, whole)
+        np.testing.assert_array_equal(chunked_rng.random(8), whole_rng.random(8))
+        assert whole_peak > 1000 * 8 * self.V  # one (1000, V) uniform block
+        assert peak < 1 << 21
+
+    def test_skipped_blocks_are_drawn_in_chunks(self, monkeypatch):
+        # a stream that is not Philox draws a one-token policy's block and discards it
+        policy = Categorical(np.eye(self.V)[5])
+        whole_rng, chunked_rng = np.random.default_rng(3), np.random.default_rng(3)
+        whole, whole_peak = _traced_peak(
+            lambda: gumbel_max_sample(policy, whole_rng, size=1000))
+        monkeypatch.setattr(decode, "BLOCK_BYTES", self.ROWS * 8 * self.V)
+        chunked, peak = _traced_peak(
+            lambda: gumbel_max_sample(policy, chunked_rng, size=1000))
+        np.testing.assert_array_equal(chunked, whole)
+        np.testing.assert_array_equal(chunked_rng.random(8), whole_rng.random(8))
+        assert whole_peak > 1000 * 8 * self.V
+        assert peak < 1 << 21
 
 
 class TestRobustnessGrid:
