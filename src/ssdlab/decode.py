@@ -64,6 +64,14 @@ TOP_P_EPS = 1e-12
 BLOCK_BYTES = 64 << 20
 
 
+def _check_count(name: str, value, minimum: int) -> None:
+    """Refuse a count that is not an integer (numpy integers pass) or is below minimum."""
+    if not isinstance(value, (int, np.integer)):
+        raise OutOfRangeError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise OutOfRangeError(f"{name} must be >= {minimum}, got {value!r}")
+
+
 def _check_order(order) -> tuple[str, str, str]:
     order = tuple(order)
     if sorted(order) != sorted(DEFAULT_ORDER):
@@ -86,8 +94,7 @@ class DecodeConfig:
             raise NonPositiveTemperatureError(
                 f"temperature must be positive, got {self.temperature!r}"
             )
-        if self.top_k < 0:
-            raise OutOfRangeError(f"top_k must be >= 0, got {self.top_k!r}")
+        _check_count("top_k", self.top_k, 0)
         if not 0.0 < self.top_p <= 1.0:
             raise OutOfRangeError(f"top_p must lie in (0, 1], got {self.top_p!r}")
 
@@ -161,8 +168,7 @@ def top_k_set(p: Categorical, k: int) -> np.ndarray:
 
     Returned as a read-only int64 array in descending rank order.
     """
-    if k < 0:
-        raise OutOfRangeError(f"top_k must be >= 0, got {k!r}")
+    _check_count("top_k", k, 0)
     if k == 0 or k >= p.alphabet_size:
         k = np.count_nonzero(p.probs)  # zeros rank last
     return _read_only(rank_descending(p)[:k])
@@ -251,63 +257,59 @@ def make_stream(seed: int, stream: int = 0) -> np.random.Generator:
     )
 
 
-def _skip_uniforms(rng: np.random.Generator, n: int) -> None:
-    """Move rng past n uniforms as if rng.random(n) had drawn them.
+def _skip_uniforms(rng: np.random.Generator, n: int) -> bool:
+    """Move a Philox rng past n uniforms as if rng.random(n) had drawn them.
 
     Philox is counter-based: after the values left in its four-word buffer
     are drawn, advance steps the counter past whole buffers without
     computing them, and the tail is drawn. advance drops a pending 32-bit
-    half, so a stream holding one, like any other bit generator, draws the
-    block, in BLOCK_BYTES chunks, and discards it.
+    half, so a stream holding one, like any other bit generator, is left
+    untouched. Returns whether the stream was moved.
     """
     bitgen = rng.bit_generator
     state = bitgen.state if isinstance(bitgen, np.random.Philox) else None
     if state is None or state["has_uint32"]:
-        step = _block_rows(1)
-        for start in range(0, n, step):
-            rng.random(min(step, n - start))
-        return
+        return False
     buffered = min(4 - state["buffer_pos"], n)
     rng.random(buffered)
     rest = n - buffered
     if rest >= 4:
         bitgen.advance(rest // 4)
     rng.random(rest % 4)
+    return True
 
 
-def gumbel_max_sample(operational: Categorical, rng: np.random.Generator, size=None):
-    """Sample by dividing probabilities by Exp(1) noise and taking the argmax.
+def gumbel_max_sample(operational: Categorical, rng: np.random.Generator, size: int):
+    """Draw size tokens by dividing probabilities by Exp(1) noise and taking the argmax.
 
     The marginal law equals the operational distribution. Noise is
     -log(U) with U uniform on (0, 1], so it is never infinite, and a zero
-    noise gives a score of +inf, which wins. With size given, returns that
-    many draws from the one stream as an int array. Every call moves the
-    stream past one uniform per token and draw, so streams replay. The
-    uniforms are drawn in row chunks that fit in BLOCK_BYTES, which draws
-    the same stream as one block. Noise is transformed on the retained
-    (positive-probability) columns only, and a policy with one retained
-    token moves a Philox stream past its block without drawing it, so every
-    later draw is unchanged.
+    noise gives a score of +inf, which wins. Returns an int64 array. Every
+    call moves the stream past one uniform per token and draw, so streams
+    replay. The uniforms are drawn in row chunks that fit in BLOCK_BYTES,
+    which draws the same stream as one block. Noise is transformed on the
+    retained (positive-probability) columns only. A policy with one
+    retained token moves a Philox stream past its block without drawing
+    it, so every later draw is unchanged; any other stream draws that
+    block through the row loop.
     """
+    _check_count("size", size, 0)
     p = operational.probs
     cols = np.flatnonzero(p)
-    n = 1 if size is None else int(size)
-    if cols.size == 1:
-        _skip_uniforms(rng, n * p.size)
-        token = cols[0]
-        return int(token) if size is None else np.full(n, token, dtype=np.int64)
-    tokens = np.empty(n, dtype=np.int64)
+    if cols.size == 1 and _skip_uniforms(rng, size * p.size):
+        return np.full(size, cols[0], dtype=np.int64)
+    tokens = np.empty(size, dtype=np.int64)
     step = _block_rows(p.size)
-    for start in range(0, n, step):
-        shape = (p.size,) if size is None else (min(step, n - start), p.size)
-        u = rng.random(shape)[..., cols]  # the one copy, transformed in place
+    for start in range(0, size, step):
+        rows = min(step, size - start)
+        u = rng.random((rows, p.size))[:, cols]  # the one copy, transformed in place
         np.subtract(1.0, u, out=u)  # in (0, 1]
         np.log(u, out=u)
         np.subtract(0.0, u, out=u)  # 0.0 - log(1) is +0.0, where -log(1) is -0.0
         with np.errstate(divide="ignore"):
             np.divide(p[cols], u, out=u)
-        tokens[start:start + step] = cols[np.argmax(u, axis=-1)]
-    return int(tokens[0]) if size is None else tokens
+        tokens[start:start + step] = cols[np.argmax(u, axis=1)]
+    return tokens
 
 
 def _run_pipeline(p: Categorical, order, alpha: float, k: int, top_p: float) -> Categorical:
@@ -334,8 +336,7 @@ def decode_normal_form(
     order = _check_order(order)
     if not 0 < alpha < np.inf:  # 1 / inf would reach temper as temperature 0
         raise OutOfRangeError(f"exponent must be finite and positive, got {alpha!r}")
-    if k < 0:
-        raise OutOfRangeError(f"top_k must be >= 0, got {k!r}")
+    _check_count("top_k", k, 0)
     if not 0.0 < top_p <= 1.0:
         raise OutOfRangeError(f"top_p must lie in (0, 1], got {top_p!r}")
     final = _run_pipeline(p, order, alpha, k, top_p)

@@ -25,7 +25,7 @@ from .categorical import (
     as_index_array,
     restrict,
 )
-from .decode import DecodeConfig, make_stream, retained_support, temper
+from .decode import DecodeConfig, _check_count, make_stream, retained_support, temper
 from .errors import (
     CompositionViolationError,
     DivergenceError,
@@ -37,10 +37,10 @@ from .errors import (
 )
 
 __all__ = [
-    "DivergenceMonitor", "LocalGain", "LossBreakdown", "SsdTarget", "Trajectory",
-    "gate_conditional_split", "ideal_fit_eval", "kept_mass", "local_gain",
-    "loss_gradient_logits", "self_training_fixed_point_check", "ssd_target",
-    "three_term_decomposition", "train_local_student",
+    "LocalGain", "LossBreakdown", "SsdTarget", "Trajectory", "gate_conditional_split",
+    "ideal_fit_eval", "kept_mass", "local_gain", "loss_gradient_logits",
+    "self_training_fixed_point_check", "ssd_target", "three_term_decomposition",
+    "train_local_student",
 ]
 
 # Logit floor standing in for -infinity at zero-probability tokens.
@@ -194,6 +194,8 @@ def loss_gradient_logits(target: SsdTarget, logits) -> np.ndarray:
     idx = np.flatnonzero(target.q.probs)
     p_s = p[idx]
     km = float(p_s.sum())
+    if km == 0:  # p_s / km would be 0 / 0
+        raise ZeroMassSupportError("student vanishes on a target-support token")
     return _gradient(p, idx, km, p_s / km, target.q.probs[idx])
 
 
@@ -208,8 +210,7 @@ def self_training_fixed_point_check(
     gauge shift of the logits. The returned worst-case norm should be at
     machine-zero scale.
     """
-    if n_trials < 1:
-        raise OutOfRangeError(f"n_trials must be >= 1, got {n_trials!r}")
+    _check_count("n_trials", n_trials, 1)
     rng = make_stream(seed)
     base = np.where(p.probs > 0, np.log(np.maximum(p.probs, 1e-300)), LOGIT_FLOOR)
     worst = 0.0
@@ -219,23 +220,6 @@ def self_training_fixed_point_check(
         expected = s * s.sum() - s
         worst = max(worst, float(np.abs(expected).max()))
     return worst
-
-
-class DivergenceMonitor:
-    """Abort signal for runaway training: too many consecutive loss increases."""
-
-    def __init__(self, window: int = DIVERGENCE_WINDOW):
-        self.window = window
-        self.prev = np.inf
-        self.streak = 0
-
-    def observe(self, loss: float) -> None:
-        self.streak = self.streak + 1 if loss > self.prev else 0
-        self.prev = loss
-        if self.streak >= self.window:
-            raise DivergenceError(
-                f"loss increased for {self.window} consecutive steps"
-            )
 
 
 def _student_steps(
@@ -249,8 +233,7 @@ def _student_steps(
     """
     if not learning_rate > 0:
         raise OutOfRangeError(f"learning_rate must be positive, got {learning_rate!r}")
-    if max_steps < 0:
-        raise OutOfRangeError(f"max_steps must be >= 0, got {max_steps!r}")
+    _check_count("max_steps", max_steps, 0)
     if not tv_tolerance > 0:
         raise OutOfRangeError(f"tv_tolerance must be positive, got {tv_tolerance!r}")
     # the support, ascending, not rank order: the summing order is part of the output bits
@@ -258,7 +241,7 @@ def _student_steps(
     qv = target.q.probs[idx]
     p0 = target.source.probs
     z = np.where(p0 > 0, np.log(np.maximum(p0, 1e-300)), LOGIT_FLOOR)
-    monitor = DivergenceMonitor()
+    prev, rises = np.inf, 0  # the last loss and the run of increases ending at it
     for step in range(max_steps + 1):
         p = _softmax(z)
         z.flags.writeable = p.flags.writeable = False
@@ -276,7 +259,10 @@ def _student_steps(
         yield stop, z, p, loss, tv, 1.0 - km
         if stop:
             return
-        monitor.observe(loss)
+        rises = rises + 1 if loss > prev else 0
+        prev = loss
+        if rises >= DIVERGENCE_WINDOW:
+            raise DivergenceError(f"loss increased for {DIVERGENCE_WINDOW} consecutive steps")
         z = z - learning_rate * _gradient(p, idx, km, cond, qv)
 
 

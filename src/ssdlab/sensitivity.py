@@ -22,7 +22,7 @@ from .categorical import (
     entropy,
     restrict,
 )
-from .decode import _prefix_power, temper
+from .decode import _check_count, _prefix_power, temper
 from .errors import (
     InvalidEntryError,
     KTooLargeError,
@@ -142,8 +142,7 @@ def prefix_mass_curve(p: Categorical, tau: float, k: int) -> np.ndarray:
     """
     if not tau > 0:
         raise NonPositiveTemperatureError(f"tau must be positive, got {tau!r}")
-    if k < 1:
-        raise OutOfRangeError(f"k must be >= 1, got {k!r}")
+    _check_count("k", k, 1)
     positive = int(np.count_nonzero(p.probs))
     if k > positive:
         raise KTooLargeError(

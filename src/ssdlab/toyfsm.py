@@ -27,13 +27,13 @@ from .categorical import Categorical, _read_only, as_index_array
 from .decode import (
     DecodeConfig,
     _block_rows,
+    _check_count,
     _prefix_power,
     gumbel_max_sample,
     make_stream,
     retained_support,
 )
 from .errors import EmptySetError, InvalidEntryError, InvalidRatioError, OutOfRangeError
-from .objective import ssd_target
 
 __all__ = [
     "Archetype", "Fsm", "GridRow", "McResult", "SweepRow",
@@ -69,15 +69,11 @@ REFINE_TOL = 1e-4  # and the width at which its ternary refinement stops
 class Archetype:
     """One state's token distribution plus its correct continuations.
 
-    correct_tokens is a read-only int64 array. head and tail_ratio record the
-    generating parameters; they are None for derived (e.g. distilled) ones.
+    correct_tokens is a read-only int64 array.
     """
 
-    kind: str
     dist: Categorical
     correct_tokens: np.ndarray
-    head: tuple[float, ...] | None = None
-    tail_ratio: float | None = None
 
 
 @dataclass(frozen=True)
@@ -121,20 +117,19 @@ def geometric_tail(residual: float, ratio: float, length: int) -> np.ndarray:
     """A length-term geometric sequence with the given ratio summing to residual."""
     if not 0.0 < ratio < 1.0:
         raise InvalidRatioError(f"tail ratio must lie in (0, 1), got {ratio!r}")
-    if length < 1:
-        raise OutOfRangeError(f"tail length must be >= 1, got {length!r}")
+    _check_count("tail length", length, 1)
     first = residual * (1.0 - ratio) / (1.0 - ratio**length)
     return first * ratio ** np.arange(length)
 
 
 def build_archetype(
-    kind: str,
     head,
     tail_ratio: float,
     correct_tokens,
     vocab_size: int = VOCAB_SIZE,
 ) -> Archetype:
     """Assemble head values plus a geometric tail into a full distribution."""
+    _check_count("vocab_size", vocab_size, 1)
     if vocab_size > MAX_VOCAB_SIZE:
         raise OutOfRangeError(f"vocab_size must be <= {MAX_VOCAB_SIZE}, got {vocab_size!r}")
     head = tuple(float(x) for x in head)
@@ -150,11 +145,8 @@ def build_archetype(
     tail = geometric_tail(residual, tail_ratio, vocab_size - len(head))
     dist = Categorical(np.concatenate([np.asarray(head), tail]))
     return Archetype(
-        kind=kind,
         dist=dist,
         correct_tokens=_read_only(as_index_array(correct_tokens, vocab_size).copy()),
-        head=head,
-        tail_ratio=float(tail_ratio),
     )
 
 
@@ -167,12 +159,11 @@ def build_toy_fsm(
     n_locks: int = DEFAULT_N_LOCKS,
 ) -> Fsm:
     """Construct the toy machine; all parameters overridable for experiments."""
-    if n_locks < 1:
-        raise OutOfRangeError(f"n_locks must be >= 1, got {n_locks!r}")
+    _check_count("n_locks", n_locks, 1)
     return Fsm(
-        root=build_archetype("root", root_head, tail_ratio, ROOT_CORRECT, vocab_size),
-        fork=build_archetype("fork", fork_head, tail_ratio, CHAIN_CORRECT, vocab_size),
-        lock=build_archetype("lock", lock_head, tail_ratio, CHAIN_CORRECT, vocab_size),
+        root=build_archetype(root_head, tail_ratio, ROOT_CORRECT, vocab_size),
+        fork=build_archetype(fork_head, tail_ratio, CHAIN_CORRECT, vocab_size),
+        lock=build_archetype(lock_head, tail_ratio, CHAIN_CORRECT, vocab_size),
         n_locks=n_locks,
     )
 
@@ -210,18 +201,20 @@ def exact_success(fsm: Fsm, temperature: float, top_p: float) -> float:
     return float(_success(fsm, np.array([float(temperature)]), top_p)[0])
 
 
-def _distill_archetype(arch: Archetype, cfg: DecodeConfig) -> Archetype:
-    q = ssd_target(arch.dist, cfg).q
-    return Archetype(kind=arch.kind, dist=q, correct_tokens=arch.correct_tokens)
-
-
 def distill_fsm(fsm: Fsm, train_temperature: float, train_top_p: float) -> Fsm:
-    """Replace every state's distribution with its distillation target."""
-    cfg = DecodeConfig(temperature=train_temperature, top_k=0, top_p=train_top_p)
+    """Replace every state's distribution with its distillation target.
+
+    The target is the state's operational policy at the training settings.
+    """
+
+    def distill(arch: Archetype) -> Archetype:
+        q = operational_policy(arch, train_temperature, train_top_p)
+        return Archetype(dist=q, correct_tokens=arch.correct_tokens)
+
     return Fsm(
-        root=_distill_archetype(fsm.root, cfg),
-        fork=_distill_archetype(fsm.fork, cfg),
-        lock=_distill_archetype(fsm.lock, cfg),
+        root=distill(fsm.root),
+        fork=distill(fsm.fork),
+        lock=distill(fsm.lock),
         n_locks=fsm.n_locks,
     )
 
@@ -338,8 +331,7 @@ def monte_carlo_success(
     fsm: Fsm, temperature: float, top_p: float, n: int, seed: int
 ) -> McResult:
     """Estimate success by simulating n trajectories with the Gumbel-max sampler."""
-    if n < 1:
-        raise OutOfRangeError(f"n must be >= 1, got {n!r}")
+    _check_count("n", n, 1)
     if fsm.n_locks > MC_MAX_LOCKS:
         raise OutOfRangeError(f"n_locks must be <= {MC_MAX_LOCKS}, got {fsm.n_locks!r}")
 

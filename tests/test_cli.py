@@ -359,6 +359,23 @@ class TestSensitivityCommand:
         ]
         assert rows[0][6] in ("true", "false")
 
+    def test_feasible_mode_defaults(self, capsys):
+        code, out, err = run(
+            capsys, "sensitivity", "--mode", "feasible", "--lock-probs", "0.7,0.2,0.1",
+            "--fork-probs", "0.4,0.35,0.25", "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        (row,) = json.loads(out)
+        assert (row["k"], row["feasible"]) == (3, True)
+
+    def test_feasible_mode_needs_both_distributions(self, capsys):
+        code, out, err = run(
+            capsys, "sensitivity", "--mode", "feasible", "--lock-probs", "0.7,0.2,0.1",
+            "--format", "json",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: feasible mode requires --lock-probs and --fork-probs\n"
+
     def test_missing_probs_is_usage_error(self, capsys):
         code, _, err = run(capsys, "sensitivity", "--mode", "entropy")
         assert code == 1
@@ -661,6 +678,29 @@ class TestConfigFile:
         assert (code, out) == (1, "")
         assert err.startswith("error: cannot read config file: 'utf-8' codec can't decode")
 
+    def test_comments_blank_lines_and_booleans(self, tmp_path, capsys):
+        dump = tmp_path / "dump.jsonl"
+        dump.write_text('{"context_id":"a","probs":[0.5,0.5]}\ngarbage\n')
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# a comment\n\nskip_bad = yes\n")
+        code, out, err = run(capsys, "analyze-dump", "--input", str(dump), "--config", str(cfg))
+        assert code == 0
+        assert [row[0] for row in csv_rows(out)[1]] == ["a"]
+        assert err.startswith("warning: skipped line 2: ")
+
+    @pytest.mark.parametrize("text, message", [
+        ("skip_bad = maybe\n", "config key skip_bad: expected a boolean, got 'maybe'"),
+        ("format xml\n", "config line 1: expected key = value"),
+        ("format = xml\n", "config key format: must be one of ('csv', 'json')"),
+    ], ids=["boolean", "no_equals", "choice"])
+    def test_malformed_config_lines_rejected(self, tmp_path, capsys, text, message):
+        dump = tmp_path / "dump.jsonl"
+        dump.write_text('{"context_id":"a","probs":[0.5,0.5]}\n')
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code, out, err = run(capsys, "analyze-dump", "--input", str(dump), "--config", str(cfg))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_range_checks_apply_to_config_values(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("probs = 0.5,0.5\ntemperature = -2\n")
@@ -737,6 +777,8 @@ class TestDumpIngestion:
             '{"context_id":"a","probs":[0.5,null,0.5]}',
             '{"context_id":"a","logits":["1",true]}',
             '{"context_id":"a","logits":[0.0,false]}',
+            '{"context_id":"a","probs":[[0.5],0.5]}',
+            '{"context_id":"a","probs":{"a":1}}',
         ],
     )
     def test_booleans_strings_and_nulls_are_not_numeric(self, tmp_path, capsys, record):
@@ -778,6 +820,14 @@ class TestDumpIngestion:
         assert code == 0
         assert [row[0] for row in csv_rows(out)[1]] == ["a"]
         assert err.startswith("warning: skipped line 2: ")
+
+    def test_skip_bad_names_a_record_that_is_not_an_object(self, tmp_path, capsys):
+        path = self._write(tmp_path, [json.dumps({"context_id": "a", "probs": [0.5, 0.5]}),
+                                      "[1,2]"])
+        code, out, err = run(capsys, "analyze-dump", "--input", str(path), "--skip-bad")
+        assert code == 0
+        assert [row[0] for row in csv_rows(out)[1]] == ["a"]
+        assert err == "warning: skipped line 2: record is not a JSON object\n"
 
     @pytest.mark.parametrize(
         "record",

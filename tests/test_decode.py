@@ -27,11 +27,17 @@ from ssdlab import (
     rank_descending,
     restrict,
     build_archetype,
+    build_toy_fsm,
+    geometric_tail,
+    monte_carlo_success,
+    prefix_mass_curve,
     retained_support,
+    self_training_fixed_point_check,
     ssd_target,
     temper,
     top_k_set,
     top_p_set,
+    train_local_student,
 )
 from ssdlab.decode import TOP_P_EPS
 from ssdlab.toyfsm import ROOT_HEAD
@@ -57,6 +63,33 @@ class TestConfig:
     def test_bad_truncation_rejected(self, kwargs):
         with pytest.raises(OutOfRangeError):
             DecodeConfig(**kwargs)
+
+    def test_top_k_must_be_an_integer(self):
+        assert DecodeConfig(top_k=np.int64(2)).top_k == 2
+        with pytest.raises(OutOfRangeError, match="^top_k must be an integer, got 1.5$"):
+            DecodeConfig(top_k=1.5)
+
+
+P3 = normalize([0.5, 0.3, 0.2])
+
+# Every other count parameter of the library, each called with a fraction.
+COUNT_CALLS = {
+    "top_k_set": lambda x: top_k_set(P3, x),
+    "decode_normal_form": lambda x: decode_normal_form(P3, DEFAULT_ORDER, 1.0, x, 1.0),
+    "geometric_tail": lambda x: geometric_tail(0.2, 0.5, x),
+    "build_archetype": lambda x: build_archetype((0.5,), 0.5, (0,), vocab_size=x),
+    "prefix_mass_curve": lambda x: prefix_mass_curve(P3, 1.0, x),
+    "train_local_student": lambda x: train_local_student(P3, DecodeConfig(), max_steps=x),
+    "self_training_fixed_point_check": lambda x: self_training_fixed_point_check(P3, x),
+    "monte_carlo_success": lambda x: monte_carlo_success(build_toy_fsm(), 1.0, 0.8, x, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_CALLS))
+def test_count_parameters_refuse_fractions(name):
+    with pytest.raises(OutOfRangeError, match="must be an integer, got 2.5$"):
+        COUNT_CALLS[name](2.5)
+    COUNT_CALLS[name](np.int64(2))  # numpy integers are counts
 
 
 class TestRanking:
@@ -226,7 +259,7 @@ INDEX_SETS = {
         [0, 3, 2],
     ),
     "Archetype.correct_tokens": (
-        lambda: build_archetype("root", ROOT_HEAD, 0.5, [1, 0]).correct_tokens, [1, 0]
+        lambda: build_archetype(ROOT_HEAD, 0.5, [1, 0]).correct_tokens, [1, 0]
     ),
 }
 
@@ -339,13 +372,22 @@ class TestSampling:
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_scalar_and_batch_shapes(self):
+    def test_batch_shape(self):
         p = normalize([0.5, 0.3, 0.2])
-        token = gumbel_max_sample(p, make_stream(3))
-        assert isinstance(token, int)
         batch = gumbel_max_sample(p, make_stream(3), size=100)
         assert batch.shape == (100,)
         assert batch.dtype == np.int64
+
+    @pytest.mark.parametrize("size, message", [
+        (-1, "^size must be >= 0, got -1$"),
+        (2.5, "^size must be an integer, got 2.5$"),
+    ], ids=["negative", "fraction"])
+    def test_size_must_be_a_count(self, size, message):
+        rng = make_stream(3)
+        with pytest.raises(OutOfRangeError, match=message):
+            gumbel_max_sample(normalize([0.5, 0.5]), rng, size=size)
+        np.testing.assert_array_equal(rng.random(2), make_stream(3).random(2))  # nothing drawn
+        assert gumbel_max_sample(normalize([0.5, 0.5]), rng, size=np.int64(3)).shape == (3,)
 
     def test_zero_probability_tokens_never_drawn(self):
         p = Categorical(np.array([0.5, 0.0, 0.5]))
@@ -361,16 +403,13 @@ class TestSampling:
         assert tv < 4.0 * np.sqrt(p.alphabet_size / n)
 
 
-def _full_row_gumbel_max(operational, rng, size=None):
+def _full_row_gumbel_max(operational, rng, size):
     """The literal sampler: noise on every column, zero-probability ones masked."""
     p = operational.probs
-    shape = (p.size,) if size is None else (int(size), p.size)
-    u = 1.0 - rng.random(shape)
+    u = 1.0 - rng.random((size, p.size))
     noise = 0.0 - np.log(u)  # +0.0 at u = 1, so a zero noise scores +inf
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = np.where(p > 0, p / noise, -1.0)
-    if size is None:
-        return int(np.argmax(scores))
     return np.argmax(scores, axis=1)
 
 
@@ -399,16 +438,13 @@ class TestSupportColumnSampler:
         for _ in range(3):
             got = gumbel_max_sample(p, got_rng, size=size)
             ref = _full_row_gumbel_max(p, ref_rng, size=size)
-            if size is None:
-                assert isinstance(got, int) and got == ref
-            else:
-                assert got.dtype == ref.dtype
-                np.testing.assert_array_equal(got, ref)
+            assert got.dtype == ref.dtype
+            np.testing.assert_array_equal(got, ref)
         # the streams stand where drawing every uniform block leaves them
         np.testing.assert_array_equal(got_rng.random(8), ref_rng.random(8))
 
     @pytest.mark.parametrize("name", sorted(POLICIES))
-    @pytest.mark.parametrize("size", [None, 1, 9, 5000])
+    @pytest.mark.parametrize("size", [1, 9, 5000])
     def test_matches_full_row_reference(self, name, size):
         for seed in range(5):
             got_rng, ref_rng = make_stream(seed, 2), make_stream(seed, 2)
@@ -421,7 +457,7 @@ class TestSupportColumnSampler:
 
     @pytest.mark.parametrize("stream", sorted(STREAMS))
     @pytest.mark.parametrize("name", sorted(POLICIES))
-    @pytest.mark.parametrize("size", [None, 1, 3, 5000])
+    @pytest.mark.parametrize("size", [1, 3, 5000])
     def test_replays_after_a_partial_buffer(self, stream, name, size):
         for seed in range(5):
             got_rng, ref_rng = self.STREAMS[stream](seed), self.STREAMS[stream](seed)
@@ -429,7 +465,7 @@ class TestSupportColumnSampler:
                 rng.random(3)  # leaves Philox's four-word buffer partly used
             self._assert_replays(self.POLICIES[name], got_rng, ref_rng, size)
 
-    @pytest.mark.parametrize("size", [None, 9])
+    @pytest.mark.parametrize("size", [1, 9])
     def test_pending_32_bit_half_survives_a_skipped_block(self, size):
         p = self.POLICIES["one_survivor_v16"]
         got_rng, ref_rng = make_stream(4), make_stream(4)
@@ -448,7 +484,7 @@ class TestSupportColumnSampler:
         # rng.random() can return exactly 0.0: then U = 1, the noise is 0 and
         # the score p / 0 is +inf, so that token is drawn
         p = normalize([0.9, 0.1, 0.0])
-        assert gumbel_max_sample(p, _FixedUniforms([0.5, 0.0, 0.5])) == 1
+        assert gumbel_max_sample(p, _FixedUniforms([[0.5, 0.0, 0.5]]), size=1).tolist() == [1]
         block = [[0.5, 0.0, 0.5], [0.0, 0.5, 0.5], [0.0, 0.0, 0.0], [0.5, 0.5, 0.0]]
         got = gumbel_max_sample(p, _FixedUniforms(block), size=4)
         np.testing.assert_array_equal(got, [1, 0, 0, 0])

@@ -9,7 +9,6 @@ from ssdlab import (
     Categorical,
     DecodeConfig,
     DivergenceError,
-    DivergenceMonitor,
     EmptyEventError,
     InvalidEntryError,
     OutOfRangeError,
@@ -30,6 +29,7 @@ from ssdlab import (
     three_term_decomposition,
     train_local_student,
 )
+from ssdlab import objective
 from ssdlab.objective import _student_steps
 
 N_RANDOM = 200
@@ -258,6 +258,12 @@ class TestGradient:
         with pytest.raises(InvalidEntryError):
             loss_gradient_logits(target, bad)
 
+    def test_support_mass_underflow_rejected(self):
+        # softmax([0, -1e4]) is exactly [1, 0]: the support {1} holds no mass
+        target = ssd_target(normalize([0.3, 0.7]), DecodeConfig(top_p=0.5))
+        with pytest.raises(ZeroMassSupportError, match="student vanishes"):
+            loss_gradient_logits(target, [0.0, -1e4])
+
 
 class TestSelfTrainingFixedPoint:
     def test_gradient_vanishes_at_own_distribution(self, make_dists):
@@ -351,23 +357,32 @@ class TestTraining:
                                 learning_rate=1e300, max_steps=5)
 
 
-class TestDivergenceMonitor:
-    def test_raises_after_window_consecutive_increases(self):
-        monitor = DivergenceMonitor(window=5)
-        monitor.observe(1.0)
-        with pytest.raises(DivergenceError):
-            for k in range(1, 10):
-                monitor.observe(1.0 + k)
+class TestDivergence:
+    # at learning rate 5 the loss of this run rises 2503 times in 5000
+    # steps, at most 35 times in a row
+    WEIGHTS = (0.2144, 0.0306, 0.0812, 0.07, 0.0065, 0.1238, 0.0786, 0.1312, 0.0164,
+               0.0249, 0.2224)
 
-    def test_any_decrease_resets_the_streak(self):
-        monitor = DivergenceMonitor(window=5)
-        for k in range(200):
-            monitor.observe(1.0 + (0.1 if k % 2 else -0.1))
+    def _train(self):
+        return train_local_student(normalize(self.WEIGHTS), DecodeConfig(temperature=0.3),
+                                   learning_rate=5, max_steps=5000)
 
-    def test_default_window_allows_long_decay(self):
-        monitor = DivergenceMonitor()
-        for k in range(1000):
-            monitor.observe(1.0 / (k + 1))
+    def test_raises_after_window_consecutive_increases(self, monkeypatch):
+        monkeypatch.setattr(objective, "DIVERGENCE_WINDOW", 35)
+        with pytest.raises(DivergenceError, match="^loss increased for 35 consecutive steps$"):
+            self._train()
+
+    def test_any_decrease_resets_the_count(self, monkeypatch):
+        monkeypatch.setattr(objective, "DIVERGENCE_WINDOW", 36)
+        traj = self._train()
+        assert traj.stop_reason == "step_cap"
+        assert traj.loss.size == 5001
+        rises = np.diff(traj.loss) > 0
+        longest = run = 0
+        for rise in rises:
+            run = run + 1 if rise else 0
+            longest = max(longest, run)
+        assert (rises.sum(), longest) == (2503, 35)
 
 
 class TestIdealFit:

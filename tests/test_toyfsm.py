@@ -103,21 +103,20 @@ class TestGeometricTail:
 
 class TestArchetypes:
     def test_head_then_geometric_tail(self):
-        arch = build_archetype("lock", LOCK_HEAD, 0.5, (0,))
+        arch = build_archetype(LOCK_HEAD, 0.5, (0,))
         assert arch.dist.alphabet_size == VOCAB_SIZE
         np.testing.assert_allclose(arch.dist.probs[:4], LOCK_HEAD, atol=1e-15)
         assert arch.dist.probs[4] == pytest.approx(LOCK_TAIL_FIRST, abs=1e-15)
         assert arch.dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
-        assert arch.kind == "lock"
         assert arch.correct_tokens.tolist() == [0]
 
     def test_head_validation(self):
         with pytest.raises(InvalidEntryError):
-            build_archetype("lock", [-0.1, 0.5], 0.5, (0,))
+            build_archetype([-0.1, 0.5], 0.5, (0,))
         with pytest.raises(InvalidEntryError):
-            build_archetype("lock", [0.9, 0.2], 0.5, (0,))  # no residual left
+            build_archetype([0.9, 0.2], 0.5, (0,))  # no residual left
         with pytest.raises(OutOfRangeError):
-            build_archetype("lock", [0.01] * (VOCAB_SIZE + 1), 0.5, (0,))
+            build_archetype([0.01] * (VOCAB_SIZE + 1), 0.5, (0,))
 
     def test_vocab_budget_is_inclusive(self):
         assert build_toy_fsm(vocab_size=MAX_VOCAB_SIZE).lock.dist.alphabet_size == MAX_VOCAB_SIZE
@@ -126,20 +125,26 @@ class TestArchetypes:
 
     def test_correct_tokens_are_validated_and_copied(self):
         tokens = np.array([1, 0])
-        arch = build_archetype("root", ROOT_HEAD, 0.5, tokens)
+        arch = build_archetype(ROOT_HEAD, 0.5, tokens)
         tokens[0] = 5  # the archetype holds its own copy, and the caller's stays writable
         assert arch.correct_tokens.tolist() == [1, 0]
         with pytest.raises(OutOfRangeError):
-            build_archetype("root", ROOT_HEAD, 0.5, (VOCAB_SIZE,))
+            build_archetype(ROOT_HEAD, 0.5, (VOCAB_SIZE,))
         with pytest.raises(InvalidEntryError):
-            build_archetype("root", ROOT_HEAD, 0.5, (0, 0))
+            build_archetype(ROOT_HEAD, 0.5, (0, 0))
+
+    def test_n_locks_must_be_an_integer(self):
+        assert build_toy_fsm(n_locks=np.int64(2)).n_locks == 2
+        with pytest.raises(OutOfRangeError, match="^n_locks must be an integer, got 2.5$"):
+            build_toy_fsm(n_locks=2.5)
 
     def test_default_machine_wiring(self, teacher):
         assert teacher.n_locks == DEFAULT_N_LOCKS
         assert teacher.root.correct_tokens.tolist() == [0, 1]
         assert teacher.fork.correct_tokens.tolist() == [0]
         assert teacher.lock.correct_tokens.tolist() == [0]
-        assert teacher.root.tail_ratio == DEFAULT_TAIL_RATIO
+        tail = teacher.root.dist.probs[4:]
+        np.testing.assert_allclose(tail[1:] / tail[:-1], DEFAULT_TAIL_RATIO, rtol=1e-12)
         np.testing.assert_allclose(teacher.root.dist.probs[:4], ROOT_HEAD, atol=1e-15)
 
 
@@ -283,8 +288,6 @@ class TestDistillation:
     def test_metadata_carries_over(self, student):
         assert student.root.correct_tokens.tolist() == [0, 1]
         assert student.lock.correct_tokens.tolist() == [0]
-        assert student.lock.head is None
-        assert student.lock.tail_ratio is None
         assert student.n_locks == DEFAULT_N_LOCKS
 
 
@@ -402,7 +405,7 @@ class TestBlockBudget:
         assert peak < 1 << 21
 
     def test_skipped_blocks_are_drawn_in_chunks(self, monkeypatch):
-        # a stream that is not Philox draws a one-token policy's block and discards it
+        # a stream that is not Philox draws a one-token policy's block through the row loop
         policy = Categorical(np.eye(self.V)[5])
         whole_rng, chunked_rng = np.random.default_rng(3), np.random.default_rng(3)
         whole, whole_peak = _traced_peak(
