@@ -4,9 +4,13 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
+import subprocess
 import sys
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from ssdlab import (
     retained_support,
     ssd_target,
 )
+from ssdlab import cli
 from ssdlab.categorical import _softmax
 from ssdlab.cli import (
     DECOMPOSITION_HEADER,
@@ -752,7 +757,18 @@ def expected_dump_row(line, cfg):
             entropy(rs.operational), entropy(p), top20)
 
 
+def force_dump_workers(monkeypatch, n):
+    """Give analyze-dump n CPUs and lift its one-range-per-MiB cap, so every
+    dump of n or more bytes is split n ways where its lines allow."""
+    monkeypatch.setattr(cli, "_BYTES_PER_WORKER", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
 class TestDumpIngestion:
+    @pytest.fixture(autouse=True, params=[1, 3], ids=["1-worker", "3-workers"])
+    def workers(self, request, monkeypatch):
+        force_dump_workers(monkeypatch, request.param)
+
     def _write(self, tmp_path, lines):
         path = tmp_path / "dump.jsonl"
         path.write_text("\n".join(lines) + "\n")
@@ -1019,6 +1035,220 @@ class TestDumpIngestion:
         code, out, err = run(capsys, "analyze-dump", "--input", str(path))
         assert (code, err) == (0, "")
         assert csv_rows(out)[1] == [["a", "", "1", "1", "0", "0", "1"]]
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def equal_records(n):
+    """n dump lines of one length each, so byte shares fall on line starts."""
+    return [json.dumps({"context_id": f"c{k:02d}", "probs": [0.5, 0.25, 0.25]})
+            for k in range(n)]
+
+
+def report_csv(lines):
+    """analyze-dump's CSV report on these lines at the default flags, built
+    from the library."""
+    rows = ([_cell(v) for v in expected_dump_row(line, DecodeConfig())] for line in lines)
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows([DUMP_HEADER, *rows])
+    return buffer.getvalue()
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestDumpRanges:
+    """analyze-dump's report does not depend on how many workers scan the dump."""
+
+    def analyze(self, monkeypatch, capsys, tmp_path, data, *flags):
+        """(code, stdout, stderr) of analyze-dump on data, asserting that 1 and 3
+        workers agree on them and on the --output bytes."""
+        path = tmp_path / "dump.jsonl"
+        path.write_bytes(data)
+        argv = ["analyze-dump", "--input", str(path), *flags]
+        runs = {}
+        for n in (1, 3):
+            force_dump_workers(monkeypatch, n)
+            report = tmp_path / f"report-{n}"
+            runs[n] = (run(capsys, *argv), run(capsys, *argv, "--format", "json"),
+                       run(capsys, *argv, "--output", str(report)),
+                       report.read_bytes() if report.exists() else None)
+        assert runs[1] == runs[3]
+        return runs[1][0]
+
+    def ranges(self, monkeypatch, data, tmp_path):
+        path = tmp_path / "dump.jsonl"
+        path.write_bytes(data)
+        force_dump_workers(monkeypatch, 3)
+        return cli._dump_ranges(str(path))
+
+    @pytest.mark.parametrize("skip_bad", [False, True])
+    def test_a_bad_line_in_each_range(self, monkeypatch, capsys, tmp_path, skip_bad):
+        lines = equal_records(9)
+        for k in (1, 4, 7):
+            lines[k] = "x" + lines[k][1:]
+        data = "".join(line + "\n" for line in lines).encode()
+        size = len(lines[0]) + 1
+        assert self.ranges(monkeypatch, data, tmp_path) == [
+            (0, 3 * size), (3 * size, 6 * size), (6 * size, None)]
+        flags = ["--skip-bad"] if skip_bad else []
+        code, out, err = self.analyze(monkeypatch, capsys, tmp_path, data, *flags)
+        problem = "invalid JSON: Expecting value"
+        if skip_bad:
+            assert (code, out) == (0, report_csv([lines[k] for k in (0, 2, 3, 5, 6, 8)]))
+            assert err == "".join(f"warning: skipped line {k}: {problem}\n"
+                                  for k in (2, 5, 8))
+        else:
+            assert (code, out) == (2, "")
+            assert err == ("error: " + "; ".join(f"line {k}: {problem}" for k in (2, 5, 8))
+                           + "\n")
+
+    @pytest.mark.parametrize("problem_first", [True, False])
+    @pytest.mark.parametrize("skip_bad", [False, True])
+    def test_a_scoring_error_and_a_parse_problem(self, monkeypatch, capsys, tmp_path,
+                                                problem_first, skip_bad):
+        lines = equal_records(9)
+        bad, refused = (1, 7) if problem_first else (7, 1)  # in the first and last range
+        lines[bad] = "x" + lines[bad][1:]
+        lines[refused] = lines[refused].replace("0.5, 0.25", "0.25, 0.5")
+
+        def scorer(probs, cfg):
+            if probs.probs[0] == 0.25:
+                raise SsdLabError("scorer refused")
+            return retained_support(probs, cfg)
+
+        monkeypatch.setattr(cli, "retained_support", scorer)
+        data = "".join(line + "\n" for line in lines).encode()
+        assert len(self.ranges(monkeypatch, data, tmp_path)) == 3
+        flags = ["--skip-bad"] if skip_bad else []
+        code, out, err = self.analyze(monkeypatch, capsys, tmp_path, data, *flags)
+        assert (code, out) == (2, "")
+        if problem_first and not skip_bad:  # no report will be written, so no scoring
+            assert err == "error: line 2: invalid JSON: Expecting value\n"
+        else:
+            assert err == "error: scorer refused\n"
+
+    @pytest.mark.parametrize("blank", [b"\n", b"\r\n", b" \t\r\n"])
+    def test_blank_and_crlf_lines_at_a_cut(self, monkeypatch, capsys, tmp_path, blank):
+        lines = equal_records(6)
+        data = b"".join(blank + line.encode() + b"\r\n" for line in lines)
+        cuts = [start for start, _ in self.ranges(monkeypatch, data, tmp_path)[1:]]
+        assert len(cuts) == 2
+        for cut in cuts:  # each cut starts a blank line after a CRLF line
+            assert data[cut - 2:cut] == b"\r\n" and data[cut:].startswith(blank)
+        assert self.analyze(monkeypatch, capsys, tmp_path, data) == (
+            0, report_csv(lines), "")
+
+    def test_a_final_line_without_a_newline(self, monkeypatch, capsys, tmp_path):
+        lines = list(dump_lines(np.random.default_rng(20)))
+        data = "\n".join(lines).encode()
+        assert len(self.ranges(monkeypatch, data, tmp_path)) == 3
+        assert self.analyze(monkeypatch, capsys, tmp_path, data) == (
+            0, report_csv(lines), "")
+
+    def test_a_giant_line_that_cannot_be_cut(self, monkeypatch, capsys, tmp_path):
+        w = np.random.default_rng(21).gamma(0.3, size=20_000)
+        giant = json.dumps({"context_id": "giant", "probs": (w / w.sum()).tolist()})
+        data = giant.encode() + b"\n"
+        assert self.ranges(monkeypatch, data, tmp_path) == [(0, None)]
+        assert self.analyze(monkeypatch, capsys, tmp_path, data) == (
+            0, report_csv([giant]), "")
+        # between two short lines, the giant one is a range of its own
+        short = equal_records(2)
+        lines = [short[0], giant, short[1]]
+        data = "".join(line + "\n" for line in lines).encode()
+        head, tail = len(short[0]) + 1, len(short[0]) + len(giant) + 2
+        assert self.ranges(monkeypatch, data, tmp_path) == [
+            (0, head), (head, tail), (tail, None)]
+        assert self.analyze(monkeypatch, capsys, tmp_path, data) == (
+            0, report_csv(lines), "")
+
+    def test_a_fifo_is_read_to_eof_by_one_worker(self, monkeypatch, capsys, tmp_path):
+        lines = list(dump_lines(np.random.default_rng(22)))
+        source = tmp_path / "dump.jsonl"
+        source.write_text("".join(line + "\n" for line in lines))
+        fifo = tmp_path / "dump.fifo"
+        os.mkfifo(fifo)
+        force_dump_workers(monkeypatch, 3)
+        assert cli._dump_ranges(str(fifo)) == [(0, None)]
+        writer = subprocess.Popen(["sh", "-c", 'cat "$1" > "$2"', "sh", source, fifo])
+        try:
+            assert run(capsys, "analyze-dump", "--input", str(fifo)) == (
+                0, report_csv(lines), "")
+        finally:
+            writer.kill()
+            writer.wait()
+
+    def test_dev_stdin_is_read_to_eof(self, tmp_path):
+        lines = list(dump_lines(np.random.default_rng(23)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ssdlab.cli", "analyze-dump", "--input", "/dev/stdin"],
+            input="".join(line + "\n" for line in lines).encode(),
+            capture_output=True, env=env, check=False, timeout=120)
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr) == (
+            0, report_csv(lines), b"")
+
+
+class TestDumpWorkerLifecycle:
+    """No dump worker outlives cli.main, whatever way the run ends."""
+
+    @pytest.fixture(autouse=True)
+    def dump(self, monkeypatch, tmp_path):
+        force_dump_workers(monkeypatch, 3)
+        self.path = tmp_path / "dump.jsonl"
+        self.lines = equal_records(9)
+        self.path.write_text("".join(line + "\n" for line in self.lines))
+        assert len(cli._dump_ranges(str(self.path))) == 3
+
+    def test_after_a_report(self, capsys):
+        assert run(capsys, "analyze-dump", "--input", str(self.path)) == (
+            0, report_csv(self.lines), "")
+        no_child_left()
+
+    def test_after_a_parse_error(self, capsys):
+        self.path.write_text("".join(line + "\n" for line in self.lines) + "garbage\n")
+        code, out, err = run(capsys, "analyze-dump", "--input", str(self.path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 10: invalid JSON")
+        no_child_left()
+
+    def test_a_worker_exception_surfaces_in_the_parent(self, monkeypatch):
+        parent = os.getpid()
+
+        def scorer(probs, cfg):
+            if os.getpid() != parent:
+                raise RuntimeError(f"scorer failed in worker {os.getpid()}")
+            return retained_support(probs, cfg)
+
+        monkeypatch.setattr(cli, "retained_support", scorer)
+        with pytest.raises(RuntimeError, match="scorer failed in worker") as failure:
+            main(["analyze-dump", "--input", str(self.path)])
+        assert str(parent) not in str(failure.value)
+        no_child_left()
+
+    def test_an_abort_in_the_parent_kills_the_workers(self, monkeypatch):
+        parent = os.getpid()
+
+        class Abort(BaseException):
+            pass
+
+        def scorer(probs, cfg):
+            if os.getpid() == parent:
+                raise Abort
+            time.sleep(60)  # a worker still busy when the parent gives up
+
+        monkeypatch.setattr(cli, "retained_support", scorer)
+        started = time.monotonic()
+        with pytest.raises(Abort):
+            main(["analyze-dump", "--input", str(self.path)])
+        assert time.monotonic() - started < 30
+        no_child_left()
 
 
 def test_convergence_on_the_last_allowed_step_does_not_warn(capsys):
