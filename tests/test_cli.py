@@ -47,7 +47,6 @@ from ssdlab.errors import (
     ParseError,
     SsdLabError,
 )
-from ssdlab.objective import _student_steps
 from ssdlab.toyfsm import GRID_MAX_POINTS, MAX_VOCAB_SIZE, MC_MAX_LOCKS
 
 
@@ -240,8 +239,16 @@ class TestTrainCommand:
         assert (code, out, err) == (2, "", INFINITE_T_ERROR)
 
 
-def listed_train_report(argv):
-    """train-student's report built from a list of every step's logits, then thinned."""
+# a seeded heavy-tailed context at V = 4096, as train-student's --probs
+_HEAVY_TAIL_W = np.random.default_rng(4096).gamma(0.3, size=4096)
+HEAVY_TAIL_4096 = ",".join(f"{x:.17g}" for x in _HEAVY_TAIL_W / _HEAVY_TAIL_W.sum())
+
+
+def listed_train_report(argv, reference_steps):
+    """train-student's report from a list of every step's reference logits, then thinned.
+
+    Each kept row scores a full-width Categorical of the step's softmax.
+    """
     args = resolve_args(build_parser().parse_args(argv))
     p0 = normalize(args["probs"])
     cfg = DecodeConfig(
@@ -249,14 +256,14 @@ def listed_train_report(argv):
     )
     target = ssd_target(p0, cfg)
     tol = args["tv_tolerance"]
-    steps = list(_student_steps(target, args["learning_rate"], args["max_steps"], tol))
-    tv = steps[-1][4]
+    steps = list(reference_steps(target, args["learning_rate"], args["max_steps"], tol))
+    tv = steps[-1][2]
     if tv >= tol:
         print(f"warning: train-student stopped at the step cap of {args['max_steps']} "
               f"with on-support TV {tv:.3g}, above the tolerance {tol:.3g}",
               file=sys.stderr)
     last = len(steps) - 1
-    logged = [(k, z) for k, (_, z, *_) in enumerate(steps)
+    logged = [(k, z) for k, (z, *_) in enumerate(steps)
               if k % args["log_every"] == 0 or k == last]
     rows = [_decomposition_row(target, Categorical(_softmax(z)).probs, k) for k, z in logged]
     emit_report(rows, args["format"], args["output"], DECOMPOSITION_HEADER)
@@ -272,11 +279,14 @@ class TestTrainStream:
              "--max-steps", "53", "--log-every", "7", "--learning-rate", "1.0"],
             ["--probs", "0.6,0.4", "--max-steps", "5000", "--learning-rate", "4.0",
              "--log-every", "1000"],
+            ["--probs", HEAVY_TAIL_4096, "--temperature", "0.9", "--top-p", "0.85",
+             "--max-steps", "200", "--log-every", "1"],
         ],
-        ids=["every-step", "every-7th-and-last", "converged-early"],
+        ids=["every-step", "every-7th-and-last", "converged-early", "v4096-every-step"],
     )
-    def test_streamed_report_matches_listed_trajectory(self, capsys, argv):
-        listed_train_report(["train-student", *argv])
+    def test_streamed_report_matches_listed_trajectory(self, capsys, argv,
+                                                       reference_student_steps):
+        listed_train_report(["train-student", *argv], reference_student_steps)
         expected = capsys.readouterr()
         code, out, err = run(capsys, "train-student", *argv)
         assert code == 0
@@ -285,8 +295,7 @@ class TestTrainStream:
 
     def test_peak_memory_bounded_by_vocabulary_not_steps(self, tmp_path):
         v = 4096
-        w = np.random.default_rng(v).gamma(0.3, size=v)
-        argv = ["train-student", "--probs", ",".join(f"{x:.17g}" for x in w / w.sum()),
+        argv = ["train-student", "--probs", HEAVY_TAIL_4096,
                 "--temperature", "0.9", "--top-p", "0.85", "--log-every", "1",
                 "--max-steps", "400", "--output", str(tmp_path / "train.csv")]
         assert main(argv) == 0  # warm-up: first-call imports and caches

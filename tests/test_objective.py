@@ -357,6 +357,31 @@ class TestTraining:
                                 learning_rate=1e300, max_steps=5)
 
 
+class TestBitIdentity:
+    """train_local_student keeps every bit of the plain numpy reference step."""
+
+    @staticmethod
+    def heavy_tail():
+        w = np.random.default_rng(4096).gamma(0.3, size=4096)
+        return normalize(w)
+
+    @pytest.mark.parametrize(
+        "case", [("lock", 2_000), ("heavy-tail-4096", 200)], ids=lambda c: c[0]
+    )
+    def test_trajectory_matches_reference(self, reference_student_steps, case):
+        name, max_steps = case
+        p0 = normalize(LOCK_WEIGHTS) if name == "lock" else self.heavy_tail()
+        traj = train_local_student(p0, LOCK_CFG, learning_rate=0.5, max_steps=max_steps)
+        steps = list(reference_student_steps(ssd_target(p0, LOCK_CFG), 0.5, max_steps,
+                                             1e-6))
+        logits, *columns = zip(*steps)
+        assert traj.loss.size == len(steps)
+        for got, expected in zip((traj.loss, traj.on_support_tv, traj.off_support_mass),
+                                 columns):
+            assert np.array_equal(got, np.array(expected))
+        assert np.array_equal(traj.logits, logits[-1])
+
+
 class TestDivergence:
     # at learning rate 5 the loss of this run rises 2503 times in 5000
     # steps, at most 35 times in a row
