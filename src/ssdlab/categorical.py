@@ -74,18 +74,19 @@ class Categorical:
 
 def _shifted_exp(x: np.ndarray, temperature=1.0) -> np.ndarray:
     """exp((x - max x) / temperature); a column of temperatures gives one row each."""
-    shifted = x - x.max()
+    shifted = x - np.maximum.reduce(x, axis=None)
     # training loops call this per step at T = 1, where the divide is skipped
     if isinstance(temperature, np.ndarray) or temperature != 1.0:
         with np.errstate(over="ignore"):  # -inf near T = 0 leaves only the maxima
             shifted = shifted / temperature
-    return np.exp(shifted)
+    return np.exp(shifted, out=shifted)
 
 
 def _softmax(x: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """The distribution proportional to exp(x / temperature)."""
     w = _shifted_exp(x, temperature)
-    return w / w.sum()
+    w /= np.add.reduce(w, axis=None)
+    return w
 
 
 def _int64_members(members, name: str, outside: str) -> np.ndarray:

@@ -185,7 +185,7 @@ _DECODE_FLAGS = [
 
 _TRAIN_FLAGS = [
     Flag("--learning-rate", float, 0.5, "gradient descent step size",
-         check=_positive, check_msg="learning-rate must be > 0"),
+         check=_positive_finite, check_msg="learning-rate must be finite and > 0"),
     Flag("--max-steps", int, 100_000, "iteration cap",
          check=_non_negative, check_msg="max-steps must be >= 0"),
     Flag("--tv-tolerance", float, 1e-6, "on-support TV stopping threshold",
@@ -455,9 +455,9 @@ def _run_target(args):
     return ["token", "base_prob", "target_prob"], rows
 
 
-def _decomposition_row(target, probs, step: int):
-    """One report row from the student's raw probability array."""
-    bd, km, cond, q = _support_terms(target, probs)
+def _decomposition_row(target, probs, step: int, total: float = 1.0):
+    """One report row from the student's raw probability array divided by total."""
+    bd, km, cond, q = _support_terms(target, probs, total)
     tv = 0.5 * float(np.abs(cond - q).sum())
     return step, bd.total, bd.gate, bd.reshape, bd.align, tv, 1.0 - km
 
@@ -476,8 +476,8 @@ def _run_train_student(args):
     steps = _student_steps(target, args["learning_rate"], args["max_steps"], tol)
     for step, (stop, _, p, _, tv, _) in enumerate(steps):
         if step % every == 0 or stop:  # the last step is always kept
-            # the step's softmax, renormalized once as a Categorical is
-            rows.append(_decomposition_row(target, p / p.sum(), step))
+            # the step's softmax renormalized as a Categorical is, on the support only
+            rows.append(_decomposition_row(target, p, step, np.add.reduce(p, axis=None)))
     if stop == "step_cap":
         print(f"warning: train-student stopped at the step cap of {args['max_steps']} "
               f"with on-support TV {tv:.3g}, above the tolerance {tol:.3g}",

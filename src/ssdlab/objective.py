@@ -116,40 +116,43 @@ def kept_mass(p_theta: Categorical, members) -> float:
     return float(p_theta.probs[idx].sum())
 
 
-def _conditional(target: SsdTarget, p: np.ndarray):
-    """A raw student array's kept mass, its conditional p(v|S) and q on the support.
+def _conditional(target: SsdTarget, p: np.ndarray, total: float = 1.0):
+    """The kept mass of p / total, its conditional p(v|S) and q on the support.
 
-    Indexes target.support in rank order, the order kept_mass sums in; O(|S|).
+    Indexes target.support in rank order, the order kept_mass sums in, and
+    divides only those entries by total; O(|S|).
     """
     if p.size != target.q.alphabet_size:
         raise InvalidEntryError("alphabet sizes differ")
-    p_s = p[target.support]
-    if np.any(p_s == 0):  # q is positive on all of target.support by construction
+    p_s = p[target.support] / total
+    # q is positive on all of target.support by construction
+    if np.count_nonzero(p_s) < p_s.size:
         raise ZeroMassSupportError("student vanishes on a target-support token")
-    km = float(p_s.sum())
+    km = float(np.add.reduce(p_s, axis=None))
     cond = p_s / km
-    cond /= cond.sum()  # unit sum, as restrict's Categorical makes it
+    cond /= np.add.reduce(cond, axis=None)  # unit sum, as restrict's Categorical makes it
     return km, cond, target.q.probs[target.support]
 
 
-def _support_terms(target: SsdTarget, p: np.ndarray):
-    """The breakdown of a raw student array, then _conditional's kept mass, p(v|S) and q."""
-    km, cond, q = _conditional(target, p)
+def _support_terms(target: SsdTarget, p: np.ndarray, total: float = 1.0):
+    """The breakdown of p / total, then _conditional's kept mass, p(v|S) and q."""
+    km, cond, q = _conditional(target, p, total)
     T = target.train_temperature
     if T == np.inf:  # reshape tends to -inf and const to +inf: their sum has no value
         raise OutOfRangeError("the loss decomposition needs a finite train temperature, "
                               f"got {T!r}")
     log_cond, log_q = np.log(cond), np.log(q)
     w = _shifted_exp(log_cond, T)
-    norm = w.sum()
+    norm = np.add.reduce(w, axis=None)
     tempered = w / norm
-    if np.any(tempered == 0):
+    if np.count_nonzero(tempered) < tempered.size:
         raise SupportViolationError("tempered student vanishes on a target-support token")
     gate = float(-np.log(km))
     # -T log sum (p(v|S))^(1/T), shifted by the largest log p(v|S) as tempered is
-    reshape = 0.0 if T == 1.0 else -float(log_cond.max() + T * np.log(norm))
-    align = T * float((q * (log_q - np.log(tempered))).sum())
-    const = T * float(-(q * log_q).sum())
+    reshape = 0.0 if T == 1.0 else -float(np.maximum.reduce(log_cond, axis=None)
+                                          + T * np.log(norm))
+    align = T * float(np.add.reduce(q * (log_q - np.log(tempered)), axis=None))
+    const = T * float(-np.add.reduce(q * log_q, axis=None))
     total = gate + reshape + align + const
     return LossBreakdown(gate, reshape, align, const, total), km, cond, q
 
@@ -172,9 +175,10 @@ def three_term_decomposition(target: SsdTarget, p_theta: Categorical) -> LossBre
 
 
 def _gradient(p: np.ndarray, idx: np.ndarray, km: float, cond: np.ndarray,
-              q: np.ndarray) -> np.ndarray:
-    g = p.copy()
-    g[idx] = -(1.0 - km) * cond + (cond - q)
+              q: np.ndarray, scale: float) -> np.ndarray:
+    """scale times the gradient: scale * p off the support, one V-wide pass."""
+    g = scale * p
+    g[idx] = scale * (-(1.0 - km) * cond + (cond - q))
     return g
 
 
@@ -189,14 +193,15 @@ def loss_gradient_logits(target: SsdTarget, logits) -> np.ndarray:
         raise InvalidEntryError("logit vector shape does not match the target alphabet")
     if not np.all(np.isfinite(z)):
         raise InvalidEntryError("logits must be finite")
-    p = _softmax(z)
+    with np.errstate(over="ignore"):  # a span past DBL_MAX shifts to -inf, weight 0
+        p = _softmax(z)
     # the support, ascending, not rank order: the summing order is part of the output bits
     idx = np.flatnonzero(target.q.probs)
     p_s = p[idx]
     km = float(p_s.sum())
     if km == 0:  # p_s / km would be 0 / 0
         raise ZeroMassSupportError("student vanishes on a target-support token")
-    return _gradient(p, idx, km, p_s / km, target.q.probs[idx])
+    return _gradient(p, idx, km, p_s / km, target.q.probs[idx], 1.0)
 
 
 def self_training_fixed_point_check(
@@ -231,8 +236,9 @@ def _student_steps(
     step. The logits and their softmax are the loop's own read-only arrays:
     a step rebinds z and p and never writes into either, so no copy is taken.
     """
-    if not learning_rate > 0:
-        raise OutOfRangeError(f"learning_rate must be positive, got {learning_rate!r}")
+    if not 0 < learning_rate < np.inf:
+        raise OutOfRangeError("learning_rate must be finite and positive, "
+                              f"got {learning_rate!r}")
     _check_count("max_steps", max_steps, 0)
     if not tv_tolerance > 0:
         raise OutOfRangeError(f"tv_tolerance must be positive, got {tv_tolerance!r}")
@@ -246,14 +252,14 @@ def _student_steps(
         p = _softmax(z)
         z.flags.writeable = p.flags.writeable = False
         p_s = p[idx]
-        km = float(p_s.sum())
+        km = float(np.add.reduce(p_s, axis=None))
         # a zero or NaN on the support makes the loss inf or NaN: refuse it before np.log warns
         if not km > 0 or np.count_nonzero(p_s) < idx.size:
             raise DivergenceError(f"loss is not finite at step {step}: the student "
                                   "vanishes on a target-support token")
         cond = p_s / km
-        tv = float(0.5 * np.abs(cond - qv).sum())
-        loss = float(-(qv * np.log(p_s)).sum())
+        tv = float(0.5 * np.add.reduce(np.abs(cond - qv), axis=None))
+        loss = float(-np.add.reduce(qv * np.log(p_s), axis=None))
         stop = ("converged" if tv < tv_tolerance
                 else "step_cap" if step == max_steps else None)
         yield stop, z, p, loss, tv, 1.0 - km
@@ -263,7 +269,7 @@ def _student_steps(
         prev = loss
         if rises >= DIVERGENCE_WINDOW:
             raise DivergenceError(f"loss increased for {DIVERGENCE_WINDOW} consecutive steps")
-        z = z - learning_rate * _gradient(p, idx, km, cond, qv)
+        z = z - _gradient(p, idx, km, cond, qv, learning_rate)
 
 
 def train_local_student(

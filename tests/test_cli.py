@@ -231,6 +231,15 @@ class TestTrainCommand:
         assert err == ("error: loss is not finite at step 1: "
                        "the student vanishes on a target-support token\n")
 
+    def test_infinite_learning_rate_is_a_usage_error(self, capsys):
+        # the first step's z - inf * g was nan, reported as a vanishing student
+        code, out, err = run(
+            capsys, "train-student", "--probs", "0.5,0.3,0.2,0.1", "--top-p", "0.8",
+            "--temperature", "0.7", "--learning-rate", "inf", "--max-steps", "3",
+        )
+        assert (code, out) == (1, "")
+        assert "learning-rate must be finite and > 0" in err
+
     def test_infinite_train_temperature_exits_two(self, capsys):
         # total and align were nan on every row
         code, out, err = run(

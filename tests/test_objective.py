@@ -264,6 +264,14 @@ class TestGradient:
         with pytest.raises(ZeroMassSupportError, match="student vanishes"):
             loss_gradient_logits(target, [0.0, -1e4])
 
+    def test_logit_span_past_dbl_max_gives_the_limit(self):
+        # the shifted -1e308 overflows to -inf: weight 0, with no warning
+        target = ssd_target(normalize([0.5, 0.3, 0.2]), DecodeConfig(0.7, 0, 0.8))
+        q0, q1 = target.q.probs[:2]
+        g = loss_gradient_logits(target, [1e308, -1e308, 0.0])
+        assert np.array_equal(g, [1.0 - q0, -q1, 0.0])
+        np.testing.assert_allclose(g, [0.3252494, -0.3252494, 0.0], atol=1e-7)
+
 
 class TestSelfTrainingFixedPoint:
     def test_gradient_vanishes_at_own_distribution(self, make_dists):
@@ -342,7 +350,8 @@ class TestTraining:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"learning_rate": 0.0}, {"max_steps": -1}, {"tv_tolerance": 0.0}],
+        [{"learning_rate": 0.0}, {"learning_rate": np.inf}, {"max_steps": -1},
+         {"tv_tolerance": 0.0}],
     )
     def test_bad_hyperparameters_rejected(self, kwargs):
         with pytest.raises(OutOfRangeError):
