@@ -455,9 +455,9 @@ def _run_target(args):
     return ["token", "base_prob", "target_prob"], rows
 
 
-def _decomposition_row(target, probs, step: int, total: float = 1.0):
-    """One report row from the student's raw probability array divided by total."""
-    bd, km, cond, q = _support_terms(target, probs, total)
+def _decomposition_row(target, probs, step: int, p_sum: float = 1.0):
+    """One report row from the student's raw probability array divided by p_sum."""
+    bd, km, cond, q = _support_terms(target, probs, p_sum)
     tv = 0.5 * float(np.abs(cond - q).sum())
     return step, bd.total, bd.gate, bd.reshape, bd.align, tv, 1.0 - km
 

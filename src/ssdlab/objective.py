@@ -116,17 +116,16 @@ def kept_mass(p_theta: Categorical, members) -> float:
     return float(p_theta.probs[idx].sum())
 
 
-def _conditional(target: SsdTarget, p: np.ndarray, total: float = 1.0):
-    """The kept mass of p / total, its conditional p(v|S) and q on the support.
+def _conditional(target: SsdTarget, p: np.ndarray, p_sum: float = 1.0):
+    """The kept mass of p / p_sum, its conditional p(v|S) and q on the support.
 
     Indexes target.support in rank order, the order kept_mass sums in, and
-    divides only those entries by total; O(|S|).
+    divides only those entries by p_sum; O(|S|).
     """
     if p.size != target.q.alphabet_size:
         raise InvalidEntryError("alphabet sizes differ")
-    p_s = p[target.support] / total
-    # q is positive on all of target.support by construction
-    if np.count_nonzero(p_s) < p_s.size:
+    p_s = p[target.support] / p_sum
+    if np.count_nonzero(p_s) < p_s.size:  # q is positive on all of target.support
         raise ZeroMassSupportError("student vanishes on a target-support token")
     km = float(np.add.reduce(p_s, axis=None))
     cond = p_s / km
@@ -134,9 +133,9 @@ def _conditional(target: SsdTarget, p: np.ndarray, total: float = 1.0):
     return km, cond, target.q.probs[target.support]
 
 
-def _support_terms(target: SsdTarget, p: np.ndarray, total: float = 1.0):
-    """The breakdown of p / total, then _conditional's kept mass, p(v|S) and q."""
-    km, cond, q = _conditional(target, p, total)
+def _support_terms(target: SsdTarget, p: np.ndarray, p_sum: float = 1.0):
+    """The breakdown of p / p_sum, then _conditional's kept mass, p(v|S) and q."""
+    km, cond, q = _conditional(target, p, p_sum)
     T = target.train_temperature
     if T == np.inf:  # reshape tends to -inf and const to +inf: their sum has no value
         raise OutOfRangeError("the loss decomposition needs a finite train temperature, "
@@ -250,7 +249,8 @@ def _student_steps(
     prev, rises = np.inf, 0  # the last loss and the run of increases ending at it
     for step in range(max_steps + 1):
         p = _softmax(z)
-        z.flags.writeable = p.flags.writeable = False
+        z.setflags(write=False)
+        p.setflags(write=False)
         p_s = p[idx]
         km = float(np.add.reduce(p_s, axis=None))
         # a zero or NaN on the support makes the loss inf or NaN: refuse it before np.log warns
