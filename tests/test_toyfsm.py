@@ -484,6 +484,14 @@ class TestMonteCarlo:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == self.GOLDEN_REPORTS[argv]
 
+    def test_cli_report_bytes_at_vocabulary_size(self, tmp_path):
+        # one batch at V = 4096, whose (n, V) uniforms span two BLOCK_BYTES chunks
+        argv = "--role teacher --temperature 0.6395 --vocab-size 4096 --n 2000 --seed 2"
+        path = tmp_path / "mc.csv"
+        assert main(["toy-mc", *argv.split(), "--output", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "40bfb6344d1b8155ec8be48cabe8a4d05b7532a26a0c2c9348ef846c2c8e3344")
+
     def test_three_sigma_agreement_across_grid(self, teacher, student):
         # fixed seeds make this deterministic; worst observed z is 1.9
         for i, temp in enumerate((0.5, 0.8, 1.2, 2.0)):
