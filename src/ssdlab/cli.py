@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import os
@@ -589,19 +590,97 @@ def _run_toy_grid(args):
 def _run_toy_mc(args):
     teacher, student = _build_machines(args)
     fsm = teacher if args["role"] == "teacher" else student
-    result = toyfsm.monte_carlo_success(
-        fsm, args["temperature"], args["top_p"], args["n"], args["seed"]
-    )
+    n, seed = args["n"], args["seed"]
+    states = toyfsm._mc_states(fsm, args["temperature"], args["top_p"], n)
+    # one contiguous run of batches per CPU; the count is exact, so the report
+    # does not depend on the number of runs
+    batches = toyfsm._mc_batches(n)
+    workers = min(_cpus(), batches)
+    bounds = [k * batches // workers for k in range(workers + 1)]
+    counts = _fork_map(lambda part: toyfsm._mc_count(states, n, seed, *part),
+                       list(zip(bounds, bounds[1:])))
+    result = toyfsm._mc_result(sum(counts), n)
     exact = toyfsm.exact_success(fsm, args["temperature"], args["top_p"])
     header = [
         "role", "temperature", "top_p", "n", "seed",
         "estimate", "stderr", "exact", "abs_error",
     ]
     row = (
-        args["role"], args["temperature"], args["top_p"], args["n"], args["seed"],
+        args["role"], args["temperature"], args["top_p"], n, seed,
         result.estimate, result.stderr, exact, abs(result.estimate - exact),
     )
     return header, [row]
+
+
+# ---------------------------------------------------------------------------
+# forked workers
+
+def _cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork."""
+    try:
+        return len(os.sched_getaffinity(0)) if hasattr(os, "fork") else 1
+    except AttributeError:  # no sched_getaffinity
+        return 1
+
+
+def _fork_worker(read_end: int, write_end: int, fn: Callable, part) -> None:
+    """A forked worker's whole life: run fn(part), pickle its result or the
+    exception it raised into the pipe, and _exit, never returning into the
+    CLI or flushing inherited stdio. Exit code 0 means the whole pickle was
+    written."""
+    code = 1
+    try:
+        os.close(read_end)
+        try:
+            outcome = True, fn(part)
+        except BaseException as exc:  # e.g. KeyboardInterrupt
+            outcome = False, exc
+        blob = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+        with open(write_end, "wb") as pipe:
+            pipe.write(blob)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _fork_map(fn: Callable, parts: list) -> list:
+    """[fn(part) for part in parts]: the first part here, each other in its own
+    forked worker, whose exception is raised here. Every worker is reaped on
+    every path, and killed first if its result is no longer wanted; a worker
+    that dies before sending its result raises ChildProcessError."""
+    workers, blobs, statuses = [], [], []  # (pid, read end) per worker, in part order
+    try:
+        for part in parts[1:]:
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                _fork_worker(read_end, write_end, fn, part)
+            os.close(write_end)
+            workers.append((pid, read_end))
+        results = [fn(parts[0])]
+        for _, read_end in workers:
+            with open(read_end, "rb", closefd=False) as pipe:
+                blobs.append(pipe.read())
+    finally:
+        for k, (pid, read_end) in enumerate(workers):
+            os.close(read_end)
+            if k >= len(blobs):
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for code, blob in zip(statuses, blobs):
+        if code != 0:
+            raise ChildProcessError(f"a worker exited with code {code} "
+                                    "before sending its result")
+        ok, value = pickle.loads(blob)
+        if not ok:
+            raise value
+        results.append(value)
+    return results
 
 
 # A dump is split across CPUs by byte range, but at most one range per MiB: a
@@ -645,10 +724,10 @@ def _dump_ranges(path: str) -> list[tuple[int, int | None]]:
     """
     try:
         size = os.path.getsize(path) if os.path.isfile(path) else 0
-        workers = min(len(os.sched_getaffinity(0)), size // _BYTES_PER_WORKER)
-    except (OSError, AttributeError):  # open() reports the path; no sched_getaffinity
-        workers = 1
-    if workers < 2 or not hasattr(os, "fork"):
+    except OSError:  # open() reports the path
+        size = 0
+    workers = min(_cpus(), size // _BYTES_PER_WORKER)
+    if workers < 2:
         return [(0, None)]
     share = size // workers
     with open(path, "rb") as fh:
@@ -701,66 +780,10 @@ def _dump_row(context_id: str, label: str, probs: Categorical, cfg: DecodeConfig
             entropy(rs.operational), entropy(probs), top20)
 
 
-def _scan_worker(read_end: int, write_end: int, path: str, start: int, end: int | None,
-                 cfg: DecodeConfig):
-    """A forked worker's whole life: scan one range, pickle the result into the
-    pipe, and _exit, never returning into the CLI or flushing inherited stdio.
-    Exit code 0 means the whole pickle was written."""
-    code = 1
-    try:
-        os.close(read_end)
-        try:
-            result = _scan_dump(path, start, end, cfg)
-        except BaseException as exc:  # e.g. KeyboardInterrupt
-            result = [], exc
-        blob = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
-        with open(write_end, "wb") as pipe:
-            pipe.write(blob)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _scan_ranges(path: str, cfg: DecodeConfig) -> list:
-    """_scan_dump over each of the dump's ranges, in order: the first here,
-    each other in its own forked worker. Every worker is reaped on every path,
-    and killed first if its result is no longer wanted."""
-    ranges = _dump_ranges(path)
-    workers, blobs, statuses = [], [], []  # (pid, read end) per worker, in range order
-    try:
-        for start, end in ranges[1:]:
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_end)
-                os.close(write_end)
-                raise
-            if pid == 0:
-                _scan_worker(read_end, write_end, path, start, end, cfg)
-            os.close(write_end)
-            workers.append((pid, read_end))
-        results = [_scan_dump(path, *ranges[0], cfg)]
-        for _, read_end in workers:
-            with open(read_end, "rb", closefd=False) as pipe:
-                blobs.append(pipe.read())
-    finally:
-        for k, (pid, read_end) in enumerate(workers):
-            os.close(read_end)
-            if k >= len(blobs):
-                os.kill(pid, signal.SIGKILL)
-            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    for code, blob in zip(statuses, blobs):
-        if code != 0:
-            raise ChildProcessError(f"a dump worker exited with code {code} "
-                                    "before sending its lines")
-        results.append(pickle.loads(blob))
-    return results
-
-
 def _run_analyze_dump(args):
     skip_bad, rows, problems, lineno = args["skip_bad"], [], [], 0
-    for outcomes, stop in _scan_ranges(args["input"], _decode_config(args)):
+    path, cfg = args["input"], _decode_config(args)
+    for outcomes, stop in _fork_map(lambda r: _scan_dump(path, *r, cfg), _dump_ranges(path)):
         for outcome in outcomes:  # replayed in line order, as one reader would meet them
             lineno += 1
             if isinstance(outcome, str):
@@ -815,7 +838,8 @@ SUBCOMMANDS: dict[str, tuple[Callable[[dict], tuple[list[str], list]], list[Flag
         _EVAL_TOP_P_FLAG,
         Flag("--n", int, 1_000_000, "trajectory count",
              check=_positive, check_msg="n must be >= 1"),
-        Flag("--seed", int, 0, "random seed"),
+        Flag("--seed", int, 0, "random seed",
+             check=_non_negative, check_msg="seed must be >= 0"),
     ]),
     "analyze-dump": (_run_analyze_dump, [
         Flag("--input", str, None, "line-delimited record file", required=True),
@@ -844,6 +868,9 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # the imports' objects, numpy's most of all, are left out of every later
+    # full collection, the one at interpreter exit included
+    gc.freeze()
     raise SystemExit(main(sys.argv[1:]))
 
 

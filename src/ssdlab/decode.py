@@ -251,7 +251,9 @@ def retained_support(p0: Categorical, cfg: DecodeConfig) -> RetainedSupport:
 
 
 def make_stream(seed: int, stream: int = 0) -> np.random.Generator:
-    """Independent, replayable random stream (counter-based Philox)."""
+    """Independent, replayable random stream (counter-based Philox); seed is an
+    integer >= 0."""
+    _check_count("seed", seed, 0)
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(seed, spawn_key=(stream,)))
     )

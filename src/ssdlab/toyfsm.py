@@ -29,6 +29,7 @@ from .decode import (
     _block_rows,
     _check_count,
     _prefix_power,
+    _skip_uniforms,
     gumbel_max_sample,
     make_stream,
     retained_support,
@@ -55,8 +56,8 @@ DEFAULT_N_LOCKS = 3
 ROOT_CORRECT = (0, 1)
 CHAIN_CORRECT = (0,)
 
-# Monte Carlo draws are taken in fixed-size batches so results are
-# independent of n's chunking.
+# Monte Carlo draws are taken in fixed-size batches, so a run's count does not
+# depend on how its batches are split between processes.
 MC_BATCH = 1 << 15
 MC_MAX_LOCKS = 1_000  # monte_carlo_success draws every lock of every trajectory
 
@@ -327,30 +328,61 @@ def topp_robustness_grid(
     return tuple(rows)
 
 
-def monte_carlo_success(
-    fsm: Fsm, temperature: float, top_p: float, n: int, seed: int
-) -> McResult:
-    """Estimate success by simulating n trajectories with the Gumbel-max sampler."""
+def _mc_states(
+    fsm: Fsm, temperature: float, top_p: float, n: int
+) -> list[tuple[Categorical, np.ndarray]]:
+    """Each drawn state's operational policy and correct-token lookup table, in
+    draw order, once n and the lock count are checked."""
     _check_count("n", n, 1)
     if fsm.n_locks > MC_MAX_LOCKS:
         raise OutOfRangeError(f"n_locks must be <= {MC_MAX_LOCKS}, got {fsm.n_locks!r}")
 
     def state(arch: Archetype) -> tuple[Categorical, np.ndarray]:
-        correct = np.zeros(arch.dist.alphabet_size, dtype=bool)  # a lookup table
+        correct = np.zeros(arch.dist.alphabet_size, dtype=bool)
         correct[arch.correct_tokens] = True
         return operational_policy(arch, temperature, top_p), correct
 
-    states = [state(fsm.root), state(fsm.fork)] + [state(fsm.lock)] * fsm.n_locks
+    return [state(fsm.root), state(fsm.fork)] + [state(fsm.lock)] * fsm.n_locks
+
+
+def _mc_batches(n: int) -> int:
+    """MC_BATCH-trajectory batches in an n-trajectory run; the last may be short."""
+    return -(-n // MC_BATCH)
+
+
+def _mc_count(states, n: int, seed: int, start: int, stop: int) -> int:
+    """Successes in batches [start, stop) of an n-trajectory run.
+
+    Every draw moves the stream past batch x V uniforms, a skipped one-token
+    block included, so the stream is moved past the earlier batches'
+    uniforms first: any split of the batches counts what one pass counts.
+    """
     rng = make_stream(seed)
+    width = sum(policy.alphabet_size for policy, _ in states)
+    _skip_uniforms(rng, start * MC_BATCH * width)
     successes = 0
-    done = 0
-    while done < n:
-        batch = min(MC_BATCH, n - done)
+    for first in range(start * MC_BATCH, min(stop * MC_BATCH, n), MC_BATCH):
+        batch = min(MC_BATCH, n - first)
         alive = np.ones(batch, dtype=bool)
         for policy, correct in states:
             alive &= correct[gumbel_max_sample(policy, rng, size=batch)]
         successes += int(alive.sum())
-        done += batch
+    return successes
+
+
+def _mc_result(successes: int, n: int) -> McResult:
     estimate = successes / n
-    stderr = float(np.sqrt(estimate * (1.0 - estimate) / n))
-    return McResult(estimate=estimate, stderr=stderr)
+    return McResult(estimate=estimate, stderr=float(np.sqrt(estimate * (1.0 - estimate) / n)))
+
+
+def monte_carlo_success(
+    fsm: Fsm, temperature: float, top_p: float, n: int, seed: int
+) -> McResult:
+    """Estimate success by simulating n trajectories with the Gumbel-max sampler.
+
+    Draws are taken in MC_BATCH-trajectory batches, all in this process; the
+    toy-mc command counts contiguous runs of them on several CPUs, to the
+    same count.
+    """
+    states = _mc_states(fsm, temperature, top_p, n)
+    return _mc_result(_mc_count(states, n, seed, 0, _mc_batches(n)), n)

@@ -20,12 +20,13 @@ from ssdlab import (
     DecodeConfig,
     entropy,
     exact_success,
+    gumbel_max_sample,
     normalize,
     rank_descending,
     retained_support,
     ssd_target,
 )
-from ssdlab import cli
+from ssdlab import cli, toyfsm
 from ssdlab.categorical import _softmax
 from ssdlab.cli import (
     DECOMPOSITION_HEADER,
@@ -47,7 +48,7 @@ from ssdlab.errors import (
     ParseError,
     SsdLabError,
 )
-from ssdlab.toyfsm import GRID_MAX_POINTS, MAX_VOCAB_SIZE, MC_MAX_LOCKS
+from ssdlab.toyfsm import GRID_MAX_POINTS, MAX_VOCAB_SIZE, MC_BATCH, MC_MAX_LOCKS
 
 
 INFINITE_T_ERROR = "error: the loss decomposition needs a finite train temperature, got inf\n"
@@ -572,6 +573,18 @@ class TestToyCommands:
         )
         assert (code, out) == (2, "")
         assert err == f"error: n_locks must be <= {MC_MAX_LOCKS}, got {n_locks}\n"
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_mc_negative_seed_is_a_usage_error(self, capsys, monkeypatch, tmp_path, source):
+        def no_fork():
+            raise AssertionError("forked before the seed was checked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        config = tmp_path / "mc.cfg"
+        config.write_text("seed = -1\n")
+        flags = ["--seed", "-1"] if source == "flag" else ["--config", str(config)]
+        code, out, err = run(capsys, "toy-mc", "--temperature", "1", "--n", "100000", *flags)
+        assert (code, out, err) == (1, "", "error: seed must be >= 0\n")
 
     @pytest.mark.parametrize("argv", [
         ("toy-sweep", "--t-grid", "0.6"),
@@ -1267,6 +1280,79 @@ class TestDumpWorkerLifecycle:
             main(["analyze-dump", "--input", str(self.path)])
         assert time.monotonic() - started < 30
         no_child_left()
+
+
+class TestMcWorkerLifecycle:
+    """No toy-mc worker outlives cli.main, whatever way the run ends."""
+
+    ARGV = ["toy-mc", "--temperature", "0.8", "--n", str(3 * MC_BATCH), "--seed", "1"]
+
+    def test_after_a_report(self, monkeypatch, capsys):
+        force_dump_workers(monkeypatch, 1)
+        one = run(capsys, *self.ARGV)
+        assert one[0] == 0 and one[2] == ""
+        force_dump_workers(monkeypatch, 3)
+        assert run(capsys, *self.ARGV) == one
+        no_child_left()
+
+    def test_a_worker_exception_surfaces_in_the_parent(self, monkeypatch):
+        force_dump_workers(monkeypatch, 3)
+        parent = os.getpid()
+
+        def sampler(policy, rng, size):
+            if os.getpid() != parent:
+                raise RuntimeError(f"sampler failed in worker {os.getpid()}")
+            return gumbel_max_sample(policy, rng, size)
+
+        monkeypatch.setattr(toyfsm, "gumbel_max_sample", sampler)
+        with pytest.raises(RuntimeError, match="sampler failed in worker") as failure:
+            main(self.ARGV)
+        assert str(parent) not in str(failure.value)
+        no_child_left()
+
+    def test_an_abort_in_the_parent_kills_the_workers(self, monkeypatch):
+        force_dump_workers(monkeypatch, 3)
+        parent = os.getpid()
+
+        class Abort(BaseException):
+            pass
+
+        def sampler(policy, rng, size):
+            if os.getpid() == parent:
+                raise Abort
+            time.sleep(60)  # a worker still busy when the parent gives up
+
+        monkeypatch.setattr(toyfsm, "gumbel_max_sample", sampler)
+        started = time.monotonic()
+        with pytest.raises(Abort):
+            main(self.ARGV)
+        assert time.monotonic() - started < 30
+        no_child_left()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["decode", "--probs", "0.5,0.3,0.2", "--top-p", "0.8"], 0),
+    (["decode", "--probs", "0.5,0.3,0.2", "--top-p", "2"], 1),
+])
+def test_entry_freezes_the_import_heap_and_exits_normally(capsys, argv, code):
+    # a shutdown that skipped the interpreter's exit (os._exit) would drop the
+    # atexit handler, and with it coverage and profiler output
+    script = (
+        "import atexit, gc, sys\n"
+        "import ssdlab.cli\n"
+        "atexit.register(lambda: print(f'atexit: frozen={gc.get_freeze_count() > 0}',"
+        " file=sys.stderr))\n"
+        "ssdlab.cli.entry()\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          env=env, check=False, timeout=120, text=True)
+    expected = run(capsys, *argv)
+    assert expected[0] == code
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        code, expected[1], expected[2] + "atexit: frozen=True\n")
 
 
 def test_convergence_on_the_last_allowed_step_does_not_warn(capsys):

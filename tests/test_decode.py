@@ -372,6 +372,16 @@ class TestSampling:
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "^seed must be >= 0, got -1$"),
+        (2.5, "^seed must be an integer, got 2.5$"),
+    ], ids=["negative", "fraction"])
+    def test_seed_must_be_a_count(self, seed, message):
+        with pytest.raises(OutOfRangeError, match=message):
+            make_stream(seed)
+        np.testing.assert_array_equal(make_stream(np.int64(7)).random(4),
+                                      make_stream(7).random(4))
+
     def test_batch_shape(self):
         p = normalize([0.5, 0.3, 0.2])
         batch = gumbel_max_sample(p, make_stream(3), size=100)

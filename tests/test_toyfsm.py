@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import os
 import tracemalloc
 
 import numpy as np
@@ -46,6 +47,8 @@ from ssdlab.toyfsm import (
     MC_MAX_LOCKS,
     ROOT_HEAD,
     VOCAB_SIZE,
+    _mc_count,
+    _mc_states,
     _success,
 )
 
@@ -483,6 +486,33 @@ class TestMonteCarlo:
         assert main(["toy-mc", *argv.split(), "--output", str(path)]) == 0
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == self.GOLDEN_REPORTS[argv]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("argv", sorted(GOLDEN_REPORTS))
+    def test_cli_report_bytes_do_not_depend_on_the_cpu_count(self, monkeypatch, tmp_path,
+                                                             argv, workers):
+        # 250 000 trajectories are 8 batches and 70 001 are 3: every run is split
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)),
+                            raising=False)
+        path = tmp_path / "mc.csv"
+        assert main(["toy-mc", *argv.split(), "--output", str(path)]) == 0
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == self.GOLDEN_REPORTS[argv]
+
+    @pytest.mark.parametrize("vocab_size", [7, 16])
+    def test_batch_ranges_count_what_one_pass_counts(self, vocab_size):
+        fsm = distill_fsm(build_toy_fsm(vocab_size=vocab_size), TRAIN_T, TRAIN_TOP_P)
+        n = 3 * MC_BATCH + 2001  # a short last batch
+        states = _mc_states(fsm, 1.3, 0.9, n)
+        whole = _mc_count(states, n, 9, 0, 4)
+        counts = [_mc_count(states, n, 9, k, k + 1) for k in range(4)]
+        assert min(counts) > 0 and sum(counts) == whole
+        assert _mc_count(states, n, 9, 0, 1) + _mc_count(states, n, 9, 1, 4) == whole
+        assert monte_carlo_success(fsm, 1.3, 0.9, n, 9).estimate == whole / n
+
+    def test_negative_seed_is_refused(self, teacher):
+        with pytest.raises(OutOfRangeError, match="^seed must be >= 0, got -1$"):
+            monte_carlo_success(teacher, 0.8, 0.8, 10, seed=-1)
 
     def test_cli_report_bytes_at_vocabulary_size(self, tmp_path):
         # one batch at V = 4096, whose (n, V) uniforms span two BLOCK_BYTES chunks
