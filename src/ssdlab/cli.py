@@ -4,12 +4,19 @@ Every run is a pure function of its flags (plus an explicit seed where
 sampling is involved), emitted as CSV or JSON with 9-significant-digit
 numbers, so identical invocations produce byte-identical outputs. Exit
 codes: 0 success, 1 usage/validation error (nothing written), 2
-computation or I/O error. analyze-dump cuts a regular-file dump at line
-starts into one byte range per CPU, at most one per MiB, and scores each
-range in its own forked worker (a pipe or FIFO is one range). A worker
-scores each line as it reads it, so memory is bounded by the largest record
-per worker, not by the file, and the report does not depend on the CPU
-count.
+computation or I/O error.
+
+Two commands share one fork pool, _fork_map: the process runs the first
+part and a forked worker runs each other part. analyze-dump cuts a
+regular-file dump at line starts into one byte range per CPU, at most one
+per MiB (a pipe or FIFO is one range). A worker scores each line as it
+reads it, so memory is bounded by the largest record per worker, not by
+the file. toy-mc gives each CPU one contiguous run of its Monte Carlo
+batches, at most one per batch, and sums their exact success counts.
+Neither report depends on the CPU count.
+
+entry() freezes the heap the imports left (gc.freeze), so no later full
+collection, the one at interpreter exit included, walks it again.
 """
 
 from __future__ import annotations

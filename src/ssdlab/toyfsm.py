@@ -338,7 +338,7 @@ def _mc_states(
         raise OutOfRangeError(f"n_locks must be <= {MC_MAX_LOCKS}, got {fsm.n_locks!r}")
 
     def state(arch: Archetype) -> tuple[Categorical, np.ndarray]:
-        correct = np.zeros(arch.dist.alphabet_size, dtype=bool)
+        correct = np.zeros(arch.dist.alphabet_size, dtype=bool)  # a lookup table
         correct[arch.correct_tokens] = True
         return operational_policy(arch, temperature, top_p), correct
 
@@ -372,7 +372,8 @@ def _mc_count(states, n: int, seed: int, start: int, stop: int) -> int:
 
 def _mc_result(successes: int, n: int) -> McResult:
     estimate = successes / n
-    return McResult(estimate=estimate, stderr=float(np.sqrt(estimate * (1.0 - estimate) / n)))
+    stderr = float(np.sqrt(estimate * (1.0 - estimate) / n))
+    return McResult(estimate=estimate, stderr=stderr)
 
 
 def monte_carlo_success(
