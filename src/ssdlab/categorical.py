@@ -72,19 +72,20 @@ class Categorical:
         return _read_only(np.flatnonzero(self.probs))
 
 
-def _shifted_exp(x: np.ndarray, temperature=1.0) -> np.ndarray:
-    """exp((x - max x) / temperature); a column of temperatures gives one row each."""
-    shifted = x - np.maximum.reduce(x, axis=None)
+def _shifted_exp(x: np.ndarray, temperature=1.0, out=None) -> np.ndarray:
+    """exp((x - max x) / temperature), into out if given; a column of temperatures gives one
+    row each."""
+    shifted = np.subtract(x, np.maximum.reduce(x, axis=None), out=out)
     # training loops call this per step at T = 1, where the divide is skipped
     if isinstance(temperature, np.ndarray) or temperature != 1.0:
         with np.errstate(over="ignore"):  # -inf near T = 0 leaves only the maxima
-            shifted = shifted / temperature
+            shifted = np.divide(shifted, temperature, out=out)
     return np.exp(shifted, out=shifted)
 
 
-def _softmax(x: np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    """The distribution proportional to exp(x / temperature)."""
-    w = _shifted_exp(x, temperature)
+def _softmax(x: np.ndarray, temperature: float = 1.0, out=None) -> np.ndarray:
+    """The distribution proportional to exp(x / temperature), into out if given."""
+    w = _shifted_exp(x, temperature, out)
     w /= np.add.reduce(w, axis=None)
     return w
 

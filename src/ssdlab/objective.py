@@ -49,6 +49,12 @@ LOGIT_FLOOR = -50.0
 # Consecutive loss increases tolerated before training aborts.
 DIVERGENCE_WINDOW = 100
 
+# The training loop checks its stopping rules once per block of steps. Block rows
+# double from 1 up to STEP_BLOCK_ROWS, and a block's (rows, V) logits and softmax
+# take at most STEP_BLOCK_BYTES, so its memory is bounded by V, not by max_steps.
+STEP_BLOCK_ROWS = 64
+STEP_BLOCK_BYTES = 1 << 19
+
 
 @dataclass(frozen=True, eq=False)
 class SsdTarget:
@@ -174,11 +180,17 @@ def three_term_decomposition(target: SsdTarget, p_theta: Categorical) -> LossBre
 
 
 def _gradient(p: np.ndarray, idx: np.ndarray, km: float, cond: np.ndarray,
-              q: np.ndarray, scale: float) -> np.ndarray:
-    """scale times the gradient: scale * p off the support, one V-wide pass."""
-    g = scale * p
-    g[idx] = scale * (-(1.0 - km) * cond + (cond - q))
-    return g
+              d: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
+    """scale times the gradient into out: scale * p off the support, one V-wide pass.
+
+    cond is p(v|S) and d is cond - q on the support; cond is overwritten.
+    """
+    np.multiply(p, scale, out=out)
+    np.multiply(cond, -(1.0 - km), out=cond)
+    cond += d
+    cond *= scale
+    out[idx] = cond
+    return out
 
 
 def loss_gradient_logits(target: SsdTarget, logits) -> np.ndarray:
@@ -200,7 +212,8 @@ def loss_gradient_logits(target: SsdTarget, logits) -> np.ndarray:
     km = float(p_s.sum())
     if km == 0:  # p_s / km would be 0 / 0
         raise ZeroMassSupportError("student vanishes on a target-support token")
-    return _gradient(p, idx, km, p_s / km, target.q.probs[idx], 1.0)
+    cond = p_s / km
+    return _gradient(p, idx, km, cond, cond - target.q.probs[idx], 1.0, out=p)
 
 
 def self_training_fixed_point_check(
@@ -232,8 +245,12 @@ def _student_steps(
     """Yield (stop_reason, logits, softmax, loss, on_support_tv, off_support_mass) per step.
 
     Starts from target.source at step 0. stop_reason is None until the last
-    step. The logits and their softmax are the loop's own read-only arrays:
-    a step rebinds z and p and never writes into either, so no copy is taken.
+    step. Steps run in blocks: each block's recurrence writes its logits and
+    softmax into reused (rows, V) buffers, then the block's stopping rules are
+    checked at once and its steps are yielded in order; steps computed past
+    the first stop are dropped. The yielded logits and softmax are read-only
+    views of those buffers. Each stays valid until the generator is resumed
+    after the last step of its block, and the last step's stay valid for good.
     """
     if not 0 < learning_rate < np.inf:
         raise OutOfRangeError("learning_rate must be finite and positive, "
@@ -245,31 +262,54 @@ def _student_steps(
     idx = np.flatnonzero(target.q.probs)
     qv = target.q.probs[idx]
     p0 = target.source.probs
-    z = np.where(p0 > 0, np.log(np.maximum(p0, 1e-300)), LOGIT_FLOOR)
+    cap = max(1, min(STEP_BLOCK_ROWS, STEP_BLOCK_BYTES // (16 * p0.size), max_steps + 1))
+    Z, P = np.empty((2, cap, p0.size))
+    PS, D = np.empty((2, cap, idx.size))  # each row's p on the support and p(v|S) - q
+    Z[0] = np.where(p0 > 0, np.log(np.maximum(p0, 1e-300)), LOGIT_FLOOR)
+    rows = list(zip(Z, P, PS, D))
+    views = list(zip(*(_read_only(a.view()) for a in (Z, P))))
+    cond, g = np.empty(idx.size), np.empty(p0.size)
     prev, rises = np.inf, 0  # the last loss and the run of increases ending at it
-    for step in range(max_steps + 1):
-        p = _softmax(z)
-        z.setflags(write=False)
-        p.setflags(write=False)
-        p_s = p[idx]
-        km = float(np.add.reduce(p_s, axis=None))
-        # a zero or NaN on the support makes the loss inf or NaN: refuse it before np.log warns
-        if not km > 0 or np.count_nonzero(p_s) < idx.size:
-            raise DivergenceError(f"loss is not finite at step {step}: the student "
+    first, n, last = 0, 1, None  # last: the previous row's z, p, kept mass and d
+    while True:
+        kms = []
+        for z, p, p_s, d in rows[:min(n, max_steps + 1 - first)]:
+            if last:  # its gradient step, taken only once the row is known to continue
+                z_last, p_last, km_last, d_last = last
+                np.subtract(z_last, _gradient(p_last, idx, km_last, cond, d_last,
+                                              learning_rate, out=g), out=z)
+            _softmax(z, out=p)
+            p.take(idx, out=p_s, mode="clip")  # idx is in range; "raise" would buffer out
+            km = float(np.add.reduce(p_s, axis=None))
+            kms.append(km)
+            if not km > 0:  # p_s / km would be 0 / 0; the checks below stop at this row
+                break
+            np.divide(p_s, km, out=cond)
+            np.subtract(cond, qv, out=d)
+            last = z, p, km, d
+        m = len(kms)
+        # a zero or NaN on the support makes the loss inf or NaN: refuse it before np.log
+        # warns, so only the rows before the first that vanishes are checked and yielded
+        whole = np.count_nonzero(PS[:m], axis=1) == idx.size
+        whole[-1] &= km > 0
+        good = m if whole.all() else int(whole.argmin())
+        tvs = (0.5 * np.add.reduce(np.abs(D[:good]), axis=1)).tolist()
+        losses = (-np.add.reduce(qv * np.log(PS[:good]), axis=1)).tolist()
+        for k, (tv, loss) in enumerate(zip(tvs, losses)):
+            step = first + k
+            stop = ("converged" if tv < tv_tolerance
+                    else "step_cap" if step == max_steps else None)
+            yield stop, *views[k], loss, tv, 1.0 - kms[k]
+            if stop:
+                return
+            rises = rises + 1 if loss > prev else 0
+            prev = loss
+            if rises >= DIVERGENCE_WINDOW:
+                raise DivergenceError(f"loss increased for {DIVERGENCE_WINDOW} consecutive steps")
+        if good < m:
+            raise DivergenceError(f"loss is not finite at step {first + good}: the student "
                                   "vanishes on a target-support token")
-        cond = p_s / km
-        tv = float(0.5 * np.add.reduce(np.abs(cond - qv), axis=None))
-        loss = float(-np.add.reduce(qv * np.log(p_s), axis=None))
-        stop = ("converged" if tv < tv_tolerance
-                else "step_cap" if step == max_steps else None)
-        yield stop, z, p, loss, tv, 1.0 - km
-        if stop:
-            return
-        rises = rises + 1 if loss > prev else 0
-        prev = loss
-        if rises >= DIVERGENCE_WINDOW:
-            raise DivergenceError(f"loss increased for {DIVERGENCE_WINDOW} consecutive steps")
-        z = z - _gradient(p, idx, km, cond, qv, learning_rate)
+        first, n = first + m, min(2 * n, cap)
 
 
 def train_local_student(
@@ -285,7 +325,9 @@ def train_local_student(
     on-support total variation to q drops below tv_tolerance or the step
     cap is reached; returns the trajectory from step 0 as float64 columns,
     O(steps) floats, with only the last step's logits (train-student
-    streams the same loop).
+    streams the same loop). Those logits are a read-only row of the loop's
+    last block of steps, which nothing writes once the run has ended; the
+    block is at most STEP_BLOCK_BYTES.
     """
     columns = array("d"), array("d"), array("d")
     for stop, z, _, *row in _student_steps(ssd_target(p0, cfg), learning_rate, max_steps,

@@ -252,6 +252,8 @@ class TestTrainCommand:
 # a seeded heavy-tailed context at V = 4096, as train-student's --probs
 _HEAVY_TAIL_W = np.random.default_rng(4096).gamma(0.3, size=4096)
 HEAVY_TAIL_4096 = ",".join(f"{x:.17g}" for x in _HEAVY_TAIL_W / _HEAVY_TAIL_W.sum())
+# the toy world's V = 16 lock head, as train-student's --probs
+LOCK_16 = ",".join(f"{x:.17g}" for x in toyfsm.build_toy_fsm().lock.dist.probs)
 
 
 def listed_train_report(argv, reference_steps):
@@ -291,8 +293,13 @@ class TestTrainStream:
              "--log-every", "1000"],
             ["--probs", HEAVY_TAIL_4096, "--temperature", "0.9", "--top-p", "0.85",
              "--max-steps", "200", "--log-every", "1"],
+            # converges at step 87, inside the training loop's 64-row block of steps 63-126
+            ["--probs", LOCK_16, "--temperature", "0.9", "--top-p", "0.85",
+             "--learning-rate", "8", "--tv-tolerance", "1e-3", "--max-steps", "1000",
+             "--log-every", "1"],
         ],
-        ids=["every-step", "every-7th-and-last", "converged-early", "v4096-every-step"],
+        ids=["every-step", "every-7th-and-last", "converged-early", "v4096-every-step",
+             "v16-converged-mid-block"],
     )
     def test_streamed_report_matches_listed_trajectory(self, capsys, argv,
                                                        reference_student_steps):

@@ -1,6 +1,7 @@
 """Training target, loss decomposition, gradient, and local student dynamics."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -384,6 +385,124 @@ class TestBitIdentity:
                                  columns):
             assert np.array_equal(got, np.array(expected))
         assert np.array_equal(traj.logits, logits[-1])
+
+
+def _block_starts(width, count):
+    """The first step of each of the training loop's first count blocks at alphabet size width."""
+    cap = max(1, min(objective.STEP_BLOCK_ROWS, objective.STEP_BLOCK_BYTES // (16 * width)))
+    starts, first, rows = [], 0, 1
+    for _ in range(count):
+        starts.append(first)
+        first, rows = first + rows, min(2 * rows, cap)
+    return starts
+
+
+def _boundary_stops(width):
+    """Steps 0 and 1, the last row of the first full block, the next row and one mid-block."""
+    starts = _block_starts(width, 12)
+    rows = np.diff(starts)
+    full = starts[int(np.argmax(rows))]  # the first block of the largest size
+    cap = int(rows.max())
+    return 0, 1, full + cap - 1, full + cap, full + cap + cap // 2
+
+
+class TestStepBlocks:
+    """The loop checks its stopping rules once per block of steps, with the reference's bits."""
+
+    HEAVY_TAIL = normalize(np.random.default_rng(4096).gamma(0.3, size=4096))
+    CASES = {"lock": normalize(LOCK_WEIGHTS), "heavy-tail-4096": HEAVY_TAIL}
+    # at this rate every step _boundary_stops names has a TV below all earlier ones
+    RATE = 2.0
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_blocks_restart_where_the_schedule_says(self, name):
+        # a block writes its first step into the buffer row step 0 used, so the
+        # steps whose softmax sits at step 0's address are the blocks' first steps
+        p0 = self.CASES[name]
+        starts = _block_starts(p0.alphabet_size, 9)
+        steps = _student_steps(ssd_target(p0, LOCK_CFG), self.RATE, starts[-1], 1e-6)
+        addresses = [p.__array_interface__["data"][0] for _, _, p, *_ in steps]
+        assert [k for k, a in enumerate(addresses) if a == addresses[0]] == starts
+
+    @pytest.mark.parametrize("position", range(5),
+                             ids=["step-0", "step-1", "last-of-full-block", "next-block",
+                                  "mid-block"])
+    @pytest.mark.parametrize("stop", ["step_cap", "converged"])
+    @pytest.mark.parametrize("name", CASES)
+    def test_stop_at_a_block_boundary_matches_reference(self, reference_student_steps, name,
+                                                        stop, position):
+        p0 = self.CASES[name]
+        target = ssd_target(p0, LOCK_CFG)
+        at = _boundary_stops(p0.alphabet_size)[position]
+        if stop == "step_cap":
+            max_steps, tol = at, 1e-6
+        else:  # the first tolerance that step `at` meets and no earlier step does
+            tvs = [tv for _, _, tv, _ in reference_student_steps(target, self.RATE, at, 1e-300)]
+            max_steps, tol = at + 500, float(np.nextafter(tvs[at], np.inf))
+            assert min(tvs[:at], default=np.inf) >= tol
+        traj = train_local_student(p0, LOCK_CFG, learning_rate=self.RATE, max_steps=max_steps,
+                                   tv_tolerance=tol)
+        logits, *columns = zip(*reference_student_steps(target, self.RATE, max_steps, tol))
+        assert traj.loss.size == len(logits) == at + 1
+        for got, expected in zip((traj.loss, traj.on_support_tv, traj.off_support_mass),
+                                 columns):
+            assert np.array_equal(got, np.array(expected))
+        assert np.array_equal(traj.logits, logits[-1])
+        assert traj.stop_reason == stop
+        stops = [step[0] for step in _student_steps(target, self.RATE, max_steps, tol)]
+        assert stops == [None] * at + [stop]
+
+    def test_vanishing_inside_a_block_raises_at_its_step(self):
+        # a learning rate of 1e300 underflows a support token at step 1, the first
+        # row of a two-row block; the row computed past it must not warn
+        target = ssd_target(normalize([0.5, 0.3, 0.2]), DecodeConfig(temperature=0.7, top_p=0.8))
+        stops = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match=r"^loss is not finite at step 1: the "
+                                                      r"student vanishes on a target-support "
+                                                      r"token$"):
+                for step in _student_steps(target, 1e300, 1000, 1e-6):
+                    stops.append(step[0])
+        assert stops == [None]
+
+    def test_rise_window_inside_a_block_raises_after_the_same_step(self, monkeypatch,
+                                                                  reference_student_steps):
+        monkeypatch.setattr(objective, "DIVERGENCE_WINDOW", 35)
+        target = ssd_target(normalize(TestDivergence.WEIGHTS), DecodeConfig(temperature=0.3))
+        expected = [loss for _, loss, _, _ in reference_student_steps(target, 5, 5000, 1e-6)]
+        rises, last = 0, None
+        for k in range(1, len(expected)):
+            rises = rises + 1 if expected[k] > expected[k - 1] else 0
+            if rises == 35:
+                last = k
+                break
+        after = next(k for k in _block_starts(target.q.alphabet_size, 12) if k > last)
+        assert after > last + 1  # the raising step's block computes steps past it
+        losses = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError,
+                               match="^loss increased for 35 consecutive steps$"):
+                for _, _, _, loss, _, _ in _student_steps(target, 5, 5000, 1e-6):
+                    losses.append(loss)
+        assert losses == expected[:last + 1]
+
+    def test_block_memory_does_not_grow_with_steps(self):
+        target = ssd_target(normalize(LOCK_WEIGHTS), LOCK_CFG)
+
+        def peak(max_steps):
+            tracemalloc.start()
+            try:
+                for _ in _student_steps(target, 0.5, max_steps, 1e-6):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # both runs pass full 64-row blocks and end in a partial one
+        peak(700)  # warm-up: first-call caches
+        assert peak(3000) == peak(700)
 
 
 class TestDivergence:
