@@ -51,7 +51,8 @@ DIVERGENCE_WINDOW = 100
 
 # The training loop checks its stopping rules once per block of steps. Block rows
 # double from 1 up to STEP_BLOCK_ROWS, and a block's (rows, V) logits and softmax
-# take at most STEP_BLOCK_BYTES, so its memory is bounded by V, not by max_steps.
+# take at most STEP_BLOCK_BYTES, or one row each past V = 32 768, so its memory is
+# bounded by V, not by max_steps.
 STEP_BLOCK_ROWS = 64
 STEP_BLOCK_BYTES = 1 << 19
 
@@ -274,7 +275,7 @@ def _student_steps(
     while True:
         kms = []
         for z, p, p_s, d in rows[:min(n, max_steps + 1 - first)]:
-            if last:  # its gradient step, taken only once the row is known to continue
+            if last:  # the previous row's gradient step, taken only when a row follows it
                 z_last, p_last, km_last, d_last = last
                 np.subtract(z_last, _gradient(p_last, idx, km_last, cond, d_last,
                                               learning_rate, out=g), out=z)
@@ -290,8 +291,7 @@ def _student_steps(
         m = len(kms)
         # a zero or NaN on the support makes the loss inf or NaN: refuse it before np.log
         # warns, so only the rows before the first that vanishes are checked and yielded
-        whole = np.count_nonzero(PS[:m], axis=1) == idx.size
-        whole[-1] &= km > 0
+        whole = np.logical_and.reduce(PS[:m] > 0, axis=1)
         good = m if whole.all() else int(whole.argmin())
         tvs = (0.5 * np.add.reduce(np.abs(D[:good]), axis=1)).tolist()
         losses = (-np.add.reduce(qv * np.log(PS[:good]), axis=1)).tolist()
@@ -326,8 +326,7 @@ def train_local_student(
     cap is reached; returns the trajectory from step 0 as float64 columns,
     O(steps) floats, with only the last step's logits (train-student
     streams the same loop). Those logits are a read-only row of the loop's
-    last block of steps, which nothing writes once the run has ended; the
-    block is at most STEP_BLOCK_BYTES.
+    last block of steps, which nothing writes once the run has ended.
     """
     columns = array("d"), array("d"), array("d")
     for stop, z, _, *row in _student_steps(ssd_target(p0, cfg), learning_rate, max_steps,

@@ -500,9 +500,12 @@ class TestStepBlocks:
             finally:
                 tracemalloc.stop()
 
-        # both runs pass full 64-row blocks and end in a partial one
+        # Both runs pass full 64-row blocks and end in a partial one. The state of the
+        # interpreter's free lists moves a peak by up to about 10 KiB from call to call;
+        # a float kept per step would add 70 KiB over the 2 300 extra steps, and blocks
+        # that kept doubling past 64 rows 384 KiB.
         peak(700)  # warm-up: first-call caches
-        assert peak(3000) == peak(700)
+        assert peak(3000) <= peak(700) + (16 << 10)
 
 
 class TestDivergence:
