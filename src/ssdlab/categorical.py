@@ -73,8 +73,10 @@ class Categorical:
 
 
 def _shifted_exp(x: np.ndarray, temperature=1.0, out=None) -> np.ndarray:
-    """exp((x - max x) / temperature), into out if given; a column of temperatures gives one
-    row each."""
+    """exp((x - max x) / temperature), into out if given.
+
+    A column of temperatures gives one row each.
+    """
     shifted = np.subtract(x, np.maximum.reduce(x, axis=None), out=out)
     # training loops call this per step at T = 1, where the divide is skipped
     if isinstance(temperature, np.ndarray) or temperature != 1.0:

@@ -326,7 +326,8 @@ def train_local_student(
     cap is reached; returns the trajectory from step 0 as float64 columns,
     O(steps) floats, with only the last step's logits (train-student
     streams the same loop). Those logits are a read-only row of the loop's
-    last block of steps, which nothing writes once the run has ended.
+    last block of steps, which nothing writes once the run has ended; the
+    Trajectory keeps that block, at most STEP_BLOCK_BYTES or two rows of V.
     """
     columns = array("d"), array("d"), array("d")
     for stop, z, _, *row in _student_steps(ssd_target(p0, cfg), learning_rate, max_steps,
