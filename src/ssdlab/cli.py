@@ -6,14 +6,13 @@ numbers, so identical invocations produce byte-identical outputs. Exit
 codes: 0 success, 1 usage/validation error (nothing written), 2
 computation or I/O error.
 
-Two commands share one fork pool, _fork_map: the process runs the first
-part and a forked worker runs each other part. analyze-dump cuts a
-regular-file dump at line starts into one byte range per CPU, at most one
-per MiB (a pipe or FIFO is one range). A worker scores each line as it
-reads it, so memory is bounded by the largest record per worker, not by
-the file. toy-mc gives each CPU one contiguous run of its Monte Carlo
-batches, at most one per batch, and sums their exact success counts.
-Neither report depends on the CPU count.
+analyze-dump cuts a regular-file dump at line starts into one byte range
+per CPU, at most one per MiB (a pipe or FIFO is one range), and scans them
+through pool.fork_map: the process scans the first range and a forked
+worker each other one. A worker scores each line as it reads it, so memory
+is bounded by the largest record per worker, not by the file, and the
+report does not depend on the CPU count. toy-mc's batches are split the
+same way, inside toyfsm.monte_carlo_success.
 
 entry() freezes the heap the imports left (gc.freeze), so no later full
 collection, the one at interpreter exit included, walks it again.
@@ -26,16 +25,15 @@ import csv
 import gc
 import io
 import json
+import mmap
 import os
-import pickle
-import signal
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
-from . import toyfsm
+from . import pool, toyfsm
 from .categorical import Categorical, _softmax, entropy, normalize
 from .decode import (
     DecodeConfig,
@@ -59,6 +57,7 @@ from .sensitivity import (
     prefix_mass_curve,
     set_mass_log_sensitivity,
 )
+from .toyfsm import _grid_too_long
 
 _UNSET = object()
 
@@ -108,7 +107,7 @@ def _grid(text: str) -> list[float]:
     if not valid:
         raise argparse.ArgumentTypeError(f"range {text} must be lo:hi:step, three finite "
                                          "numbers with step > 0 and hi >= lo")
-    if toyfsm._grid_too_long(lo, hi, step):  # refused before arange allocates
+    if _grid_too_long(lo, hi, step):  # refused before arange allocates
         raise argparse.ArgumentTypeError(
             f"range {text} holds more than {toyfsm.GRID_MAX_POINTS} points"
         )
@@ -598,15 +597,7 @@ def _run_toy_mc(args):
     teacher, student = _build_machines(args)
     fsm = teacher if args["role"] == "teacher" else student
     n, seed = args["n"], args["seed"]
-    states = toyfsm._mc_states(fsm, args["temperature"], args["top_p"], n)
-    # one contiguous run of batches per CPU; the count is exact, so the report
-    # does not depend on the number of runs
-    batches = toyfsm._mc_batches(n)
-    workers = min(_cpus(), batches)
-    bounds = [k * batches // workers for k in range(workers + 1)]
-    counts = _fork_map(lambda part: toyfsm._mc_count(states, n, seed, *part),
-                       list(zip(bounds, bounds[1:])))
-    result = toyfsm._mc_result(sum(counts), n)
+    result = toyfsm.monte_carlo_success(fsm, args["temperature"], args["top_p"], n, seed)
     exact = toyfsm.exact_success(fsm, args["temperature"], args["top_p"])
     header = [
         "role", "temperature", "top_p", "n", "seed",
@@ -620,75 +611,7 @@ def _run_toy_mc(args):
 
 
 # ---------------------------------------------------------------------------
-# forked workers
-
-def _cpus() -> int:
-    """CPUs this process may run on; 1 where it cannot fork."""
-    try:
-        return len(os.sched_getaffinity(0)) if hasattr(os, "fork") else 1
-    except AttributeError:  # no sched_getaffinity
-        return 1
-
-
-def _fork_worker(read_end: int, write_end: int, fn: Callable, part) -> None:
-    """A forked worker's whole life: run fn(part), pickle its result or the
-    exception it raised into the pipe, and _exit, never returning into the
-    CLI or flushing inherited stdio. Exit code 0 means the whole pickle was
-    written."""
-    code = 1
-    try:
-        os.close(read_end)
-        try:
-            outcome = True, fn(part)
-        except BaseException as exc:  # e.g. KeyboardInterrupt
-            outcome = False, exc
-        blob = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
-        with open(write_end, "wb") as pipe:
-            pipe.write(blob)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _fork_map(fn: Callable, parts: list) -> list:
-    """[fn(part) for part in parts]: the first part here, each other in its own
-    forked worker, whose exception is raised here. Every worker is reaped on
-    every path, and killed first if its result is no longer wanted; a worker
-    that dies before sending its result raises ChildProcessError."""
-    workers, blobs, statuses = [], [], []  # (pid, read end) per worker, in part order
-    try:
-        for part in parts[1:]:
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_end)
-                os.close(write_end)
-                raise
-            if pid == 0:
-                _fork_worker(read_end, write_end, fn, part)
-            os.close(write_end)
-            workers.append((pid, read_end))
-        results = [fn(parts[0])]
-        for _, read_end in workers:
-            with open(read_end, "rb", closefd=False) as pipe:
-                blobs.append(pipe.read())
-    finally:
-        for k, (pid, read_end) in enumerate(workers):
-            os.close(read_end)
-            if k >= len(blobs):
-                os.kill(pid, signal.SIGKILL)
-            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    for code, blob in zip(statuses, blobs):
-        if code != 0:
-            raise ChildProcessError(f"a worker exited with code {code} "
-                                    "before sending its result")
-        ok, value = pickle.loads(blob)
-        if not ok:
-            raise value
-        results.append(value)
-    return results
-
+# dump scanning
 
 # A dump is split across CPUs by byte range, but at most one range per MiB: a
 # fork plus its wait took 4.5 ms, against about 25 ms/MB of parsing.
@@ -697,49 +620,43 @@ _BYTES_PER_WORKER = 1 << 20
 # buffer, 24 ms through 256 KiB and 27 ms through 1 MiB, whose buffer alone
 # would outweigh a V=4096 record.
 _READ_BUFFER = 1 << 18
-_CUT_CHUNK = 1 << 16  # bytes read on each side of a cut's byte quantile at a time
 
 
-def _line_start_near(fh, q: int, size: int, limit: int) -> int:
-    """The line start nearest byte q, read outward from q a chunk a side at a
-    time; 0 if none lies within about limit bytes of it."""
-    for reach in range(0, limit, _CUT_CHUNK):
-        lo = max(q - reach - _CUT_CHUNK, 0)
-        fh.seek(lo)
-        behind = fh.read(q - reach - lo)
-        fh.seek(q + reach - 1)
-        ahead = fh.read(_CUT_CHUNK)
-        starts = []  # a line starts just past each \n
-        newline = behind.rfind(b"\n")
-        if newline >= 0 or lo == 0:
-            starts.append(lo + newline + 1)
-        newline = ahead.find(b"\n")
-        if newline >= 0 or q + reach + len(ahead) > size:  # found, or read to EOF
-            starts.append(q + reach + newline if newline >= 0 else size)
-        if starts:
-            return min(starts, key=lambda start: abs(start - q))
-    return 0
+def _line_start_near(mm: mmap.mmap, q: int) -> int:
+    """The line start nearest byte q, the earlier on a tie; EOF counts as one."""
+    before = mm.rfind(b"\n", 0, q) + 1  # 0 if no line ends before q
+    reach = 2 * q - before  # a nearer start lies before it
+    after = mm.find(b"\n", q - 1, reach - 1)  # a line starts just past each \n
+    if after >= 0:
+        return after + 1
+    return len(mm) if len(mm) < reach else before
 
 
 def _dump_ranges(path: str) -> list[tuple[int, int | None]]:
     """[start, end) byte ranges of the dump, one per worker; end None reads to EOF.
 
     A regular file gets one range per CPU, at most one per _BYTES_PER_WORKER,
-    cut at the line starts nearest to equal byte shares; a share with no line
-    start within a share of its quantile is not cut. Anything else (a pipe
-    or FIFO, /dev/stdin fed by one, a path open() will refuse) is one range.
+    cut at the line starts nearest to equal byte shares; a cut that falls at
+    0 or EOF is dropped, and shares whose nearest line starts coincide are
+    one range. Anything else (a pipe or FIFO, /dev/stdin fed by one, a path
+    open() will refuse, an empty file) is one range.
     """
     try:
         size = os.path.getsize(path) if os.path.isfile(path) else 0
     except OSError:  # open() reports the path
         size = 0
-    workers = min(_cpus(), size // _BYTES_PER_WORKER)
+    workers = min(pool.cpus(), size // _BYTES_PER_WORKER)
     if workers < 2:
         return [(0, None)]
     share = size // workers
     with open(path, "rb") as fh:
-        cuts = {_line_start_near(fh, k * share, size, share) for k in range(1, workers)}
-    bounds = [0, *sorted(cuts - {0, size}), None]
+        try:
+            mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except ValueError:  # an empty file cannot be mapped
+            return [(0, None)]
+    with mm:
+        cuts = {_line_start_near(mm, k * share) for k in range(1, workers)} - {0, len(mm)}
+    bounds = [0, *sorted(cuts), None]
     return list(zip(bounds, bounds[1:]))
 
 
@@ -790,7 +707,8 @@ def _dump_row(context_id: str, label: str, probs: Categorical, cfg: DecodeConfig
 def _run_analyze_dump(args):
     skip_bad, rows, problems, lineno = args["skip_bad"], [], [], 0
     path, cfg = args["input"], _decode_config(args)
-    for outcomes, stop in _fork_map(lambda r: _scan_dump(path, *r, cfg), _dump_ranges(path)):
+    ranges = _dump_ranges(path)
+    for outcomes, stop in pool.fork_map(lambda r: _scan_dump(path, *r, cfg), ranges):
         for outcome in outcomes:  # replayed in line order, as one reader would meet them
             lineno += 1
             if isinstance(outcome, str):

@@ -14,7 +14,8 @@ once, every row is cut to its top-p prefix, and success is the root, fork
 and lock masses of correct tokens multiplied straight from the kernel's
 rows. optimize_temperature and temperature_sweep score their whole grids
 that way, in row chunks under decode.BLOCK_BYTES, and exact_success is the
-one-temperature case of the same pass.
+one-temperature case of the same pass. monte_carlo_success checks it by
+sampling, with its batches split across CPUs through pool.fork_map.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import pool
 from .categorical import Categorical, _read_only, as_index_array
 from .decode import (
     DecodeConfig,
@@ -345,11 +347,6 @@ def _mc_states(
     return [state(fsm.root), state(fsm.fork)] + [state(fsm.lock)] * fsm.n_locks
 
 
-def _mc_batches(n: int) -> int:
-    """MC_BATCH-trajectory batches in an n-trajectory run; the last may be short."""
-    return -(-n // MC_BATCH)
-
-
 def _mc_count(states, n: int, seed: int, start: int, stop: int) -> int:
     """Successes in batches [start, stop) of an n-trajectory run.
 
@@ -370,20 +367,24 @@ def _mc_count(states, n: int, seed: int, start: int, stop: int) -> int:
     return successes
 
 
-def _mc_result(successes: int, n: int) -> McResult:
-    estimate = successes / n
-    stderr = float(np.sqrt(estimate * (1.0 - estimate) / n))
-    return McResult(estimate=estimate, stderr=stderr)
-
-
 def monte_carlo_success(
     fsm: Fsm, temperature: float, top_p: float, n: int, seed: int
 ) -> McResult:
     """Estimate success by simulating n trajectories with the Gumbel-max sampler.
 
-    Draws are taken in MC_BATCH-trajectory batches, all in this process; the
-    toy-mc command counts contiguous runs of them on several CPUs, to the
-    same count.
+    Draws are taken in MC_BATCH-trajectory batches. Each CPU the process may
+    run on gets one contiguous run of them, at most one per batch: this
+    process counts the first run and a forked worker each other one
+    (pool.fork_map). The counts are exact, so the result does not depend on
+    the number of CPUs. n, the lock count and the seed are checked first.
     """
     states = _mc_states(fsm, temperature, top_p, n)
-    return _mc_result(_mc_count(states, n, seed, 0, _mc_batches(n)), n)
+    _check_count("seed", seed, 0)  # make_stream's check, made before any fork
+    batches = -(-n // MC_BATCH)  # the last may be short
+    workers = min(pool.cpus(), batches)
+    bounds = [k * batches // workers for k in range(workers + 1)]
+    counts = pool.fork_map(lambda part: _mc_count(states, n, seed, *part),
+                           list(zip(bounds, bounds[1:])))
+    estimate = sum(counts) / n
+    stderr = float(np.sqrt(estimate * (1.0 - estimate) / n))
+    return McResult(estimate=estimate, stderr=stderr)

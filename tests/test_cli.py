@@ -1204,6 +1204,39 @@ class TestDumpRanges:
         assert self.analyze(monkeypatch, capsys, tmp_path, data) == (
             0, report_csv(lines), "")
 
+    @pytest.mark.parametrize("cpus", range(2, 10))
+    def test_cuts_are_the_line_starts_nearest_the_byte_quantiles(self, monkeypatch, tmp_path,
+                                                                 cpus):
+        # seeded layouts: blank, short, 1-20 KB and 64-200 KB lines, the last
+        # one with or without its newline
+        force_dump_workers(monkeypatch, cpus)
+        gen = np.random.default_rng(24)
+        path = tmp_path / "dump.jsonl"
+        for _ in range(40):
+            lengths = [int(gen.integers(*gen.choice([(0, 1), (1, 200), (1000, 20_000),
+                                                     (65_537, 200_000)])))
+                       for _ in range(gen.integers(1, 12))]
+            data = b"\n".join(b"x" * n for n in lengths) + b"\n" * int(gen.integers(2))
+            path.write_bytes(data)
+            size = len(data)
+            # 0, the byte past each \n, and EOF, which ends the last line too
+            starts = np.unique(np.concatenate(
+                [[0], np.flatnonzero(np.frombuffer(data, np.uint8) == 10) + 1, [size]]))
+            workers = min(cpus, size)
+            share = size // max(workers, 1)
+            cuts = {int(starts[np.argmin(np.abs(starts - k * share))])  # the earlier on a tie
+                    for k in range(1, workers)}
+            bounds = [0, *sorted(cuts - {0, size}), None]
+            assert cli._dump_ranges(str(path)) == list(zip(bounds, bounds[1:])), lengths
+
+    def test_an_empty_file_is_one_range(self, monkeypatch, tmp_path):
+        # a file said to hold 10 MiB but read empty, as one truncated meanwhile
+        path = tmp_path / "dump.jsonl"
+        path.write_bytes(b"")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)), raising=False)
+        monkeypatch.setattr(os.path, "getsize", lambda p: 10 << 20)
+        assert cli._dump_ranges(str(path)) == [(0, None)]
+
     def test_a_fifo_is_read_to_eof_by_one_worker(self, monkeypatch, capsys, tmp_path):
         lines = list(dump_lines(np.random.default_rng(22)))
         source = tmp_path / "dump.jsonl"

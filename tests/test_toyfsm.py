@@ -35,7 +35,7 @@ from ssdlab import (
 )
 from ssdlab import decode
 from ssdlab.cli import main
-from ssdlab.decode import DecodeConfig, _block_rows, _prefix_power
+from ssdlab.decode import DecodeConfig, _block_rows, _prefix_power, make_stream
 from ssdlab.toyfsm import (
     DEFAULT_N_LOCKS,
     DEFAULT_TAIL_RATIO,
@@ -437,6 +437,11 @@ class TestRobustnessGrid:
             assert row.gap_pp == pytest.approx(GRID_GAPS_PP[row.top_p], abs=1e-4)
 
 
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestMonteCarlo:
     def test_deterministic_given_seed(self, teacher):
         a = monte_carlo_success(teacher, 0.8, 0.8, 50_000, seed=3)
@@ -499,8 +504,11 @@ class TestMonteCarlo:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == self.GOLDEN_REPORTS[argv]
 
+    @pytest.mark.parametrize("cpus", [1, 3])
     @pytest.mark.parametrize("vocab_size", [7, 16])
-    def test_batch_ranges_count_what_one_pass_counts(self, vocab_size):
+    def test_batch_ranges_count_what_one_pass_counts(self, monkeypatch, vocab_size, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
         fsm = distill_fsm(build_toy_fsm(vocab_size=vocab_size), TRAIN_T, TRAIN_TOP_P)
         n = 3 * MC_BATCH + 2001  # a short last batch
         states = _mc_states(fsm, 1.3, 0.9, n)
@@ -509,6 +517,21 @@ class TestMonteCarlo:
         assert min(counts) > 0 and sum(counts) == whole
         assert _mc_count(states, n, 9, 0, 1) + _mc_count(states, n, 9, 1, 4) == whole
         assert monte_carlo_success(fsm, 1.3, 0.9, n, 9).estimate == whole / n
+        no_child_left()
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_a_bad_seed_is_refused_before_any_fork(self, monkeypatch, teacher, seed):
+        def no_fork():
+            raise AssertionError("forked before the seed was checked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)),
+                            raising=False)
+        with pytest.raises(OutOfRangeError) as expected:
+            make_stream(seed)
+        with pytest.raises(OutOfRangeError) as refused:
+            monte_carlo_success(teacher, 0.8, 0.8, 3 * MC_BATCH, seed)
+        assert str(refused.value) == str(expected.value)
 
     def test_cli_report_bytes_at_vocabulary_size(self, tmp_path):
         # one batch at V = 4096: the sampler's row loop over a 62.5 MiB block
