@@ -623,13 +623,15 @@ _READ_BUFFER = 1 << 18
 
 
 def _line_start_near(mm: mmap.mmap, q: int) -> int:
-    """The line start nearest byte q, the earlier on a tie; EOF counts as one."""
+    """The line start nearest byte q, the earlier on a tie.
+
+    The end of a last line with no newline is not taken for a start: a
+    quantile nearer to it than to the line's start has a lower quantile in
+    the same line, which cuts at that start, so the cuts come out the same.
+    """
     before = mm.rfind(b"\n", 0, q) + 1  # 0 if no line ends before q
-    reach = 2 * q - before  # a nearer start lies before it
-    after = mm.find(b"\n", q - 1, reach - 1)  # a line starts just past each \n
-    if after >= 0:
-        return after + 1
-    return len(mm) if len(mm) < reach else before
+    after = mm.find(b"\n", q - 1, 2 * q - before - 1)  # only a nearer start
+    return after + 1 if after >= 0 else before
 
 
 def _dump_ranges(path: str) -> list[tuple[int, int | None]]:

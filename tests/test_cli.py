@@ -1207,16 +1207,19 @@ class TestDumpRanges:
     @pytest.mark.parametrize("cpus", range(2, 10))
     def test_cuts_are_the_line_starts_nearest_the_byte_quantiles(self, monkeypatch, tmp_path,
                                                                  cpus):
-        # seeded layouts: blank, short, 1-20 KB and 64-200 KB lines, the last
-        # one with or without its newline
+        # at 2 CPUs the first layout's midpoint, byte 10, ties between the
+        # line starts at 8 and 12; then seeded layouts of blank, short, 1-20 KB
+        # and 64-200 KB lines, the last one with or without its newline
         force_dump_workers(monkeypatch, cpus)
         gen = np.random.default_rng(24)
+        layouts = [([7, 3, 7], 1)] + [
+            ([int(gen.integers(*gen.choice([(0, 1), (1, 200), (1000, 20_000),
+                                            (65_537, 200_000)])))
+              for _ in range(gen.integers(1, 12))], int(gen.integers(2)))
+            for _ in range(40)]
         path = tmp_path / "dump.jsonl"
-        for _ in range(40):
-            lengths = [int(gen.integers(*gen.choice([(0, 1), (1, 200), (1000, 20_000),
-                                                     (65_537, 200_000)])))
-                       for _ in range(gen.integers(1, 12))]
-            data = b"\n".join(b"x" * n for n in lengths) + b"\n" * int(gen.integers(2))
+        for lengths, newline in layouts:
+            data = b"\n".join(b"x" * n for n in lengths) + b"\n" * newline
             path.write_bytes(data)
             size = len(data)
             # 0, the byte past each \n, and EOF, which ends the last line too
