@@ -26,7 +26,7 @@ from ssdlab import (
     retained_support,
     ssd_target,
 )
-from ssdlab import cli, toyfsm
+from ssdlab import cli, dump, toyfsm
 from ssdlab.categorical import _softmax
 from ssdlab.cli import (
     DECOMPOSITION_HEADER,
@@ -35,13 +35,13 @@ from ssdlab.cli import (
     _cell,
     _decomposition_row,
     _grid,
-    _parse_record,
     _run_analyze_dump,
     build_parser,
     emit_report,
     main,
     resolve_args,
 )
+from ssdlab.dump import _parse_record
 from ssdlab.errors import (
     EmptyReportError,
     InvalidDistributionError,
@@ -798,7 +798,7 @@ def expected_dump_row(line, cfg):
 def force_dump_workers(monkeypatch, n):
     """Give analyze-dump n CPUs and lift its one-range-per-MiB cap, so every
     dump of n or more bytes is split n ways where its lines allow."""
-    monkeypatch.setattr(cli, "_BYTES_PER_WORKER", 1)
+    monkeypatch.setattr(dump, "_BYTES_PER_WORKER", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
@@ -1121,7 +1121,7 @@ class TestDumpRanges:
         path = tmp_path / "dump.jsonl"
         path.write_bytes(data)
         force_dump_workers(monkeypatch, 3)
-        return cli._dump_ranges(str(path))
+        return dump._dump_ranges(str(path))
 
     @pytest.mark.parametrize("skip_bad", [False, True])
     def test_a_bad_line_in_each_range(self, monkeypatch, capsys, tmp_path, skip_bad):
@@ -1158,7 +1158,7 @@ class TestDumpRanges:
                 raise SsdLabError("scorer refused")
             return retained_support(probs, cfg)
 
-        monkeypatch.setattr(cli, "retained_support", scorer)
+        monkeypatch.setattr(dump, "retained_support", scorer)
         data = "".join(line + "\n" for line in lines).encode()
         assert len(self.ranges(monkeypatch, data, tmp_path)) == 3
         flags = ["--skip-bad"] if skip_bad else []
@@ -1230,7 +1230,7 @@ class TestDumpRanges:
             cuts = {int(starts[np.argmin(np.abs(starts - k * share))])  # the earlier on a tie
                     for k in range(1, workers)}
             bounds = [0, *sorted(cuts - {0, size}), None]
-            assert cli._dump_ranges(str(path)) == list(zip(bounds, bounds[1:])), lengths
+            assert dump._dump_ranges(str(path)) == list(zip(bounds, bounds[1:])), lengths
 
     def test_an_empty_file_is_one_range(self, monkeypatch, tmp_path):
         # a file said to hold 10 MiB but read empty, as one truncated meanwhile
@@ -1238,7 +1238,7 @@ class TestDumpRanges:
         path.write_bytes(b"")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)), raising=False)
         monkeypatch.setattr(os.path, "getsize", lambda p: 10 << 20)
-        assert cli._dump_ranges(str(path)) == [(0, None)]
+        assert dump._dump_ranges(str(path)) == [(0, None)]
 
     def test_a_fifo_is_read_to_eof_by_one_worker(self, monkeypatch, capsys, tmp_path):
         lines = list(dump_lines(np.random.default_rng(22)))
@@ -1247,7 +1247,7 @@ class TestDumpRanges:
         fifo = tmp_path / "dump.fifo"
         os.mkfifo(fifo)
         force_dump_workers(monkeypatch, 3)
-        assert cli._dump_ranges(str(fifo)) == [(0, None)]
+        assert dump._dump_ranges(str(fifo)) == [(0, None)]
         writer = subprocess.Popen(["sh", "-c", 'cat "$1" > "$2"', "sh", source, fifo])
         try:
             assert run(capsys, "analyze-dump", "--input", str(fifo)) == (
@@ -1278,7 +1278,7 @@ class TestDumpWorkerLifecycle:
         self.path = tmp_path / "dump.jsonl"
         self.lines = equal_records(9)
         self.path.write_text("".join(line + "\n" for line in self.lines))
-        assert len(cli._dump_ranges(str(self.path))) == 3
+        assert len(dump._dump_ranges(str(self.path))) == 3
 
     def test_after_a_report(self, capsys):
         assert run(capsys, "analyze-dump", "--input", str(self.path)) == (
@@ -1300,7 +1300,7 @@ class TestDumpWorkerLifecycle:
                 raise RuntimeError(f"scorer failed in worker {os.getpid()}")
             return retained_support(probs, cfg)
 
-        monkeypatch.setattr(cli, "retained_support", scorer)
+        monkeypatch.setattr(dump, "retained_support", scorer)
         with pytest.raises(RuntimeError, match="scorer failed in worker") as failure:
             main(["analyze-dump", "--input", str(self.path)])
         assert str(parent) not in str(failure.value)
@@ -1317,7 +1317,7 @@ class TestDumpWorkerLifecycle:
                 raise Abort
             time.sleep(60)  # a worker still busy when the parent gives up
 
-        monkeypatch.setattr(cli, "retained_support", scorer)
+        monkeypatch.setattr(dump, "retained_support", scorer)
         started = time.monotonic()
         with pytest.raises(Abort):
             main(["analyze-dump", "--input", str(self.path)])

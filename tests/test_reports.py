@@ -12,13 +12,12 @@ import contextlib
 import io
 import json
 import os
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ssdlab import cli
+from ssdlab import cli, dump
 
 REPORTS = Path(__file__).resolve().parent / "reports" / "analyze_dump"
 
@@ -74,15 +73,15 @@ DUMPS = {
     "crlf_blank": (_crlf_blank, ["--temperature", "0.8", "--top-p", "0.9"]),
     "logits_utf8": (_logits_utf8, ["--top-k", "5"]),
 }
-CELLS = [f"{dump}.{mode}.{fmt}" for dump in DUMPS
+CELLS = [f"{name}.{mode}.{fmt}" for name in DUMPS
          for mode in ("strict", "skip-bad") for fmt in ("csv", "json")]
 
 
 def render(cell: str, directory: Path) -> str:
     """The cell's exit code, stdout and stderr, from cli.main in process."""
-    dump, mode, fmt = cell.split(".")
-    make, flags = DUMPS[dump]
-    path = directory / f"{dump}.jsonl"
+    name, mode, fmt = cell.split(".")
+    make, flags = DUMPS[name]
+    path = directory / f"{name}.jsonl"
     path.write_bytes(make())
     argv = ["analyze-dump", "--input", str(path), *flags, "--format", fmt]
     if mode == "skip-bad":
@@ -96,7 +95,7 @@ def render(cell: str, directory: Path) -> str:
 @pytest.mark.parametrize("workers", [1, 3], ids=["1-worker", "3-workers"])
 @pytest.mark.parametrize("cell", CELLS)
 def test_analyze_dump_report(cell, workers, tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_BYTES_PER_WORKER", 1)
+    monkeypatch.setattr(dump, "_BYTES_PER_WORKER", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)),
                         raising=False)
     expected = (REPORTS / f"{cell}.txt").read_text(encoding="utf-8")
@@ -111,4 +110,3 @@ if __name__ == "__main__":
         for cell in CELLS:
             (REPORTS / f"{cell}.txt").write_text(render(cell, Path(scratch)),
                                                  encoding="utf-8")
-    sys.exit(0)
