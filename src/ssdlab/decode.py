@@ -65,8 +65,8 @@ BLOCK_BYTES = 64 << 20
 
 
 def _check_count(name: str, value, minimum: int) -> None:
-    """Refuse a count that is not an integer (numpy integers pass) or is below minimum."""
-    if not isinstance(value, (int, np.integer)):
+    """Refuse a non-integer count (numpy integers pass, bools do not) or one below minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise OutOfRangeError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise OutOfRangeError(f"{name} must be >= {minimum}, got {value!r}")

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from bisect import bisect_left
 
 import numpy as np
@@ -90,6 +91,24 @@ def test_count_parameters_refuse_fractions(name):
     with pytest.raises(OutOfRangeError, match="must be an integer, got 2.5$"):
         COUNT_CALLS[name](2.5)
     COUNT_CALLS[name](np.int64(2))  # numpy integers are counts
+
+
+# The same counts, and those checked before any draw, refuse a bool, which is
+# an int to isinstance but no count.
+BOOL_CALLS = {
+    **COUNT_CALLS,
+    "DecodeConfig": lambda x: DecodeConfig(top_k=x),
+    "make_stream": make_stream,
+    "gumbel_max_sample": lambda x: gumbel_max_sample(P3, make_stream(0), size=x),
+}
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_], ids=["True", "False", "np.True_"])
+@pytest.mark.parametrize("name", sorted(BOOL_CALLS))
+def test_count_parameters_refuse_booleans(name, value):
+    message = f"must be an integer, got {re.escape(repr(value))}$"
+    with pytest.raises(OutOfRangeError, match=message):
+        BOOL_CALLS[name](value)
 
 
 class TestRanking:
