@@ -1,10 +1,11 @@
 """Exact numerical laboratory for decoding operators and local self-distillation.
 
-The package provides four layers:
+The package re-exports the public names of six modules:
 
 - `categorical`: validated finite distributions and entropy/divergence helpers.
 - `decode`: the temper / top-k / top-p / Gumbel-max pipeline and its
   normal-form and rigidity diagnostics.
+- `errors`: the `SsdLabError` hierarchy that every refusal raises.
 - `objective`: the truncated-and-tempered training target, the exact
   gate + reshape + align loss decomposition, its logit gradient, and a
   deterministic local student trainer.
@@ -12,6 +13,9 @@ The package provides four layers:
   decompositions over a retained set, and top-p feasibility intervals.
 - `toyfsm`: a 16-token chain-of-states world where every headline
   quantity has a closed form, plus Monte Carlo cross-checks.
+
+It does not re-export `pool` (the fork pool), `dump` (the analyze-dump
+reader) or `cli` (the command line); import them by module name.
 """
 
 from . import categorical, decode, errors, objective, sensitivity, toyfsm

@@ -1,5 +1,5 @@
-"""One fork pool, which toyfsm.monte_carlo_success and the CLI's analyze-dump
-split their work through; where the process cannot fork, cpus() is 1."""
+"""One fork pool, which toyfsm.monte_carlo_success and dump.analyze split
+their work through; where the process cannot fork, cpus() is 1."""
 
 from __future__ import annotations
 
