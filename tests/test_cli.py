@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -228,6 +229,19 @@ class TestTrainCommand:
             capsys, "train-student", "--probs", "0.5,0.3,0.2", "--top-p", "0.8",
             "--temperature", "0.7", "--learning-rate", "1e300", "--max-steps", "5",
         )
+        assert (code, out) == (2, "")
+        assert err == ("error: loss is not finite at step 1: "
+                       "the student vanishes on a target-support token\n")
+
+    def test_vanishing_inside_a_block_of_steps_exits_two_without_a_warning(self, capsys):
+        # step 1 vanishes on the support in a block of two steps; the step past it
+        # must not warn, which pytest's filterwarnings would turn into an error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "train-student", "--probs", "0.5,0.3,0.2", "--top-p", "0.8",
+                "--temperature", "0.7", "--learning-rate", "1e300", "--max-steps", "1000",
+            )
         assert (code, out) == (2, "")
         assert err == ("error: loss is not finite at step 1: "
                        "the student vanishes on a target-support token\n")

@@ -31,7 +31,7 @@ from ssdlab import (
     train_local_student,
 )
 from ssdlab import objective
-from ssdlab.objective import _student_steps
+from ssdlab.objective import LOGIT_FLOOR, _student_steps
 
 N_RANDOM = 200
 
@@ -286,6 +286,21 @@ class TestSelfTrainingFixedPoint:
         w = np.random.default_rng(50_000).dirichlet(np.full(50_000, 0.5))
         assert self_training_fixed_point_check(Categorical(w), n_trials=2) <= 1e-12
 
+    def test_zero_probability_token_starts_at_the_logit_floor(self, monkeypatch):
+        # log(max(0, 1e-300)) would put it at about -690.8 instead
+        seen = []
+
+        def softmax(z):
+            seen.append(z.copy())
+            return _softmax_of(z)
+
+        _softmax_of = objective._softmax
+        monkeypatch.setattr(objective, "_softmax", softmax)
+        self_training_fixed_point_check(Categorical(np.array([0.5, 0.5, 0.0])), n_trials=3)
+        assert len(seen) == 3
+        for z in seen:  # each trial shifts every logit by the same random gauge
+            assert z[2] - z[0] == pytest.approx(LOGIT_FLOOR - np.log(0.5), abs=1e-12)
+
 
 class TestTraining:
     def test_converges_to_target(self):
@@ -327,6 +342,13 @@ class TestTraining:
         np.testing.assert_array_equal(start.logits, z0)
         assert traj.loss.size == 2
         np.testing.assert_array_equal(traj.logits, z0 - 0.5 * grad)
+
+    def test_zero_probability_token_starts_at_the_logit_floor(self):
+        # log(max(0, 1e-300)) would put it at about -690.8 instead
+        p0 = normalize([0.5, 0.3, 0.2, 0.0])
+        traj = train_local_student(p0, DecodeConfig(), max_steps=0)
+        assert traj.logits[3] == LOGIT_FLOOR
+        assert np.array_equal(traj.logits[:3], np.log(p0.probs[:3]))
 
     def test_zero_step_budget_records_initial_state(self):
         traj = train_local_student(normalize([0.6, 0.4]), DecodeConfig(), max_steps=0)
@@ -535,6 +557,15 @@ class TestDivergence:
             longest = max(longest, run)
         assert (rises.sum(), longest) == (2503, 35)
 
+    def test_equal_losses_do_not_count_as_increases(self, monkeypatch):
+        # at a learning rate of 1e-300 each step rounds back to the same logits,
+        # so the loss repeats exactly and never rises
+        monkeypatch.setattr(objective, "DIVERGENCE_WINDOW", 3)
+        traj = train_local_student(normalize(self.WEIGHTS), DecodeConfig(temperature=0.3),
+                                   learning_rate=1e-300, max_steps=10)
+        assert traj.stop_reason == "step_cap"
+        assert traj.loss.size == 11 and np.all(traj.loss == traj.loss[0])
+
 
 class TestIdealFit:
     def test_matches_tempered_source_view(self, make_dists):
@@ -641,3 +672,15 @@ class TestStopReason:
         short = train_local_student(self.P0, self.CFG, learning_rate=4.0,
                                     max_steps=first - 1, tv_tolerance=1e-3)
         assert short.stop_reason == "step_cap"
+
+    def test_tv_equal_to_the_tolerance_does_not_converge(self):
+        # convergence needs a TV strictly below the tolerance
+        free = train_local_student(self.P0, self.CFG, learning_rate=4.0, max_steps=20)
+        tol = float(free.on_support_tv[20])
+        assert free.on_support_tv[:20].min() > tol
+        capped = train_local_student(self.P0, self.CFG, learning_rate=4.0, max_steps=20,
+                                     tv_tolerance=tol)
+        assert capped.on_support_tv[-1] == tol
+        assert capped.stop_reason == "step_cap"
+        stops = self.stop_reasons(self.P0, self.CFG, 4.0, 20)
+        assert stops == [None] * 20 + ["step_cap"]
