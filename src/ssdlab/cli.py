@@ -32,7 +32,7 @@ from .decode import (
     retained_support,
 )
 from .errors import EmptyReportError, IoError, SsdLabError
-from .objective import _student_steps, _support_terms, kept_mass, ssd_target
+from .objective import _student_steps, _support_row, _support_terms, kept_mass, ssd_target
 from .sensitivity import (
     entropy_decomposition,
     entropy_temperature_response,
@@ -54,6 +54,10 @@ DUMP_HEADER = [
     "context_id", "label", "kept_count", "kept_mass",
     "head_entropy", "total_entropy", "top20_mass",
 ]
+
+# train-student scores its logged steps in blocks of support rows of at most
+# _ROW_BLOCK_BYTES, or one row; scoring a block takes one more array of its size.
+_ROW_BLOCK_BYTES = 1 << 17
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +400,10 @@ def _run_target(args):
     return ["token", "base_prob", "target_prob"], rows
 
 
-def _decomposition_row(target, probs, step: int, p_sum: float = 1.0):
-    """One report row from the student's raw probability array divided by p_sum."""
-    bd, km, cond, q = _support_terms(target, probs, p_sum)
-    tv = 0.5 * float(np.abs(cond - q).sum())
-    return step, bd.total, bd.gate, bd.reshape, bd.align, tv, 1.0 - km
+def _decomposition_rows(target, ps, sums, steps):
+    """Report rows of a block of support probabilities over their sums, one per step."""
+    gate, reshape, align, _, total, tv, km = _support_terms(target, ps, sums).tolist()
+    return zip(steps, total, gate, reshape, align, tv, [1.0 - k for k in km])
 
 
 def _run_decompose(args):
@@ -408,17 +411,33 @@ def _run_decompose(args):
     student = args["student_probs"]
     p_theta = p0 if student is None else normalize(student)
     target = ssd_target(p0, _decode_config(args))
-    return DECOMPOSITION_HEADER, [_decomposition_row(target, p_theta.probs, 0)]
+    return DECOMPOSITION_HEADER, list(
+        _decomposition_rows(target, *_support_row(target, p_theta.probs), [0]))
 
 
 def _run_train_student(args):
     target = ssd_target(normalize(args["probs"]), _decode_config(args))
     every, tol, rows = args["log_every"], args["tv_tolerance"], []
     steps = _student_steps(target, args["learning_rate"], args["max_steps"], tol)
-    for step, (stop, _, p, _, tv, _) in enumerate(steps):
-        if step % every == 0 or stop:  # the last step is always kept
-            # the step's softmax renormalized as a Categorical is, on the support only
-            rows.append(_decomposition_row(target, p, step, np.add.reduce(p, axis=None)))
+    ps = np.empty((max(1, _ROW_BLOCK_BYTES // (8 * target.support.size)), target.support.size))
+    sums, logged = np.empty(len(ps)), []
+
+    def score():
+        rows.extend(_decomposition_rows(target, ps[:len(logged)], sums[:len(logged)], logged))
+        logged.clear()
+    try:
+        for step, (stop, _, p, _, tv, _) in enumerate(steps):
+            if step % every == 0 or stop:  # the last step is always kept
+                # the step's softmax renormalized as a Categorical is, on the support only
+                p.take(target.support, out=ps[len(logged)], mode="clip")
+                sums[len(logged)] = np.add.reduce(p, axis=None)
+                logged.append(step)
+                if len(logged) == len(ps):
+                    score()
+    except SsdLabError:
+        score()  # a pending row's step comes before the loop's error, so its error wins
+        raise
+    score()
     if stop == "step_cap":
         print(f"warning: train-student stopped at the step cap of {args['max_steps']} "
               f"with on-support TV {tv:.3g}, above the tolerance {tol:.3g}",

@@ -20,7 +20,6 @@ from .categorical import (
     Categorical,
     _event_array,
     _read_only,
-    _shifted_exp,
     _softmax,
     as_index_array,
     restrict,
@@ -123,50 +122,66 @@ def kept_mass(p_theta: Categorical, members) -> float:
     return float(p_theta.probs[idx].sum())
 
 
-def _conditional(target: SsdTarget, p: np.ndarray, p_sum: float = 1.0):
-    """The kept mass of p / p_sum, its conditional p(v|S) and q on the support.
-
-    Indexes target.support in rank order, the order kept_mass sums in, and
-    divides only those entries by p_sum; O(|S|).
-    """
+def _support_row(target: SsdTarget, p: np.ndarray):
+    """p at target.support, the order kept_mass sums in, as a one-row block and its unit sum."""
     if p.size != target.q.alphabet_size:
         raise InvalidEntryError("alphabet sizes differ")
-    p_s = p[target.support] / p_sum
-    if np.count_nonzero(p_s) < p_s.size:  # q is positive on all of target.support
-        raise ZeroMassSupportError("student vanishes on a target-support token")
-    km = float(np.add.reduce(p_s, axis=None))
-    cond = p_s / km
-    cond /= np.add.reduce(cond, axis=None)  # unit sum, as restrict's Categorical makes it
-    return km, cond, target.q.probs[target.support]
+    return p[target.support][None], np.ones(1)
 
 
-def _support_terms(target: SsdTarget, p: np.ndarray, p_sum: float = 1.0):
-    """The breakdown of p / p_sum, then _conditional's kept mass, p(v|S) and q."""
-    km, cond, q = _conditional(target, p, p_sum)
+def _conditional(ps: np.ndarray, sums: np.ndarray):
+    """p(v|S) of the rows of ps / sums, in place, O(|S|) a row: the count of rows before
+    the first with a zero on the support, and their kept masses and p(v|S)."""
+    whole = np.all(np.divide(ps, sums[:, None], out=ps), axis=1)  # q > 0 all over the support
+    good = len(whole) if whole.all() else int(whole.argmin())
+    km = np.add.reduce(ps[:good], axis=1)
+    cond = np.divide(ps[:good], km[:, None], out=ps[:good])
+    cond /= np.add.reduce(cond, axis=1, keepdims=True)  # unit sum, as in restrict
+    return good, km, cond
+
+
+def _support_terms(target: SsdTarget, ps: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """Gate, reshape, align, const, total, on-support TV and kept mass of ps / sums: (7, rows).
+
+    ps is a C-contiguous (rows, |S|) block of raw probabilities at target.support in
+    rank order, overwritten here, and sums their rows' full sums. log q and const are
+    taken once and every other term as a row reduction, so each row gets the bits a
+    block of it alone would. Raises the error of the first row that has one.
+    """
     T = target.train_temperature
-    if T == np.inf:  # reshape tends to -inf and const to +inf: their sum has no value
-        raise OutOfRangeError("the loss decomposition needs a finite train temperature, "
-                              f"got {T!r}")
-    log_cond, log_q = np.log(cond), np.log(q)
-    w = _shifted_exp(log_cond, T)
-    norm = np.add.reduce(w, axis=None)
-    tempered = w / norm
-    if np.count_nonzero(tempered) < tempered.size:
+    good, km, cond = _conditional(ps, sums)
+    if good and T == np.inf:  # reshape tends to -inf and const to +inf: their sum has no value
+        raise OutOfRangeError(f"the loss decomposition needs a finite train temperature, got {T!r}")
+    q = target.q.probs[target.support]
+    log_q = np.log(q)
+    w = cond - q  # the one (rows, |S|) temporary
+    tv = 0.5 * np.add.reduce(np.abs(w, out=w), axis=1)
+    log_cond = np.log(cond, out=cond)
+    top = np.maximum.reduce(log_cond, axis=1, keepdims=True)
+    with np.errstate(over="ignore"):  # exact at T = 1; -inf near T = 0 leaves only the maxima
+        np.divide(np.subtract(log_cond, top, out=w), T, out=w)
+    norm = np.add.reduce(np.exp(w, out=w), axis=1, keepdims=True)
+    tempered = np.divide(w, norm, out=w)
+    if not np.all(tempered):
         raise SupportViolationError("tempered student vanishes on a target-support token")
-    gate = float(-np.log(km))
+    if good < len(ps):
+        raise ZeroMassSupportError("student vanishes on a target-support token")
+    gate = -np.log(km)
     # -T log sum (p(v|S))^(1/T), shifted by the largest log p(v|S) as tempered is
-    reshape = 0.0 if T == 1.0 else -float(np.maximum.reduce(log_cond, axis=None)
-                                          + T * np.log(norm))
-    align = T * float(np.add.reduce(q * (log_q - np.log(tempered)), axis=None))
-    const = T * float(-np.add.reduce(q * log_q, axis=None))
-    total = gate + reshape + align + const
-    return LossBreakdown(gate, reshape, align, const, total), km, cond, q
+    reshape = np.zeros(good) if T == 1.0 else -(top[:, 0] + T * np.log(norm[:, 0]))
+    log_t = np.subtract(log_q, np.log(tempered, out=tempered), out=tempered)
+    align = T * np.add.reduce(np.multiply(q, log_t, out=log_t), axis=1)
+    const = np.full(good, T * -np.add.reduce(q * log_q, axis=None))
+    return np.array([gate, reshape, align, const, gate + reshape + align + const, tv, km])
 
 
 def gate_conditional_split(target: SsdTarget, p_theta: Categorical) -> tuple[float, float]:
     """Split cross_entropy(q, p_theta) into -log KeptMass plus the conditional CE, in O(|S|)."""
-    km, cond, q = _conditional(target, p_theta.probs)
-    return float(-np.log(km)), float(-(q * np.log(cond)).sum())
+    good, km, cond = _conditional(*_support_row(target, p_theta.probs))
+    if not good:
+        raise ZeroMassSupportError("student vanishes on a target-support token")
+    q = target.q.probs[target.support]
+    return float(-np.log(km[0])), float(-(q * np.log(cond[0])).sum())
 
 
 def three_term_decomposition(target: SsdTarget, p_theta: Categorical) -> LossBreakdown:
@@ -177,21 +192,8 @@ def three_term_decomposition(target: SsdTarget, p_theta: Categorical) -> LossBre
     are computed on the support index, in O(|S|). An infinite train
     temperature is refused with OutOfRangeError: reshape and const diverge.
     """
-    return _support_terms(target, p_theta.probs)[0]
-
-
-def _gradient(p: np.ndarray, idx: np.ndarray, km: float, cond: np.ndarray,
-              d: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
-    """scale times the gradient into out: scale * p off the support, one V-wide pass.
-
-    cond is p(v|S) and d is cond - q on the support; cond is overwritten.
-    """
-    np.multiply(p, scale, out=out)
-    np.multiply(cond, -(1.0 - km), out=cond)
-    cond += d
-    cond *= scale
-    out[idx] = cond
-    return out
+    terms = _support_terms(target, *_support_row(target, p_theta.probs))
+    return LossBreakdown(*terms[:5, 0].tolist())
 
 
 def loss_gradient_logits(target: SsdTarget, logits) -> np.ndarray:
@@ -214,7 +216,8 @@ def loss_gradient_logits(target: SsdTarget, logits) -> np.ndarray:
     if km == 0:  # p_s / km would be 0 / 0
         raise ZeroMassSupportError("student vanishes on a target-support token")
     cond = p_s / km
-    return _gradient(p, idx, km, cond, cond - target.q.probs[idx], 1.0, out=p)
+    p[idx] = cond * -(1.0 - km) + (cond - target.q.probs[idx])  # p as it is off the support
+    return p
 
 
 def self_training_fixed_point_check(
@@ -245,13 +248,13 @@ def _student_steps(
 ) -> Iterator[tuple[str | None, np.ndarray, np.ndarray, float, float, float]]:
     """Yield (stop_reason, logits, softmax, loss, on_support_tv, off_support_mass) per step.
 
-    Starts from target.source at step 0. stop_reason is None until the last
-    step. Steps run in blocks: each block's recurrence writes its logits and
-    softmax into reused (rows, V) buffers, then the block's stopping rules are
-    checked at once and its steps are yielded in order; steps computed past
-    the first stop are dropped. The yielded logits and softmax are read-only
-    views of those buffers. Each stays valid until the generator is resumed
-    after the last step of its block, and the last step's stay valid for good.
+    Starts from target.source at step 0; stop_reason is None until the last step.
+    Steps run in blocks. A step is some sixteen numpy calls into reused buffers, its
+    logits and softmax rows of (rows, V) ones; the block's stopping rules are then
+    checked at once as row reductions and its steps yielded in order, dropping any
+    past the first stop. The yielded logits and softmax are read-only views, valid
+    until the generator is resumed after their block's last step; the last step's
+    stay valid for good.
     """
     if not 0 < learning_rate < np.inf:
         raise OutOfRangeError("learning_rate must be finite and positive, "
@@ -266,40 +269,48 @@ def _student_steps(
     cap = max(1, min(STEP_BLOCK_ROWS, STEP_BLOCK_BYTES // (16 * p0.size), max_steps + 1))
     Z, P = np.empty((2, cap, p0.size))
     PS, D = np.empty((2, cap, idx.size))  # each row's p on the support and p(v|S) - q
+    KM = np.empty(cap)  # each row's kept mass
     Z[0] = np.where(p0 > 0, np.log(np.maximum(p0, 1e-300)), LOGIT_FLOOR)
-    rows = list(zip(Z, P, PS, D))
+    rows = list(zip(Z, P, PS, D, (KM[k, ...] for k in range(cap))))  # KM[k, ...] is 0-d
     views = list(zip(*(_read_only(a.view()) for a in (Z, P))))
     cond, g = np.empty(idx.size), np.empty(p0.size)
+    # 0-d operands, which ufuncs take without converting a Python float on each call;
+    # every ufunc below takes its out array positionally, the cheaper way to pass it
+    rate, one, top, total, shrink = map(np.array, (float(learning_rate), 1.0, 0.0, 0.0, 0.0))
     prev, rises = np.inf, 0  # the last loss and the run of increases ending at it
     first, n, last = 0, 1, None  # last: the previous row's z, p, kept mass and d
     while True:
-        kms = []
-        for z, p, p_s, d in rows[:min(n, max_steps + 1 - first)]:
+        for m, (z, p, p_s, d, km) in enumerate(rows[:min(n, max_steps + 1 - first)], 1):
             if last:  # the previous row's gradient step, taken only when a row follows it
                 z_last, p_last, km_last, d_last = last
-                np.subtract(z_last, _gradient(p_last, idx, km_last, cond, d_last,
-                                              learning_rate, out=g), out=z)
-            _softmax(z, out=p)
+                # rate * p off the support, rate * (-(1 - km) p(v|S) + d) on it; cond
+                # holds the previous row's p(v|S), and km - 1 is -(1 - km) to the bit
+                np.multiply(p_last, rate, g)
+                np.multiply(cond, np.subtract(km_last, one, shrink), cond)
+                cond += d_last
+                cond *= rate
+                g[idx] = cond
+                np.subtract(z_last, g, z)
+            # the softmax of z: exp(z - max z), over its sum
+            np.exp(np.subtract(z, np.maximum.reduce(z, None, None, top), p), p)
+            np.divide(p, np.add.reduce(p, None, None, total), p)
             p.take(idx, out=p_s, mode="clip")  # idx is in range; "raise" would buffer out
-            km = float(np.add.reduce(p_s, axis=None))
-            kms.append(km)
-            if not km > 0:  # p_s / km would be 0 / 0; the checks below stop at this row
-                break
-            np.divide(p_s, km, out=cond)
-            np.subtract(cond, qv, out=d)
+            if not float(np.add.reduce(p_s, None, None, km)) > 0:
+                break  # p_s / km would be 0 / 0; the checks below stop at this row
+            np.divide(p_s, km, cond)
+            np.subtract(cond, qv, d)
             last = z, p, km, d
-        m = len(kms)
         # a zero or NaN on the support makes the loss inf or NaN: refuse it before np.log
         # warns, so only the rows before the first that vanishes are checked and yielded
         whole = np.logical_and.reduce(PS[:m] > 0, axis=1)
         good = m if whole.all() else int(whole.argmin())
         tvs = (0.5 * np.add.reduce(np.abs(D[:good]), axis=1)).tolist()
         losses = (-np.add.reduce(qv * np.log(PS[:good]), axis=1)).tolist()
-        for k, (tv, loss) in enumerate(zip(tvs, losses)):
+        for k, (tv, loss, km) in enumerate(zip(tvs, losses, KM[:good].tolist())):
             step = first + k
             stop = ("converged" if tv < tv_tolerance
                     else "step_cap" if step == max_steps else None)
-            yield stop, *views[k], loss, tv, 1.0 - kms[k]
+            yield stop, *views[k], loss, tv, 1.0 - km
             if stop:
                 return
             rises = rises + 1 if loss > prev else 0

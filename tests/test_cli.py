@@ -34,7 +34,7 @@ from ssdlab.cli import (
     DUMP_HEADER,
     SWEEP_HEADER,
     _cell,
-    _decomposition_row,
+    _decomposition_rows,
     _grid,
     _run_analyze_dump,
     build_parser,
@@ -43,7 +43,9 @@ from ssdlab.cli import (
     resolve_args,
 )
 from ssdlab.dump import _parse_record
+from ssdlab.objective import _support_row
 from ssdlab.errors import (
+    DivergenceError,
     EmptyReportError,
     InvalidDistributionError,
     ParseError,
@@ -268,12 +270,16 @@ _HEAVY_TAIL_W = np.random.default_rng(4096).gamma(0.3, size=4096)
 HEAVY_TAIL_4096 = ",".join(f"{x:.17g}" for x in _HEAVY_TAIL_W / _HEAVY_TAIL_W.sum())
 # the toy world's V = 16 lock head, as train-student's --probs
 LOCK_16 = ",".join(f"{x:.17g}" for x in toyfsm.build_toy_fsm().lock.dist.probs)
+# a run whose logged row at step 1150 has a tempered conditional that underflows
+VANISHING_ROW = ["--probs", "0.5,0.3,0.2", "--top-k", "3", "--temperature", "0.01",
+                 "--max-steps", "3000", "--log-every", "50"]
+TEMPERED_VANISH_ERROR = "error: tempered student vanishes on a target-support token\n"
 
 
 def listed_train_report(argv, reference_steps):
     """train-student's report from a list of every step's reference logits, then thinned.
 
-    Each kept row scores a full-width Categorical of the step's softmax.
+    Each kept row scores a full-width Categorical of the step's softmax, one row per call.
     """
     args = resolve_args(build_parser().parse_args(argv))
     p0 = normalize(args["probs"])
@@ -291,7 +297,8 @@ def listed_train_report(argv, reference_steps):
     last = len(steps) - 1
     logged = [(k, z) for k, (z, *_) in enumerate(steps)
               if k % args["log_every"] == 0 or k == last]
-    rows = [_decomposition_row(target, Categorical(_softmax(z)).probs, k) for k, z in logged]
+    rows = [row for k, z in logged for row in _decomposition_rows(
+        target, *_support_row(target, Categorical(_softmax(z)).probs), [k])]
     emit_report(rows, args["format"], args["output"], DECOMPOSITION_HEADER)
 
 
@@ -311,9 +318,21 @@ class TestTrainStream:
             ["--probs", LOCK_16, "--temperature", "0.9", "--top-p", "0.85",
              "--learning-rate", "8", "--tv-tolerance", "1e-3", "--max-steps", "1000",
              "--log-every", "1"],
+            # T = 1, where reshape is exactly 0
+            ["--probs", "0.5,0.3,0.2", "--temperature", "1", "--top-p", "0.8",
+             "--max-steps", "40", "--learning-rate", "1.0"],
+            # |S| = 1, whose TV is 0 at step 0
+            ["--probs", "0.5,0.3,0.2", "--temperature", "0.7", "--top-k", "1"],
+            # 35 logged rows in row blocks of 16 at |S| = 1003: two full blocks and 3 rows
+            ["--probs", HEAVY_TAIL_4096, "--temperature", "0.9", "--top-p", "0.85",
+             "--max-steps", "100", "--log-every", "3"],
+            ["--probs", "0.5,0.3,0.2", "--top-p", "0.8", "--temperature", "0.7",
+             "--max-steps", "53", "--log-every", "7", "--learning-rate", "1.0",
+             "--format", "json"],
         ],
         ids=["every-step", "every-7th-and-last", "converged-early", "v4096-every-step",
-             "v16-converged-mid-block"],
+             "v16-converged-mid-block", "unit-temperature", "one-token-support",
+             "v4096-every-3rd-and-last", "json"],
     )
     def test_streamed_report_matches_listed_trajectory(self, capsys, argv,
                                                        reference_student_steps):
@@ -323,6 +342,39 @@ class TestTrainStream:
         assert code == 0
         assert out == expected.out
         assert err == expected.err
+
+    def test_v4096_cases_span_several_row_blocks(self):
+        # the V = 4096 cases above log 201 rows, and 35 that end in a partial block
+        target = ssd_target(normalize([float(x) for x in HEAVY_TAIL_4096.split(",")]),
+                            DecodeConfig(temperature=0.9, top_p=0.85))
+        block = cli._ROW_BLOCK_BYTES // (8 * target.support.size)
+        assert (target.support.size, block) == (1003, 16)
+        assert all(rows > 2 * block and rows % block for rows in (201, 35))
+
+    def test_tempered_vanish_exits_two_with_one_line(self, capsys):
+        # the student sharpens until its tempered conditional underflows at a logged
+        # step; the rows before it are scored in the same block and printed nowhere
+        code, out, err = run(capsys, "train-student", *VANISHING_ROW)
+        assert (code, out, err) == (2, "", TEMPERED_VANISH_ERROR)
+
+    @pytest.mark.parametrize("cut, error", [(1000, "error: loss increased\n"),
+                                            (2000, TEMPERED_VANISH_ERROR)],
+                             ids=["loop-error-first", "row-error-first"])
+    def test_first_error_in_step_order_wins(self, capsys, monkeypatch, cut, error):
+        # VANISHING_ROW's first row that cannot be scored is step 1150. A loop that
+        # raises its own error at step `cut`, while every logged row is still pending
+        # in one row block, reports whichever of the two errors has the earlier step.
+        steps = cli._student_steps
+
+        def steps_until_cut(*step_args):
+            for k, step in enumerate(steps(*step_args)):
+                if k == cut:
+                    raise DivergenceError("loss increased")
+                yield step
+
+        monkeypatch.setattr(cli, "_student_steps", steps_until_cut)
+        code, out, err = run(capsys, "train-student", *VANISHING_ROW)
+        assert (code, out, err) == (2, "", error)
 
     def test_peak_memory_bounded_by_vocabulary_not_steps(self, tmp_path):
         v = 4096

@@ -7,6 +7,7 @@ from ssdlab import (
     Categorical,
     DecodeConfig,
     InvalidEntryError,
+    OutOfRangeError,
     SupportViolationError,
     ZeroMassSupportError,
     cross_entropy,
@@ -21,8 +22,8 @@ from ssdlab import (
     three_term_decomposition,
 )
 from ssdlab.categorical import _softmax
-from ssdlab.cli import _decomposition_row
-from ssdlab.objective import _support_terms
+from ssdlab.cli import _decomposition_rows
+from ssdlab.objective import _conditional, _support_row, _support_terms
 
 TOL = dict(rel=1e-12, abs=1e-12)
 
@@ -57,11 +58,13 @@ def assert_matches_literal(target, p_theta):
     assert bd.const == pytest.approx(const, **TOL)
     assert bd.total == pytest.approx(gate + reshape + align + const, **TOL)
     assert split_cond == pytest.approx(cond_ce, **TOL)
-    _, km, cond, q = _support_terms(target, p_theta.probs)
+    *_, tv, km = _support_terms(target, *_support_row(target, p_theta.probs))[:, 0]
+    _, (conditional_km,), (cond,) = _conditional(*_support_row(target, p_theta.probs))
     members = list(target.support)
-    assert km == kept_mass(p_theta, target.support)
+    assert km == conditional_km == kept_mass(p_theta, target.support)
     np.testing.assert_allclose(cond, restricted.probs[members], rtol=1e-12, atol=1e-15)
-    np.testing.assert_array_equal(q, target.q.probs[members])
+    literal_tv = 0.5 * np.abs(restricted.probs - target.q.probs).sum()
+    assert tv == pytest.approx(literal_tv, **TOL)
     return bd
 
 
@@ -135,7 +138,7 @@ def test_student_vanishing_on_support_rejected_everywhere():
     with pytest.raises(ZeroMassSupportError):
         gate_conditional_split(target, Categorical(broken))
     with pytest.raises(ZeroMassSupportError):
-        _decomposition_row(target, broken, 0)
+        _decomposition_rows(target, *_support_row(target, broken), [0])
 
 
 def test_escort_underflow_and_alphabet_mismatch_rejected():
@@ -150,3 +153,46 @@ def test_escort_underflow_and_alphabet_mismatch_rejected():
         three_term_decomposition(target, student)
     with pytest.raises(InvalidEntryError):
         three_term_decomposition(target, normalize([0.5, 0.3, 0.1, 0.1]))
+
+
+@pytest.mark.parametrize("size, temperature, top_p", [(3, 1.0, 0.8), (16, 0.9, 0.85),
+                                                      (257, 1.7, 1.0), (4096, 0.9, 0.85),
+                                                      (100, 0.7, 1e-9)])
+def test_block_rows_have_the_bits_of_one_row_blocks(size, temperature, top_p):
+    gen = np.random.default_rng([size, 31])
+    target = ssd_target(normalize(gamma_weights(gen, size)),
+                        DecodeConfig(temperature=temperature, top_p=top_p))
+    rows = 37 if size < 4096 else 5
+    # raw softmax rows, whose sums are within rounding of 1
+    p = np.stack([_softmax(gen.normal(size=size)) for _ in range(rows)])
+    ps, sums = p[:, target.support], np.add.reduce(p, axis=1)
+    block = _support_terms(target, ps.copy(), sums)
+    one = np.hstack([_support_terms(target, ps[k:k + 1].copy(), sums[k:k + 1])
+                     for k in range(rows)])
+    assert block.shape == (7, rows)
+    assert block.tobytes() == one.tobytes()
+
+
+@pytest.mark.parametrize("zero_row, cold_row, error", [
+    (3, 5, ZeroMassSupportError), (4, 2, SupportViolationError), (None, 1, SupportViolationError),
+])
+def test_block_raises_the_first_rows_error(zero_row, cold_row, error):
+    # at T = 1e-3 a row whose p(v|S) ratio is 1e-2 tempers to 1e-2000, which underflows
+    target = ssd_target(normalize([0.5, 0.3, 0.2]), DecodeConfig(temperature=1e-3, top_k=2))
+    ps = np.tile([0.5, 0.45], (6, 1))
+    ps[cold_row] = [0.5, 0.005]
+    if zero_row is not None:
+        ps[zero_row] = [0.5, 0.0]
+    with pytest.raises(error):
+        _support_terms(target, ps, np.ones(6))
+
+
+@pytest.mark.parametrize("zero_row, error", [(0, ZeroMassSupportError), (2, OutOfRangeError),
+                                             (None, OutOfRangeError)])
+def test_infinite_temperature_is_row_zeros_error_unless_it_vanishes(zero_row, error):
+    target = ssd_target(normalize([0.5, 0.3, 0.2]), DecodeConfig(temperature=np.inf))
+    ps = np.tile([0.5, 0.3, 0.2], (4, 1))
+    if zero_row is not None:
+        ps[zero_row, 1] = 0.0
+    with pytest.raises(error):
+        _support_terms(target, ps, np.ones(4))
