@@ -43,7 +43,6 @@ from ssdlab.cli import (
     resolve_args,
 )
 from ssdlab.dump import _parse_record
-from ssdlab.objective import _support_row
 from ssdlab.errors import (
     DivergenceError,
     EmptyReportError,
@@ -51,6 +50,7 @@ from ssdlab.errors import (
     ParseError,
     SsdLabError,
 )
+from ssdlab.objective import _support_row
 from ssdlab.toyfsm import GRID_MAX_POINTS, MAX_VOCAB_SIZE, MC_BATCH, MC_MAX_LOCKS
 
 
