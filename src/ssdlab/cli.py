@@ -23,7 +23,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from . import dump, toyfsm
+# Every command uses these three modules. A runner imports the others it uses,
+# so a process loads only what its subcommand runs.
 from .categorical import Categorical, entropy, normalize
 from .decode import (
     DecodeConfig,
@@ -32,16 +33,6 @@ from .decode import (
     retained_support,
 )
 from .errors import EmptyReportError, IoError, SsdLabError
-from .objective import _student_steps, _support_row, _support_terms, kept_mass, ssd_target
-from .sensitivity import (
-    entropy_decomposition,
-    entropy_temperature_response,
-    escort_distribution,
-    feasible_topp_interval,
-    prefix_mass_curve,
-    set_mass_log_sensitivity,
-)
-from .toyfsm import _grid_too_long
 
 _UNSET = object()
 
@@ -57,7 +48,10 @@ DUMP_HEADER = [
 
 # train-student scores its logged steps in blocks of support rows of at most
 # _ROW_BLOCK_BYTES, or one row; scoring a block takes one more array of its size.
+# A block is also scored once the loop is _ROW_DELAY_STEPS steps past its first
+# row, so a row that cannot be scored stops the run soon after its step.
 _ROW_BLOCK_BYTES = 1 << 17
+_ROW_DELAY_STEPS = 1 << 12
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +81,8 @@ def _grid(text: str) -> list[float]:
     """Either comma-separated values or an inclusive lo:hi:step range."""
     if ":" not in text:
         return _floats(text)
+    from .toyfsm import GRID_MAX_POINTS, _grid_too_long
+
     try:
         lo, hi, step = (float(x) for x in text.split(":"))
         valid = bool(np.isfinite([lo, hi, step]).all()) and step > 0 and hi >= lo
@@ -97,7 +93,7 @@ def _grid(text: str) -> list[float]:
                                          "numbers with step > 0 and hi >= lo")
     if _grid_too_long(lo, hi, step):  # refused before arange allocates
         raise argparse.ArgumentTypeError(
-            f"range {text} holds more than {toyfsm.GRID_MAX_POINTS} points"
+            f"range {text} holds more than {GRID_MAX_POINTS} points"
         )
     return [float(t) for t in np.arange(lo, hi + step / 2, step)]
 
@@ -209,16 +205,22 @@ _SENSITIVITY_FLAGS = [
          check=_positive, check_msg="fork-rank must be >= 1"),
 ]
 
-_FSM_FLAGS = [
-    Flag("--tail-ratio", float, toyfsm.DEFAULT_TAIL_RATIO, "geometric tail ratio",
+# The machine's shape; a flag left unset stays None and build_toy_fsm applies
+# its own default.
+_SHAPE_FLAGS = [
+    Flag("--tail-ratio", float, None, "geometric tail ratio",
          check=_open_unit, check_msg="tail-ratio must lie in (0, 1)"),
-    Flag("--lock-head", _floats, list(toyfsm.LOCK_HEAD), "lock head values"),
-    Flag("--fork-head", _floats, list(toyfsm.FORK_HEAD), "fork head values"),
-    Flag("--root-head", _floats, list(toyfsm.ROOT_HEAD), "root head values"),
-    Flag("--vocab-size", int, toyfsm.VOCAB_SIZE, "alphabet size",
+    Flag("--lock-head", _floats, None, "lock head values"),
+    Flag("--fork-head", _floats, None, "fork head values"),
+    Flag("--root-head", _floats, None, "root head values"),
+    Flag("--vocab-size", int, None, "alphabet size",
          check=lambda v: v >= 2, check_msg="vocab-size must be >= 2"),
-    Flag("--n-locks", int, toyfsm.DEFAULT_N_LOCKS, "lock states per path",
+    Flag("--n-locks", int, None, "lock states per path",
          check=_positive, check_msg="n-locks must be >= 1"),
+]
+
+_FSM_FLAGS = [
+    *_SHAPE_FLAGS,
     Flag("--t-train", float, 0.9, "distillation training temperature",
          check=_positive, check_msg="t-train must be > 0"),
     Flag("--train-top-p", float, 0.85, "distillation training top-p",
@@ -402,11 +404,15 @@ def _run_target(args):
 
 def _decomposition_rows(target, ps, sums, steps):
     """Report rows of a block of support probabilities over their sums, one per step."""
+    from .objective import _support_terms
+
     gate, reshape, align, _, total, tv, km = _support_terms(target, ps, sums).tolist()
     return zip(steps, total, gate, reshape, align, tv, [1.0 - k for k in km])
 
 
 def _run_decompose(args):
+    from .objective import _support_row, ssd_target
+
     p0 = normalize(args["probs"])
     student = args["student_probs"]
     p_theta = p0 if student is None else normalize(student)
@@ -416,6 +422,8 @@ def _run_decompose(args):
 
 
 def _run_train_student(args):
+    from .objective import _student_steps, ssd_target
+
     target = ssd_target(normalize(args["probs"]), _decode_config(args))
     every, tol, rows = args["log_every"], args["tv_tolerance"], []
     steps = _student_steps(target, args["learning_rate"], args["max_steps"], tol)
@@ -425,15 +433,20 @@ def _run_train_student(args):
     def score():
         rows.extend(_decomposition_rows(target, ps[:len(logged)], sums[:len(logged)], logged))
         logged.clear()
+    due = -1  # the step at which the pending rows are scored, if none fills the block
     try:
         for step, (stop, _, p, _, tv, _) in enumerate(steps):
             if step % every == 0 or stop:  # the last step is always kept
+                if not logged:
+                    due = step + _ROW_DELAY_STEPS
                 # the step's softmax renormalized as a Categorical is, on the support only
                 p.take(target.support, out=ps[len(logged)], mode="clip")
                 sums[len(logged)] = np.add.reduce(p, axis=None)
                 logged.append(step)
                 if len(logged) == len(ps):
                     score()
+            if step == due and logged:
+                score()
     except SsdLabError:
         score()  # a pending row's step comes before the loop's error, so its error wins
         raise
@@ -446,6 +459,16 @@ def _run_train_student(args):
 
 
 def _run_sensitivity(args):
+    from .objective import kept_mass
+    from .sensitivity import (
+        entropy_decomposition,
+        entropy_temperature_response,
+        escort_distribution,
+        feasible_topp_interval,
+        prefix_mass_curve,
+        set_mass_log_sensitivity,
+    )
+
     mode = args["mode"]
     if mode == "feasible":
         if args["lock_probs"] is None or args["fork_probs"] is None:
@@ -499,15 +522,11 @@ def _run_sensitivity(args):
     return ["rank", "prefix_mass"], [(m + 1, float(curve[m])) for m in range(k)]
 
 
-def _build_machines(args) -> tuple[toyfsm.Fsm, toyfsm.Fsm]:
-    teacher = toyfsm.build_toy_fsm(
-        tail_ratio=args["tail_ratio"],
-        lock_head=args["lock_head"],
-        fork_head=args["fork_head"],
-        root_head=args["root_head"],
-        vocab_size=args["vocab_size"],
-        n_locks=args["n_locks"],
-    )
+def _build_machines(args):
+    from . import toyfsm
+
+    shape = {f.dest: args[f.dest] for f in _SHAPE_FLAGS if args[f.dest] is not None}
+    teacher = toyfsm.build_toy_fsm(**shape)
     student = toyfsm.distill_fsm(teacher, args["t_train"], args["train_top_p"])
     return teacher, student
 
@@ -519,6 +538,8 @@ def _t_bounds(args) -> tuple[float, float]:
 
 
 def _run_toy_sweep(args):
+    from . import toyfsm
+
     teacher, student = _build_machines(args)
     sweep = toyfsm.temperature_sweep(teacher, student, args["t_grid"], args["top_p"])
     # a row's fields in declaration order, which is the column order; astuple
@@ -527,6 +548,8 @@ def _run_toy_sweep(args):
 
 
 def _run_toy_optimize(args):
+    from . import toyfsm
+
     bounds = _t_bounds(args)
     teacher, student = _build_machines(args)
     fsm = teacher if args["role"] == "teacher" else student
@@ -536,6 +559,8 @@ def _run_toy_optimize(args):
 
 
 def _run_toy_grid(args):
+    from . import toyfsm
+
     bounds = _t_bounds(args)
     teacher, student = _build_machines(args)
     rows = toyfsm.topp_robustness_grid(teacher, student, args["top_p"], bounds)
@@ -547,6 +572,8 @@ def _run_toy_grid(args):
 
 
 def _run_toy_mc(args):
+    from . import toyfsm
+
     teacher, student = _build_machines(args)
     fsm = teacher if args["role"] == "teacher" else student
     n, seed = args["n"], args["seed"]
@@ -564,6 +591,8 @@ def _run_toy_mc(args):
 
 
 def _run_analyze_dump(args):
+    from . import dump
+
     rows, skipped = dump.analyze(args["input"], _decode_config(args), args["skip_bad"])
     for problem in skipped:
         print(f"warning: skipped {problem}", file=sys.stderr)

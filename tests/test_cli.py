@@ -27,7 +27,7 @@ from ssdlab import (
     retained_support,
     ssd_target,
 )
-from ssdlab import cli, dump, toyfsm
+from ssdlab import cli, dump, objective, toyfsm
 from ssdlab.categorical import _softmax
 from ssdlab.cli import (
     DECOMPOSITION_HEADER,
@@ -364,7 +364,7 @@ class TestTrainStream:
         # VANISHING_ROW's first row that cannot be scored is step 1150. A loop that
         # raises its own error at step `cut`, while every logged row is still pending
         # in one row block, reports whichever of the two errors has the earlier step.
-        steps = cli._student_steps
+        steps = objective._student_steps
 
         def steps_until_cut(*step_args):
             for k, step in enumerate(steps(*step_args)):
@@ -372,9 +372,31 @@ class TestTrainStream:
                     raise DivergenceError("loss increased")
                 yield step
 
-        monkeypatch.setattr(cli, "_student_steps", steps_until_cut)
+        monkeypatch.setattr(objective, "_student_steps", steps_until_cut)
         code, out, err = run(capsys, "train-student", *VANISHING_ROW)
         assert (code, out, err) == (2, "", error)
+
+    @pytest.mark.parametrize("every", ["1000", "1024"])
+    def test_a_failing_row_stops_the_loop_within_the_row_delay(self, capsys, monkeypatch,
+                                                                every):
+        # every 1000th (or 1024th) of 100 000 steps is logged, all in one row block,
+        # and the row of step 2000 (or 2048) is the first that cannot be scored. The
+        # block is scored once the loop is _ROW_DELAY_STEPS = 4096 steps past its
+        # first row, step 0, so the loop draws steps 0 to 4096 and not the whole
+        # run; at 1024 that step is itself logged.
+        steps, drawn = objective._student_steps, []
+
+        def counted(*step_args):
+            for step in steps(*step_args):
+                drawn.append(None)
+                yield step
+
+        monkeypatch.setattr(objective, "_student_steps", counted)
+        code, out, err = run(capsys, "train-student", "--probs", "0.5,0.3,0.2",
+                             "--top-k", "3", "--temperature", "0.01", "--log-every", every)
+        assert (code, out, err) == (2, "", TEMPERED_VANISH_ERROR)
+        assert cli._ROW_DELAY_STEPS == 4096
+        assert len(drawn) == 4097
 
     def test_peak_memory_bounded_by_vocabulary_not_steps(self, tmp_path):
         v = 4096

@@ -255,6 +255,19 @@ class TestTopP:
         p = normalize([0.4, 0.3, 0.3])
         assert top_p_set(p, 0.7).tolist() == [0, 1]
 
+    @pytest.mark.parametrize("mass, kept", [(0.5, [1]), (0.75, [1, 3]), (0.875, [1, 3, 0])])
+    def test_cumulative_mass_exactly_at_the_cut(self, mass, kept):
+        # dyadic weights make every partial sum exact, and top_p - TOP_P_EPS is
+        # exactly a partial sum: the prefix that reaches it is kept and the next
+        # token is not, in top_p_set's search and in the pipeline's kernel alike
+        p = Categorical(np.array([0.125, 0.5, 0.125, 0.25]))
+        top_p = mass + TOP_P_EPS
+        assert top_p - TOP_P_EPS == mass
+        assert top_p_set(p, top_p).tolist() == kept
+        rs = retained_support(p, DecodeConfig(top_p=top_p))
+        assert rs.support.tolist() == kept
+        assert rs.kept_mass == mass
+
     @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.0 + 1e-9])
     def test_bad_threshold_rejected(self, threshold):
         p = normalize([0.5, 0.5])

@@ -260,6 +260,13 @@ class TestBatchedSuccess:
         with pytest.raises(OutOfRangeError):
             exact_success(teacher, 1.0, 1.5)
 
+    def test_top_p_zero_rejected(self, teacher, student):
+        # _prefix_power's `0 < top_p` is the only top-p check on this path
+        with pytest.raises(OutOfRangeError, match="^top_p must lie in"):
+            exact_success(teacher, 1.0, 0.0)
+        with pytest.raises(OutOfRangeError, match="^top_p must lie in"):
+            temperature_sweep(teacher, student, [0.5, 1.0], 0.0)
+
 
 class TestDistillation:
     def test_student_archetypes_match_targets(self, teacher, student):
