@@ -72,22 +72,21 @@ class Categorical:
         return _read_only(np.flatnonzero(self.probs))
 
 
-def _shifted_exp(x: np.ndarray, temperature=1.0, out=None) -> np.ndarray:
-    """exp((x - max x) / temperature), into out if given.
+def _shifted_exp(x: np.ndarray, temperature=1.0) -> np.ndarray:
+    """exp((x - max x) / temperature).
 
     A column of temperatures gives one row each.
     """
-    shifted = np.subtract(x, np.maximum.reduce(x, axis=None), out=out)
-    # training loops call this per step at T = 1, where the divide is skipped
-    if isinstance(temperature, np.ndarray) or temperature != 1.0:
+    shifted = np.subtract(x, np.maximum.reduce(x, axis=None))
+    if isinstance(temperature, np.ndarray) or temperature != 1.0:  # x / 1.0 is x
         with np.errstate(over="ignore"):  # -inf near T = 0 leaves only the maxima
-            shifted = np.divide(shifted, temperature, out=out)
+            shifted = np.divide(shifted, temperature)
     return np.exp(shifted, out=shifted)
 
 
-def _softmax(x: np.ndarray, temperature: float = 1.0, out=None) -> np.ndarray:
-    """The distribution proportional to exp(x / temperature), into out if given."""
-    w = _shifted_exp(x, temperature, out)
+def _softmax(x: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+    """The distribution proportional to exp(x / temperature)."""
+    w = _shifted_exp(x, temperature)
     w /= np.add.reduce(w, axis=None)
     return w
 

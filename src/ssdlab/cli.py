@@ -4,7 +4,8 @@ Every run is a pure function of its flags (plus an explicit seed where
 sampling is involved), emitted as CSV or JSON with 9-significant-digit
 numbers, so identical invocations produce byte-identical outputs. Exit
 codes: 0 success, 1 usage/validation error (nothing written), 2
-computation or I/O error.
+computation or I/O error. A runner turns flags into library calls and
+their results into rows; train-student's rows come whole from objective.
 
 entry() freezes the heap the imports left (gc.freeze), so no later full
 collection, the one at interpreter exit included, walks it again.
@@ -45,13 +46,6 @@ DUMP_HEADER = [
     "context_id", "label", "kept_count", "kept_mass",
     "head_entropy", "total_entropy", "top20_mass",
 ]
-
-# train-student scores its logged steps in blocks of support rows of at most
-# _ROW_BLOCK_BYTES, or one row; scoring a block takes one more array of its size.
-# A block is also scored once the loop is _ROW_DELAY_STEPS steps past its first
-# row, so a row that cannot be scored stops the run soon after its step.
-_ROW_BLOCK_BYTES = 1 << 17
-_ROW_DELAY_STEPS = 1 << 12
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +134,10 @@ class Flag:
     """One CLI option: converter, default, range check, and help text."""
 
     name: str  # long option, e.g. "--top-p"
-    convert: Callable[[str], Any] | None
+    convert: Callable[[str], Any] | None  # None for a switch, which takes no value
     default: Any = None
     help: str = ""
     required: bool = False
-    is_switch: bool = False
     choices: tuple[str, ...] | None = None
     check: Callable[[Any], bool] | None = None
     check_msg: str = ""
@@ -256,7 +249,7 @@ def build_parser() -> _Parser:
     for name, (_, flags) in SUBCOMMANDS.items():
         sub = subs.add_parser(name)
         for flag in flags + _OUTPUT_FLAGS:
-            if flag.is_switch:
+            if flag.convert is None:
                 sub.add_argument(flag.name, action="store_true", default=_UNSET,
                                  help=flag.help)
             else:
@@ -302,10 +295,7 @@ def resolve_args(ns: argparse.Namespace) -> dict[str, Any]:
             if flag.dest in config:
                 raw = config[flag.dest]
                 try:
-                    if flag.is_switch:
-                        value = _parse_bool(raw)
-                    else:
-                        value = flag.convert(raw)
+                    value = (flag.convert or _parse_bool)(raw)
                 except (ValueError, argparse.ArgumentTypeError) as exc:
                     raise _UsageError(f"config key {flag.dest}: {exc}")
                 if flag.choices and value not in flag.choices:
@@ -402,16 +392,8 @@ def _run_target(args):
     return ["token", "base_prob", "target_prob"], rows
 
 
-def _decomposition_rows(target, ps, sums, steps):
-    """Report rows of a block of support probabilities over their sums, one per step."""
-    from .objective import _support_terms
-
-    gate, reshape, align, _, total, tv, km = _support_terms(target, ps, sums).tolist()
-    return zip(steps, total, gate, reshape, align, tv, [1.0 - k for k in km])
-
-
 def _run_decompose(args):
-    from .objective import _support_row, ssd_target
+    from .objective import _decomposition_rows, _support_row, ssd_target
 
     p0 = normalize(args["probs"])
     student = args["student_probs"]
@@ -422,35 +404,12 @@ def _run_decompose(args):
 
 
 def _run_train_student(args):
-    from .objective import _student_steps, ssd_target
+    from .objective import _logged_rows, ssd_target
 
     target = ssd_target(normalize(args["probs"]), _decode_config(args))
-    every, tol, rows = args["log_every"], args["tv_tolerance"], []
-    steps = _student_steps(target, args["learning_rate"], args["max_steps"], tol)
-    ps = np.empty((max(1, _ROW_BLOCK_BYTES // (8 * target.support.size)), target.support.size))
-    sums, logged = np.empty(len(ps)), []
-
-    def score():
-        rows.extend(_decomposition_rows(target, ps[:len(logged)], sums[:len(logged)], logged))
-        logged.clear()
-    due = -1  # the step at which the pending rows are scored, if none fills the block
-    try:
-        for step, (stop, _, p, _, tv, _) in enumerate(steps):
-            if step % every == 0 or stop:  # the last step is always kept
-                if not logged:
-                    due = step + _ROW_DELAY_STEPS
-                # the step's softmax renormalized as a Categorical is, on the support only
-                p.take(target.support, out=ps[len(logged)], mode="clip")
-                sums[len(logged)] = np.add.reduce(p, axis=None)
-                logged.append(step)
-                if len(logged) == len(ps):
-                    score()
-            if step == due and logged:
-                score()
-    except SsdLabError:
-        score()  # a pending row's step comes before the loop's error, so its error wins
-        raise
-    score()
+    tol = args["tv_tolerance"]
+    rows, stop, tv = _logged_rows(target, args["learning_rate"], args["max_steps"], tol,
+                                  args["log_every"])
     if stop == "step_cap":
         print(f"warning: train-student stopped at the step cap of {args['max_steps']} "
               f"with on-support TV {tv:.3g}, above the tolerance {tol:.3g}",
@@ -639,8 +598,7 @@ SUBCOMMANDS: dict[str, tuple[Callable[[dict], tuple[list[str], list]], list[Flag
     ]),
     "analyze-dump": (_run_analyze_dump, [
         Flag("--input", str, None, "line-delimited record file", required=True),
-        Flag("--skip-bad", None, False, "skip malformed lines instead of aborting",
-             is_switch=True),
+        Flag("--skip-bad", None, False, "skip malformed lines instead of aborting"),
         *_DECODE_CONFIG_FLAGS,
     ]),
 }

@@ -5,7 +5,8 @@ to the retained support. Fitting it with cross-entropy splits exactly
 into a support gate plus a conditional term, and further into
 gate + reshape + align + const; both identities are used as invariants
 rather than approximations, so every term is computed by branching on
-the exact support.
+the exact support. train-student's report, the local student's logged
+steps scored in blocks, is built here too.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .errors import (
     DivergenceError,
     InvalidEntryError,
     OutOfRangeError,
+    SsdLabError,
     SupportViolationError,
     ZeroMassEventError,
     ZeroMassSupportError,
@@ -54,6 +56,13 @@ DIVERGENCE_WINDOW = 100
 # bounded by V, not by max_steps.
 STEP_BLOCK_ROWS = 64
 STEP_BLOCK_BYTES = 1 << 19
+
+# train-student scores its logged steps in blocks of support rows of at most
+# _ROW_BLOCK_BYTES, or one row; scoring a block takes one more array of its size.
+# A block holds at most _ROW_DELAY_STEPS // every rows, so a full one lies within
+# _ROW_DELAY_STEPS steps of its first row: a row that cannot be scored stops the run soon.
+_ROW_BLOCK_BYTES = 1 << 17
+_ROW_DELAY_STEPS = 1 << 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,6 +182,12 @@ def _support_terms(target: SsdTarget, ps: np.ndarray, sums: np.ndarray) -> np.nd
     align = T * np.add.reduce(np.multiply(q, log_t, out=log_t), axis=1)
     const = np.full(good, T * -np.add.reduce(q * log_q, axis=None))
     return np.array([gate, reshape, align, const, gate + reshape + align + const, tv, km])
+
+
+def _decomposition_rows(target: SsdTarget, ps: np.ndarray, sums: np.ndarray, steps):
+    """Report rows of a block of support probabilities over their sums, one per step."""
+    gate, reshape, align, _, total, tv, km = _support_terms(target, ps, sums).tolist()
+    return zip(steps, total, gate, reshape, align, tv, [1.0 - k for k in km])
 
 
 def gate_conditional_split(target: SsdTarget, p_theta: Categorical) -> tuple[float, float]:
@@ -321,6 +336,34 @@ def _student_steps(
             raise DivergenceError(f"loss is not finite at step {first + good}: the student "
                                   "vanishes on a target-support token")
         first, n = first + m, min(2 * n, cap)
+
+
+def _logged_rows(target: SsdTarget, learning_rate: float, max_steps: int,
+                 tv_tolerance: float, every: int) -> tuple[list[tuple], str, float]:
+    """train-student's rows, at each multiple of every and the last step; stop reason, last TV."""
+    rows, logged = [], []
+    steps = _student_steps(target, learning_rate, max_steps, tv_tolerance)
+    size = target.support.size
+    ps = np.empty((max(1, min(_ROW_BLOCK_BYTES // (8 * size), _ROW_DELAY_STEPS // every)), size))
+    sums = np.empty(len(ps))
+
+    def score():
+        rows.extend(_decomposition_rows(target, ps[:len(logged)], sums[:len(logged)], logged))
+        logged.clear()
+    try:
+        for step, (stop, _, p, _, tv, _) in enumerate(steps):
+            if step % every == 0 or stop:
+                # the step's softmax renormalized as a Categorical is, on the support only
+                p.take(target.support, out=ps[len(logged)], mode="clip")
+                sums[len(logged)] = np.add.reduce(p, axis=None)
+                logged.append(step)
+                if len(logged) == len(ps):
+                    score()
+    except SsdLabError:
+        score()  # a pending row's step comes before the loop's error, so its error wins
+        raise
+    score()
+    return rows, stop, tv
 
 
 def train_local_student(

@@ -27,14 +27,13 @@ from ssdlab import (
     retained_support,
     ssd_target,
 )
-from ssdlab import cli, dump, objective, toyfsm
+from ssdlab import dump, objective, toyfsm
 from ssdlab.categorical import _softmax
 from ssdlab.cli import (
     DECOMPOSITION_HEADER,
     DUMP_HEADER,
     SWEEP_HEADER,
     _cell,
-    _decomposition_rows,
     _grid,
     _run_analyze_dump,
     build_parser,
@@ -50,7 +49,7 @@ from ssdlab.errors import (
     ParseError,
     SsdLabError,
 )
-from ssdlab.objective import _support_row
+from ssdlab.objective import _decomposition_rows, _support_row
 from ssdlab.toyfsm import GRID_MAX_POINTS, MAX_VOCAB_SIZE, MC_BATCH, MC_MAX_LOCKS
 
 
@@ -329,10 +328,17 @@ class TestTrainStream:
             ["--probs", "0.5,0.3,0.2", "--top-p", "0.8", "--temperature", "0.7",
              "--max-steps", "53", "--log-every", "7", "--learning-rate", "1.0",
              "--format", "json"],
+            # 11 logged rows at |S| = 2 in row blocks of 4096 // 1000 = 4: 4, 4 and 3
+            ["--probs", LOCK_16, "--temperature", "0.9", "--top-p", "0.85",
+             "--max-steps", "10000", "--log-every", "1000"],
+            # 4096 // 5000 is 0, so each of the 4 logged rows is a block of its own
+            ["--probs", LOCK_16, "--temperature", "0.9", "--top-p", "0.85",
+             "--max-steps", "12000", "--log-every", "5000"],
         ],
         ids=["every-step", "every-7th-and-last", "converged-early", "v4096-every-step",
              "v16-converged-mid-block", "unit-temperature", "one-token-support",
-             "v4096-every-3rd-and-last", "json"],
+             "v4096-every-3rd-and-last", "json", "v16-row-blocks-of-4",
+             "v16-one-row-blocks"],
     )
     def test_streamed_report_matches_listed_trajectory(self, capsys, argv,
                                                        reference_student_steps):
@@ -347,7 +353,7 @@ class TestTrainStream:
         # the V = 4096 cases above log 201 rows, and 35 that end in a partial block
         target = ssd_target(normalize([float(x) for x in HEAVY_TAIL_4096.split(",")]),
                             DecodeConfig(temperature=0.9, top_p=0.85))
-        block = cli._ROW_BLOCK_BYTES // (8 * target.support.size)
+        block = objective._ROW_BLOCK_BYTES // (8 * target.support.size)
         assert (target.support.size, block) == (1003, 16)
         assert all(rows > 2 * block and rows % block for rows in (201, 35))
 
@@ -379,11 +385,10 @@ class TestTrainStream:
     @pytest.mark.parametrize("every", ["1000", "1024"])
     def test_a_failing_row_stops_the_loop_within_the_row_delay(self, capsys, monkeypatch,
                                                                 every):
-        # every 1000th (or 1024th) of 100 000 steps is logged, all in one row block,
-        # and the row of step 2000 (or 2048) is the first that cannot be scored. The
-        # block is scored once the loop is _ROW_DELAY_STEPS = 4096 steps past its
-        # first row, step 0, so the loop draws steps 0 to 4096 and not the whole
-        # run; at 1024 that step is itself logged.
+        # every 1000th (or 1024th) of 100 000 steps is logged, and the row of step
+        # 2000 (or 2048) is the first that cannot be scored. A row block holds
+        # _ROW_DELAY_STEPS // every = 4 rows, so the first is full and scored at step
+        # 3000 (or 3072), and the loop draws steps 0 to 3000 (or 3072), not the whole run.
         steps, drawn = objective._student_steps, []
 
         def counted(*step_args):
@@ -395,8 +400,8 @@ class TestTrainStream:
         code, out, err = run(capsys, "train-student", "--probs", "0.5,0.3,0.2",
                              "--top-k", "3", "--temperature", "0.01", "--log-every", every)
         assert (code, out, err) == (2, "", TEMPERED_VANISH_ERROR)
-        assert cli._ROW_DELAY_STEPS == 4096
-        assert len(drawn) == 4097
+        assert objective._ROW_DELAY_STEPS == 4096
+        assert len(drawn) == {"1000": 3001, "1024": 3073}[every]
 
     def test_peak_memory_bounded_by_vocabulary_not_steps(self, tmp_path):
         v = 4096

@@ -15,6 +15,7 @@ from ssdlab import (
     EmptySetError,
     InvalidOrderError,
     NonPositiveTemperatureError,
+    NormalFormViolationError,
     OutOfRangeError,
     PrefixPolicy,
     ZeroMassSupportError,
@@ -40,6 +41,7 @@ from ssdlab import (
     top_p_set,
     train_local_student,
 )
+from ssdlab import decode
 from ssdlab.decode import TOP_P_EPS
 from ssdlab.toyfsm import ROOT_HEAD
 
@@ -578,6 +580,18 @@ class TestNormalForm:
             decode_normal_form(p, DEFAULT_ORDER, alpha=1.0, k=-1, top_p=1.0)
         with pytest.raises(InvalidOrderError):
             decode_normal_form(p, ("temper", "top_k"), alpha=1.0, k=0, top_p=1.0)
+        # refused by decode_normal_form's own check, before top_p_set's "threshold" one
+        with pytest.raises(OutOfRangeError, match="^top_p must lie in"):
+            decode_normal_form(p, DEFAULT_ORDER, alpha=1.0, k=0, top_p=0.0)
+
+    def test_rigidity_bound_is_inclusive(self, monkeypatch):
+        p = normalize([0.5, 0.3, 0.2])
+        monkeypatch.setattr(decode, "power_rigidity_check", lambda policy, base: 1e-10)
+        decode_normal_form(p, DEFAULT_ORDER, alpha=1.5, k=0, top_p=1.0)
+        above = float(np.nextafter(1e-10, 1.0))
+        monkeypatch.setattr(decode, "power_rigidity_check", lambda policy, base: above)
+        with pytest.raises(NormalFormViolationError, match="deviate from the global power law"):
+            decode_normal_form(p, DEFAULT_ORDER, alpha=1.5, k=0, top_p=1.0)
 
     def test_infinite_exponent_rejected_by_name(self):
         p = normalize([0.5, 0.3, 0.2])

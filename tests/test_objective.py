@@ -588,7 +588,7 @@ class TestIdealFit:
 
     def test_rejects_nonpositive_tau(self):
         target = ssd_target(normalize([0.5, 0.5]), DecodeConfig())
-        with pytest.raises(Exception):
+        with pytest.raises(OutOfRangeError, match="^tau must be positive"):
             ideal_fit_eval(target, 0.0)
 
 
@@ -619,6 +619,10 @@ class TestLocalGain:
             local_gain(p0, cfg, 1.0, (2,))  # outside the retained support
         with pytest.raises(InvalidEntryError):
             local_gain(p0, DecodeConfig(), 1.0, [0.5])  # not truncated to token 0
+
+    def test_rejects_nonpositive_tau(self):
+        with pytest.raises(OutOfRangeError, match="^tau must be positive"):
+            local_gain(normalize([0.5, 0.3, 0.2]), DecodeConfig(), 0.0, (0,))
 
     def test_underflowed_event_mass_rejected(self):
         # the event token carries so little mass that its escort weight

@@ -22,8 +22,7 @@ from ssdlab import (
     three_term_decomposition,
 )
 from ssdlab.categorical import _softmax
-from ssdlab.cli import _decomposition_rows
-from ssdlab.objective import _conditional, _support_row, _support_terms
+from ssdlab.objective import _conditional, _decomposition_rows, _support_row, _support_terms
 
 TOL = dict(rel=1e-12, abs=1e-12)
 
