@@ -7,17 +7,26 @@ codes: 0 success, 1 usage/validation error (nothing written), 2
 computation or I/O error. A runner turns flags into library calls and
 their results into rows; train-student's rows come whole from objective.
 
-entry() freezes the heap the imports left (gc.freeze), so no later full
-collection, the one at interpreter exit included, walks it again.
+A process that forks follows CPython's gc.freeze recipe: run as __main__
+(`python -m ssdlab.cli`), this module disables the cyclic collector before
+its first other import, so no collection walks the import heap as it
+grows. entry() freezes the heap the imports left (gc.freeze), so no later
+full collection, the one at interpreter exit included, walks it again,
+then enables the collector before main() runs. The console script and
+library importers import this module without __main__ and keep their
+collector throughout.
 """
 
 from __future__ import annotations
 
+import gc
+
+if __name__ == "__main__":
+    gc.disable()  # before numpy's import; entry() enables it again
+
 import argparse
 import csv
-import gc
 import io
-import json
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -347,6 +356,8 @@ def emit_report(rows, fmt: str, path: str, header: list[str]) -> None:
             writer.writerow([_cell(v) for v in row])
         text = buffer.getvalue()
     else:
+        import json  # only a JSON report loads it
+
         payload = [dict(zip(header, (_json_value(v) for v in row))) for row in rows]
         text = json.dumps(payload, indent=2) + "\n"
     if path == "-":
@@ -625,6 +636,7 @@ def entry() -> None:
     # the imports' objects, numpy's most of all, are left out of every later
     # full collection, the one at interpreter exit included
     gc.freeze()
+    gc.enable()  # off since the imports when this module runs as __main__
     raise SystemExit(main(sys.argv[1:]))
 
 

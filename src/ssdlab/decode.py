@@ -59,9 +59,15 @@ GREEDY_THRESHOLD = 1e-5
 # Absolute epsilon for cumulative-mass threshold tests.
 TOP_P_EPS = 1e-12
 
-# Byte budget of one (rows, V) float64 block: batched temperature rows and
-# sampler draws are taken in row chunks of this size. Every V=16 call is one block.
+# Byte budget of one (rows, V) float64 block of batched temperature rows, which
+# are taken in row chunks of this size. Each chunk sorts p again, so chunks are
+# large: every V=16 grid is one block.
 BLOCK_BYTES = 64 << 20
+
+# Byte budget of one (rows, V) chunk of sampler uniforms, about half a 2 MiB L2.
+# The bit generator writes a chunk once and the column gather reads it once, so
+# it is sized to stay in cache: a V=16 MC_BATCH of 32 768 rows is four chunks.
+SAMPLE_BLOCK_BYTES = 1 << 20
 
 
 def _check_count(name: str, value, minimum: int) -> None:
@@ -288,8 +294,9 @@ def gumbel_max_sample(operational: Categorical, rng: np.random.Generator, size: 
     -log(U) with U uniform on (0, 1], so it is never infinite, and a zero
     noise gives a score of +inf, which wins. Returns an int64 array. Every
     call moves the stream past one uniform per token and draw, so streams
-    replay. The uniforms are drawn in row chunks that fit in BLOCK_BYTES,
-    which draws the same stream as one block. Noise is transformed on the
+    replay. The uniforms are drawn in row chunks that fit in
+    SAMPLE_BLOCK_BYTES, a cache-sized budget of its own, which draws the
+    same stream as one block. Noise is transformed on the
     retained (positive-probability) columns only. A policy with one
     retained token moves a Philox stream past its block without drawing
     it, so every later draw is unchanged; any other stream draws that
@@ -301,7 +308,7 @@ def gumbel_max_sample(operational: Categorical, rng: np.random.Generator, size: 
     if cols.size == 1 and _skip_uniforms(rng, size * p.size):
         return np.full(size, cols[0], dtype=np.int64)
     tokens = np.empty(size, dtype=np.int64)
-    step = _block_rows(p.size)
+    step = max(1, SAMPLE_BLOCK_BYTES // (8 * p.size))
     for start in range(0, size, step):
         rows = min(step, size - start)
         u = rng.random((rows, p.size))[:, cols]  # the one copy, transformed in place

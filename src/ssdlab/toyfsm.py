@@ -15,7 +15,9 @@ and lock masses of correct tokens multiplied straight from the kernel's
 rows. optimize_temperature and temperature_sweep score their whole grids
 that way, in row chunks under decode.BLOCK_BYTES, and exact_success is the
 one-temperature case of the same pass. monte_carlo_success checks it by
-sampling, with its batches split across CPUs through pool.fork_map.
+sampling, with its batches split across CPUs through pool.fork_map; the
+sampler draws each batch's uniforms in cache-sized chunks under
+decode.SAMPLE_BLOCK_BYTES, the same stream as one block.
 """
 
 from __future__ import annotations

@@ -1,6 +1,9 @@
 """The fork pool on its own: CPU count, part order, dead workers, reaping."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -39,3 +42,16 @@ def test_a_worker_that_dies_before_its_result_raises_here():
 
     with pytest.raises(ChildProcessError, match="a worker exited with code 3"):
         pool.fork_map(fn, [0, 1, 2])
+
+
+def test_the_calling_process_returns_the_results():
+    # a caller that ran a worker's part and _exited would end this process with
+    # code 0 while a forked copy of it went on; only a fresh process shows that
+    src = str(Path(pool.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    script = ("import os\nfrom ssdlab import pool\nparent = os.getpid()\n"
+              "print(pool.fork_map(lambda part: part * 2, [1, 2, 3]), os.getpid() == parent)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[2, 4, 6] True\n", "")

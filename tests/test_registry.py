@@ -153,3 +153,44 @@ def test_a_public_name_loads_the_six_modules():
                          "print(*sorted(m for m in sys.modules if m.startswith('ssdlab.')))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == sorted([f"ssdlab.{m}" for m in MODULES] + ["ssdlab.pool"])
+
+
+# Runs one CLI command, as `python -m ssdlab.cli` does when RUN_NAME is "__main__"
+# and as the console script's import does otherwise. A sys.meta_path probe records
+# whether the cyclic collector was on when numpy was first imported.
+PROBE_GC = """\
+import gc, runpy, sys
+
+class Probe:
+    seen = None
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and Probe.seen is None:
+            Probe.seen = gc.isenabled()
+        return None  # the usual finders import it
+
+sys.meta_path.insert(0, Probe())
+json_before = "json" in sys.modules
+run_name = sys.argv.pop(1)
+try:
+    if run_name == "__main__":
+        runpy.run_module("ssdlab.cli", run_name="__main__", alter_sys=True)
+    else:
+        import ssdlab.cli
+        ssdlab.cli.entry()
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(Probe.seen, gc.isenabled(), gc.get_freeze_count() > 0, json_before,
+      "json" in sys.modules, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("run_name, collecting", [("__main__", False), ("module", True)])
+def test_the_collector_is_off_only_while_main_imports(run_name, collecting):
+    # CPython's gc.freeze recipe for a process that forks: no collection walks the
+    # import heap, which entry() then freezes, and main() runs with the collector on.
+    # A CSV report loads no json module
+    proc = _python("-c", PROBE_GC, run_name, "decode", "--probs", "0.5,0.5")
+    assert proc.stdout == "token,base_prob,operational_prob\n0,0.5,0.5\n1,0.5,0.5\n"
+    assert proc.returncode == 0
+    assert proc.stderr.split() == [str(collecting), "True", "True", "False", "False"]

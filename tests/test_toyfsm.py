@@ -33,7 +33,7 @@ from ssdlab import (
     top_p_set,
     topp_robustness_grid,
 )
-from ssdlab import decode
+from ssdlab import decode, toyfsm
 from ssdlab.cli import main
 from ssdlab.decode import DecodeConfig, _block_rows, _prefix_power, make_stream
 from ssdlab.toyfsm import (
@@ -41,10 +41,12 @@ from ssdlab.toyfsm import (
     DEFAULT_TAIL_RATIO,
     FORK_HEAD,
     GRID_MAX_POINTS,
+    GRID_STEP,
     LOCK_HEAD,
     MAX_VOCAB_SIZE,
     MC_BATCH,
     MC_MAX_LOCKS,
+    REFINE_TOL,
     ROOT_HEAD,
     VOCAB_SIZE,
     _mc_count,
@@ -120,6 +122,13 @@ class TestArchetypes:
             build_archetype([0.9, 0.2], 0.5, (0,))  # no residual left
         with pytest.raises(OutOfRangeError):
             build_archetype([0.01] * (VOCAB_SIZE + 1), 0.5, (0,))
+        # the bounds are exact: a zero head value is allowed, and a head of exactly
+        # V values or of mass exactly 1 is refused with its own message
+        assert build_archetype([0.5, 0.0], 0.5, (0,)).dist.probs[1] == 0.0
+        with pytest.raises(OutOfRangeError, match="head length 4 leaves no tail"):
+            build_archetype([0.1, 0.2, 0.3, 0.1], 0.5, (0,), vocab_size=4)
+        with pytest.raises(InvalidEntryError, match="strictly less than 1"):
+            build_archetype([0.5, 0.5], 0.5, (0,))
 
     def test_vocab_budget_is_inclusive(self):
         assert build_toy_fsm(vocab_size=MAX_VOCAB_SIZE).lock.dist.alphabet_size == MAX_VOCAB_SIZE
@@ -319,6 +328,8 @@ class TestSweep:
             temperature_sweep(teacher, student, [], 0.8)
         with pytest.raises(OutOfRangeError):
             temperature_sweep(teacher, student, [0.5, -1.0], 0.8)
+        with pytest.raises(OutOfRangeError, match="grid entries must be positive"):
+            temperature_sweep(teacher, student, [0.5, 0.0], 0.8)
 
 
 class TestOptimize:
@@ -365,6 +376,27 @@ class TestOptimize:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_a_flat_curve_keeps_its_first_point(self, teacher, monkeypatch):
+        # top-p 0.01 keeps each state's argmax, and the root's, token 2, starts no
+        # path: success is 0 at every temperature. Ties keep the first point, and
+        # the refinement keeps the bracket's lower part
+        probes = []
+        monkeypatch.setattr(toyfsm, "exact_success",
+                            lambda *args: probes.append(args[1]) or exact_success(*args))
+        assert optimize_temperature(teacher, 0.01, bounds=(0.5, 1.0)) == (0.5, 0.0)
+        assert len(probes) > 2 and 0.5 < probes[-1] < 0.5 + REFINE_TOL
+
+    def test_a_bracket_as_wide_as_the_tolerance_is_not_refined(self, teacher, monkeypatch):
+        # the grid's best point and its neighbours, as optimize_temperature finds them
+        ts = np.arange(0.5, 1.0 + GRID_STEP / 2, GRID_STEP)
+        i = int(np.argmax(_success(teacher, np.clip(ts, 0.5, 1.0), 0.8)))
+        monkeypatch.setattr(toyfsm, "REFINE_TOL", float(ts[i + 1] - ts[i - 1]))
+        probes = []
+        monkeypatch.setattr(toyfsm, "exact_success",
+                            lambda *args: probes.append(args[1]) or exact_success(*args))
+        optimize_temperature(teacher, 0.8, bounds=(0.5, 1.0))
+        assert probes == [(ts[i - 1] + ts[i + 1]) / 2.0]  # the midpoint alone
+
     def test_largest_grid_is_accepted(self, teacher):
         # 0.05 + 99 999 steps of 1e-3 is the 100 000th point
         t_star, _ = optimize_temperature(teacher, 0.80, bounds=(0.05, 100.049))
@@ -382,12 +414,30 @@ def _traced_peak(fn):
     return result, peak
 
 
+class _CountingStream:
+    """A stream stand-in that records the shape of each block of uniforms it draws."""
+
+    def __init__(self, rng):
+        self.rng, self.shapes = rng, []
+
+    def random(self, shape):
+        self.shapes.append(shape)
+        return self.rng.random(shape)
+
+
 class TestBlockBudget:
     V = 4096
     ROWS = 7  # a lowered budget of 7 rows of V floats, so the last chunk is short
+    # a V=16 policy with several retained tokens, so its uniforms go through the row loop
+    V16 = Categorical(np.r_[FORK_HEAD, np.full(12, (1.0 - sum(FORK_HEAD)) / 12)])
 
-    def test_every_v16_call_is_one_block(self):
-        assert _block_rows(VOCAB_SIZE) >= max(GRID_MAX_POINTS, MC_BATCH)
+    def test_every_v16_grid_is_one_block(self):
+        assert _block_rows(VOCAB_SIZE) >= GRID_MAX_POINTS
+
+    def test_a_v16_batch_is_drawn_in_four_chunks(self):
+        stream = _CountingStream(make_stream(0))
+        gumbel_max_sample(self.V16, stream, size=MC_BATCH)
+        assert stream.shapes == [(MC_BATCH // 4, VOCAB_SIZE)] * 4
 
     def test_temperature_rows_are_scored_in_chunks(self, monkeypatch):
         fsm = build_toy_fsm(vocab_size=self.V)
@@ -403,9 +453,10 @@ class TestBlockBudget:
         w = np.random.default_rng(self.V).gamma(0.5, size=self.V)
         policy = Categorical(w / w.sum())
         whole_rng, chunked_rng = make_stream(3), make_stream(3)
+        monkeypatch.setattr(decode, "SAMPLE_BLOCK_BYTES", 1000 * 8 * self.V)
         whole, whole_peak = _traced_peak(
             lambda: gumbel_max_sample(policy, whole_rng, size=1000))
-        monkeypatch.setattr(decode, "BLOCK_BYTES", self.ROWS * 8 * self.V)
+        monkeypatch.setattr(decode, "SAMPLE_BLOCK_BYTES", self.ROWS * 8 * self.V)
         chunked, peak = _traced_peak(
             lambda: gumbel_max_sample(policy, chunked_rng, size=1000))
         assert chunked.dtype == whole.dtype
@@ -418,15 +469,28 @@ class TestBlockBudget:
         # a stream that is not Philox draws a one-token policy's block through the row loop
         policy = Categorical(np.eye(self.V)[5])
         whole_rng, chunked_rng = np.random.default_rng(3), np.random.default_rng(3)
+        monkeypatch.setattr(decode, "SAMPLE_BLOCK_BYTES", 1000 * 8 * self.V)
         whole, whole_peak = _traced_peak(
             lambda: gumbel_max_sample(policy, whole_rng, size=1000))
-        monkeypatch.setattr(decode, "BLOCK_BYTES", self.ROWS * 8 * self.V)
+        monkeypatch.setattr(decode, "SAMPLE_BLOCK_BYTES", self.ROWS * 8 * self.V)
         chunked, peak = _traced_peak(
             lambda: gumbel_max_sample(policy, chunked_rng, size=1000))
         np.testing.assert_array_equal(chunked, whole)
         np.testing.assert_array_equal(chunked_rng.random(8), whole_rng.random(8))
         assert whole_peak > 1000 * 8 * self.V
         assert peak < 1 << 21
+
+    STREAMS = {"philox": lambda: make_stream(7), "pcg64": lambda: np.random.default_rng(7)}
+
+    @pytest.mark.parametrize("stream", sorted(STREAMS))
+    @pytest.mark.parametrize("size", [MC_BATCH, MC_BATCH - 1001])  # the last chunk short
+    def test_v16_batch_chunks_draw_what_one_block_draws(self, monkeypatch, stream, size):
+        chunked_rng, whole_rng = self.STREAMS[stream](), self.STREAMS[stream]()
+        chunked = gumbel_max_sample(self.V16, chunked_rng, size=size)
+        monkeypatch.setattr(decode, "SAMPLE_BLOCK_BYTES", size * 8 * VOCAB_SIZE)
+        whole = gumbel_max_sample(self.V16, whole_rng, size=size)
+        np.testing.assert_array_equal(chunked, whole)
+        np.testing.assert_equal(chunked_rng.bit_generator.state, whole_rng.bit_generator.state)
 
 
 class TestRobustnessGrid:
