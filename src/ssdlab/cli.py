@@ -28,8 +28,7 @@ import argparse
 import csv
 import io
 import sys
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -138,8 +137,7 @@ def _all_unit(xs) -> bool:
     return all(0.0 < x <= 1.0 for x in xs)
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(NamedTuple):
     """One CLI option: converter, default, range check, and help text."""
 
     name: str  # long option, e.g. "--top-p"

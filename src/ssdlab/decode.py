@@ -265,6 +265,14 @@ def make_stream(seed: int, stream: int = 0) -> np.random.Generator:
     )
 
 
+def _philox(rng) -> np.random.Philox | None:
+    """rng's bit generator if it is Philox, else None, also for a stand-in
+    with no bit generator. Only on Philox do the samplers skip by its counter
+    or read its raw 64-bit words w, whose uniform is (w >> 11) * 2**-53."""
+    bitgen = getattr(rng, "bit_generator", None)
+    return bitgen if isinstance(bitgen, np.random.Philox) else None
+
+
 def _skip_uniforms(rng: np.random.Generator, n: int) -> bool:
     """Move a Philox rng past n uniforms as if rng.random(n) had drawn them.
 
@@ -274,8 +282,8 @@ def _skip_uniforms(rng: np.random.Generator, n: int) -> bool:
     half, so a stream holding one, like any other bit generator, is left
     untouched. Returns whether the stream was moved.
     """
-    bitgen = rng.bit_generator
-    state = bitgen.state if isinstance(bitgen, np.random.Philox) else None
+    bitgen = _philox(rng)
+    state = None if bitgen is None else bitgen.state
     if state is None or state["has_uint32"]:
         return False
     buffered = min(4 - state["buffer_pos"], n)
@@ -287,37 +295,63 @@ def _skip_uniforms(rng: np.random.Generator, n: int) -> bool:
     return True
 
 
+def _kept_complements(bitgen: np.random.Philox, rows: int, width: int, cols) -> np.ndarray:
+    """1.0 - rng.random((rows, width))[:, cols] for rng on bitgen, bit for bit,
+    converting only the kept columns' words to doubles.
+
+    For a word w, 1 - U is the integer 2**53 - (w >> 11) times 2**-53; that
+    integer is at most 2**53, so its int64 view converts exactly. The doubles
+    are written over the raw block, which the gather no longer needs, so no
+    array is made beyond the gathered words. They are column-major, as the
+    gather's are, so a pass over them runs down the rows.
+    """
+    raw = bitgen.random_raw((rows, width))
+    w = raw[:, cols]
+    np.right_shift(w, 11, out=w)
+    np.subtract(1 << 53, w, out=w)  # in [1, 2**53]
+    u = raw.reshape(-1)[:w.size].view(np.float64).reshape(w.shape, order="F")
+    np.multiply(w.view(np.int64), 2.0**-53, out=u)
+    return u
+
+
 def gumbel_max_sample(operational: Categorical, rng: np.random.Generator, size: int):
     """Draw size tokens by dividing probabilities by Exp(1) noise and taking the argmax.
 
     The marginal law equals the operational distribution. Noise is
-    -log(U) with U uniform on (0, 1], so it is never infinite, and a zero
-    noise gives a score of +inf, which wins. Returns an int64 array. Every
-    call moves the stream past one uniform per token and draw, so streams
-    replay. The uniforms are drawn in row chunks that fit in
+    -log(1 - U) with U = rng.random() in [0, 1), so it is never infinite,
+    and a zero noise gives a score of +inf, which wins. Returns an int64
+    array. Every call moves the stream past one uniform per token and draw,
+    so streams replay. The uniforms are drawn in row chunks that fit in
     SAMPLE_BLOCK_BYTES, a cache-sized budget of its own, which draws the
-    same stream as one block. Noise is transformed on the
-    retained (positive-probability) columns only. A policy with one
-    retained token moves a Philox stream past its block without drawing
-    it, so every later draw is unchanged; any other stream draws that
-    block through the row loop.
+    same stream as one block. Noise is made on the retained
+    (positive-probability) columns only: a Philox stream's chunk is drawn as
+    raw words, and only the retained columns' words become doubles; any
+    other stream's chunk is drawn as doubles. A policy with one retained
+    token moves a Philox stream past its block without drawing it, so every
+    later draw is unchanged; any other stream draws that block through the
+    row loop.
     """
     _check_count("size", size, 0)
     p = operational.probs
     cols = np.flatnonzero(p)
     if cols.size == 1 and _skip_uniforms(rng, size * p.size):
         return np.full(size, cols[0], dtype=np.int64)
+    bitgen = _philox(rng)
     tokens = np.empty(size, dtype=np.int64)
     step = max(1, SAMPLE_BLOCK_BYTES // (8 * p.size))
     for start in range(0, size, step):
         rows = min(step, size - start)
-        u = rng.random((rows, p.size))[:, cols]  # the one copy, transformed in place
-        np.subtract(1.0, u, out=u)  # in (0, 1]
+        if bitgen is None:
+            u = rng.random((rows, p.size))[:, cols]  # the one copy, transformed in place
+            np.subtract(1.0, u, out=u)  # in (0, 1]
+        else:
+            u = _kept_complements(bitgen, rows, p.size, cols)
         np.log(u, out=u)
         np.subtract(0.0, u, out=u)  # 0.0 - log(1) is +0.0, where -log(1) is -0.0
         with np.errstate(divide="ignore"):
             np.divide(p[cols], u, out=u)
         tokens[start:start + step] = cols[np.argmax(u, axis=1)]
+        del u  # u may live in its raw chunk: free that before the next one is drawn
     return tokens
 
 

@@ -1,11 +1,15 @@
 """One fork pool, which toyfsm.monte_carlo_success and dump.analyze split
-their work through; where the process cannot fork, cpus() is 1."""
+their work through; where the process cannot fork, cpus() is 1. A process
+with more than one thread runs every part itself: a forked child keeps only
+the calling thread, and a lock that another thread holds stays held in it.
+signal is imported only to kill a worker whose result is no longer wanted,
+so a process that kills none never loads it."""
 
 from __future__ import annotations
 
 import os
 import pickle
-import signal
+import threading
 from typing import Callable
 
 
@@ -41,7 +45,10 @@ def fork_map(fn: Callable, parts: list) -> list:
     """[fn(part) for part in parts]: the first part here, each other in its own
     forked worker, whose exception is raised here. Every worker is reaped on
     every path, and killed first if its result is no longer wanted; a worker
-    that dies before sending its result raises ChildProcessError."""
+    that dies before sending its result raises ChildProcessError. A caller
+    with other threads running gets every part run here, in order."""
+    if threading.active_count() > 1:
+        return [fn(part) for part in parts]
     workers, blobs, statuses = [], [], []  # (pid, read end) per worker, in part order
     try:
         for part in parts[1:]:
@@ -64,6 +71,8 @@ def fork_map(fn: Callable, parts: list) -> list:
         for k, (pid, read_end) in enumerate(workers):
             os.close(read_end)
             if k >= len(blobs):
+                import signal
+
                 os.kill(pid, signal.SIGKILL)
             statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
     for code, blob in zip(statuses, blobs):

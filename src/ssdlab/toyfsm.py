@@ -93,6 +93,8 @@ class Fsm:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """Exact success of both models at one temperature; gap is student minus teacher."""
+
     temperature: float
     top_p: float
     teacher_success: float
@@ -114,6 +116,8 @@ class GridRow:
 
 @dataclass(frozen=True)
 class McResult:
+    """A Monte Carlo success estimate and its binomial standard error."""
+
     estimate: float
     stderr: float
 

@@ -23,7 +23,8 @@ from ssdlab import (
     renyi_entropy,
     restrict,
 )
-from ssdlab.categorical import _event_array
+from ssdlab import categorical
+from ssdlab.categorical import _event_array, _int64_members
 
 N_RANDOM = 200
 
@@ -65,6 +66,15 @@ class TestConstruction:
         with pytest.raises(InvalidEntryError):
             Categorical(np.asarray(values, dtype=float))
 
+    @pytest.mark.parametrize("offset", [2.0**-30, -(2.0**-30)])
+    def test_a_sum_exactly_the_tolerance_from_1_is_accepted(self, monkeypatch, offset):
+        # no float sum lies exactly 1e-9 from 1, so a dyadic tolerance stands in
+        monkeypatch.setattr(categorical, "CONSTRUCTION_TOL", 2.0**-30)
+        p = Categorical(np.array([0.5, 0.5 + offset]))
+        assert p.probs.tolist() == [0.5 / (1.0 + offset), (0.5 + offset) / (1.0 + offset)]
+        with pytest.raises(InvalidEntryError, match="more than"):
+            Categorical(np.array([0.5, 0.5 + 2.0 * offset]))
+
     def test_probs_are_read_only(self):
         p = Categorical(np.array([0.4, 0.6]))
         with pytest.raises(ValueError):
@@ -105,6 +115,17 @@ class TestIndexSets:
     def test_member_past_int64_is_out_of_range(self, members):
         with pytest.raises(OutOfRangeError, match=r"outside \[0, 4\)"):
             as_index_array(members, alphabet_size=4)
+
+    def test_the_lowest_int64_is_an_integer_member(self):
+        # an int beside a uint64 has no common int type, so each member is range checked
+        idx = _int64_members([-(2**63), np.uint64(3)], "index set", "outside")
+        assert idx.dtype == np.int64 and idx.tolist() == [-(2**63), 3]
+        with pytest.raises(OutOfRangeError, match="^outside$"):
+            _int64_members([-(2**63) - 1, np.uint64(3)], "index set", "outside")
+
+    def test_a_0d_index_array_is_not_one_member(self):
+        with pytest.raises(TypeError, match="0-d"):
+            as_index_array(np.array(1), alphabet_size=4)
 
     @pytest.mark.parametrize("event", [[10**20], [0, 2**63]])
     def test_event_past_int64_is_outside_container(self, event):

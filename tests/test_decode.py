@@ -536,6 +536,73 @@ class TestSupportColumnSampler:
         np.testing.assert_array_equal(got, ref)
 
 
+class _ZeroWords(np.random.Philox):
+    """A Philox stream whose raw words are all 0, so every uniform is 0.0."""
+
+    def random_raw(self, size=None, output=True):
+        return np.zeros(size, dtype=np.uint64)
+
+
+def _retained_v4096():
+    w = np.random.default_rng(4096).gamma(0.5, size=4096)
+    return retained_support(Categorical(w / w.sum()), DecodeConfig(top_p=0.95)).operational
+
+
+class TestRawWordSampler:
+    """A Philox stream's chunks are drawn as raw words, and only the retained
+    columns' words become doubles; tokens and stream state must be those of
+    drawing every uniform through rng.random in one block."""
+
+    POLICIES = {
+        # MC_BATCH draws at V=16: four chunks of 8192 rows, zero columns between
+        "v16": (normalize(np.r_[0.0, 0.3, 0.0, 0.25, 0.2, np.full(11, 0.025)]), 1 << 15),
+        # 300 draws at V=4096: chunks of 32 rows, the last one short
+        "v4096": (_retained_v4096(), 300),
+    }
+
+    @staticmethod
+    def _lead_in(rng, how):
+        if how == "pending_half":
+            rng.integers(10, size=3, dtype=np.uint32)  # holds back a 32-bit half
+        else:
+            rng.random(how)  # leaves 4 - how words in Philox's buffer (none at 0)
+
+    @pytest.mark.parametrize("how", [0, 1, 2, 3, "pending_half"])
+    @pytest.mark.parametrize("name", sorted(POLICIES))
+    def test_matches_drawing_every_uniform(self, name, how):
+        p, size = self.POLICIES[name]
+        assert 1 < np.count_nonzero(p.probs) < p.alphabet_size
+        got_rng, ref_rng = make_stream(9, 1), make_stream(9, 1)
+        for rng in (got_rng, ref_rng):
+            self._lead_in(rng, how)
+        got = gumbel_max_sample(p, got_rng, size=size)
+        ref = _full_row_gumbel_max(p, ref_rng, size=size)
+        assert got.dtype == ref.dtype
+        np.testing.assert_array_equal(got, ref)
+        np.testing.assert_equal(got_rng.bit_generator.state, ref_rng.bit_generator.state)
+        np.testing.assert_array_equal(  # the pending half, if any, comes out next
+            got_rng.integers(1 << 30, size=3, dtype=np.uint32),
+            ref_rng.integers(1 << 30, size=3, dtype=np.uint32),
+        )
+
+    @pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.SFC64, np.random.MT19937])
+    def test_other_streams_draw_doubles(self, bitgen):
+        # MT19937 makes a double from two 32-bit draws, not from one raw word
+        p, size = self.POLICIES["v16"]
+        got_rng, ref_rng = np.random.Generator(bitgen(5)), np.random.Generator(bitgen(5))
+        np.testing.assert_array_equal(gumbel_max_sample(p, got_rng, size=size),
+                                      _full_row_gumbel_max(p, ref_rng, size=size))
+        np.testing.assert_equal(got_rng.bit_generator.state, ref_rng.bit_generator.state)
+
+    def test_a_zero_word_makes_the_first_kept_column_win(self):
+        # each word 0 is U = 0.0: the noise is 0 and every kept score is +inf
+        p = Categorical([0.0, 0.0, 0.2, 0.5, 0.0, 0.3])
+        got = gumbel_max_sample(p, np.random.Generator(_ZeroWords(0)), size=5)
+        np.testing.assert_array_equal(got, [2] * 5)
+        ref = _full_row_gumbel_max(p, _FixedUniforms(np.zeros((5, 6))), size=5)
+        np.testing.assert_array_equal(got, ref)
+
+
 class TestNormalForm:
     def test_power_law_on_rank_prefix(self):
         p = normalize([0.5, 0.3, 0.2])

@@ -1,8 +1,11 @@
 """The fork pool on its own: CPU count, part order, dead workers, reaping."""
 
 import os
+import select
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -42,6 +45,44 @@ def test_a_worker_that_dies_before_its_result_raises_here():
 
     with pytest.raises(ChildProcessError, match="a worker exited with code 3"):
         pool.fork_map(fn, [0, 1, 2])
+
+
+def test_the_callers_error_kills_a_worker_that_is_still_running():
+    assert threading.active_count() == 1  # else no worker would be forked
+    parent = os.getpid()
+    read_end, write_end = os.pipe()
+
+    def fn(part):
+        if os.getpid() != parent:
+            os.write(write_end, b"up")
+            time.sleep(30)
+            return part
+        assert select.select([read_end], [], [], 10)[0], "the worker never started"
+        os.read(read_end, 2)
+        raise ValueError("the caller's part failed")
+
+    start = time.monotonic()
+    try:
+        with pytest.raises(ValueError, match="^the caller's part failed$"):
+            pool.fork_map(fn, [0, 1])
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+    assert time.monotonic() - start < 5  # killed, not waited for
+
+
+def test_a_caller_with_other_threads_runs_every_part_itself():
+    # a forked child would keep only this thread, and any lock the other holds
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        results = pool.fork_map(lambda part: (part, os.getpid()), ["a", "b", "c"])
+    finally:
+        stop.set()
+        thread.join(10)
+    assert not thread.is_alive()
+    assert results == [("a", os.getpid()), ("b", os.getpid()), ("c", os.getpid())]
 
 
 def test_the_calling_process_returns_the_results():

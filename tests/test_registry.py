@@ -87,11 +87,12 @@ COMMAND_MODULES = {
     "toy-sweep": (("pool", "toyfsm"), ["--t-grid", "0.5:1:0.25"]),
     "toy-optimize": (("pool", "toyfsm"), ["--t-min", "0.5", "--t-max", "1"]),
     "toy-grid": (("pool", "toyfsm"), ["--top-p", "0.8", "--t-min", "0.5", "--t-max", "1"]),
-    "toy-mc": (("pool", "toyfsm"), ["--temperature", "0.64", "--n", "2000"]),
+    "toy-mc": (("pool", "toyfsm"), ["--temperature", "0.64", "--n", "70000"]),  # 3 batches: forks on 2+ CPUs
     "analyze-dump": (("dump", "pool"), ["--input", "@DUMP"]),
 }
 
-# Runs the CLI as `python -m ssdlab.cli` does, then prints the ssdlab modules loaded.
+# Runs the CLI as `python -m ssdlab.cli` does, then prints the ssdlab modules loaded
+# and whether signal was.
 RUN_AS_MAIN = """\
 import runpy, sys
 try:
@@ -99,6 +100,7 @@ try:
 except SystemExit as exc:
     assert exc.code == 0, exc.code
 print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "ssdlab")))
+print("signal" in sys.modules)
 """
 
 
@@ -110,8 +112,9 @@ def test_a_command_loads_only_the_modules_it_runs(command, tmp_path):
     argv = [str(dump_path) if a == "@DUMP" else a for a in argv]
     proc = _python("-c", RUN_AS_MAIN, command, *argv, "--output", str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
-    assert loaded == BASE_MODULES | {f"ssdlab.{m}" for m in extra}
+    modules, signal_loaded = proc.stdout.splitlines()
+    assert set(modules.split()) == BASE_MODULES | {f"ssdlab.{m}" for m in extra}
+    assert signal_loaded == "False"  # the pool imports it only to kill a worker
 
 
 def test_importing_the_package_loads_no_module():

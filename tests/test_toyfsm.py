@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -425,6 +426,18 @@ class _CountingStream:
         return self.rng.random(shape)
 
 
+class _CountingPhilox(np.random.Philox):
+    """A Philox bit generator that records the shape of each block of raw words it draws."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.shapes = []
+
+    def random_raw(self, size=None, output=True):
+        self.shapes.append(size)
+        return super().random_raw(size, output)
+
+
 class TestBlockBudget:
     V = 4096
     ROWS = 7  # a lowered budget of 7 rows of V floats, so the last chunk is short
@@ -435,9 +448,13 @@ class TestBlockBudget:
         assert _block_rows(VOCAB_SIZE) >= GRID_MAX_POINTS
 
     def test_a_v16_batch_is_drawn_in_four_chunks(self):
+        # as uniforms from a stream that is not Philox, and as raw words from Philox
         stream = _CountingStream(make_stream(0))
         gumbel_max_sample(self.V16, stream, size=MC_BATCH)
         assert stream.shapes == [(MC_BATCH // 4, VOCAB_SIZE)] * 4
+        bitgen = _CountingPhilox(0)
+        gumbel_max_sample(self.V16, np.random.Generator(bitgen), size=MC_BATCH)
+        assert bitgen.shapes == [(MC_BATCH // 4, VOCAB_SIZE)] * 4
 
     def test_temperature_rows_are_scored_in_chunks(self, monkeypatch):
         fsm = build_toy_fsm(vocab_size=self.V)
@@ -589,6 +606,29 @@ class TestMonteCarlo:
         assert _mc_count(states, n, 9, 0, 1) + _mc_count(states, n, 9, 1, 4) == whole
         assert monte_carlo_success(fsm, 1.3, 0.9, n, 9).estimate == whole / n
         no_child_left()
+
+    def test_a_caller_with_other_threads_counts_what_workers_count(self, monkeypatch,
+                                                                     teacher):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)),
+                            raising=False)
+        n = 3 * MC_BATCH + 2001
+        forked = monte_carlo_success(teacher, 0.8, 0.8, n, 4)
+        no_child_left()
+
+        def no_fork():
+            raise AssertionError("forked while another thread ran")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            threaded = monte_carlo_success(teacher, 0.8, 0.8, n, 4)
+        finally:
+            stop.set()
+            thread.join(10)
+        assert not thread.is_alive()
+        assert threaded == forked
 
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_a_bad_seed_is_refused_before_any_fork(self, monkeypatch, teacher, seed):
