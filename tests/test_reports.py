@@ -1,11 +1,12 @@
 """Pinned report bytes: the stdout, stderr and exit code of each cell.
 
-A cell is one of the seeded small dumps below (V <= 64), run by
-`analyze-dump` with or without --skip-bad, as CSV or as JSON. Its expected
-text is tests/reports/analyze_dump/<cell>.txt, and each cell runs under 1
-and 3 forced workers, so a failure names the changed cell and the worker
-count. Run this file as a script to rewrite the expected files, then list
-every changed cell in CHANGES.md.
+An analyze-dump cell is one of the seeded small dumps below (V <= 64), run
+with or without --skip-bad, as CSV or as JSON. Its expected text is
+tests/reports/analyze_dump/<cell>.txt, and each cell runs under 1 and 3
+forced workers, so a failure names the changed cell and the worker count.
+An argv cell is a fixed command line, ARGV_CELLS below, whose expected text
+is tests/reports/<command>/<cell>.txt. Run this file as a script to rewrite
+the expected files, then list every changed cell in CHANGES.md.
 """
 
 import contextlib
@@ -19,7 +20,8 @@ import pytest
 
 from ssdlab import cli, dump
 
-REPORTS = Path(__file__).resolve().parent / "reports" / "analyze_dump"
+ROOT = Path(__file__).resolve().parent / "reports"
+REPORTS = ROOT / "analyze_dump"
 
 
 def _records(seed: int, n: int):
@@ -86,6 +88,11 @@ def render(cell: str, directory: Path) -> str:
     argv = ["analyze-dump", "--input", str(path), *flags, "--format", fmt]
     if mode == "skip-bad":
         argv.append("--skip-bad")
+    return _run(argv)
+
+
+def _run(argv: list[str]) -> str:
+    """argv's exit code, stdout and stderr, from cli.main in process."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
@@ -102,6 +109,32 @@ def test_analyze_dump_report(cell, workers, tmp_path, monkeypatch):
     assert render(cell, tmp_path) == expected
 
 
+# Vocabulary-scale toy paths and prefix-mass curves, where the decode kernel's
+# rows are wide or shorter than the requested prefix.
+ARGV_CELLS = {
+    # the optimizer's whole grid and its probes at V = 262 144
+    "toy_optimize/v256k.top_p_0.8": [
+        "toy-optimize", "--vocab-size", "262144", "--top-p", "0.8"],
+    # teacher and student rows at V = 32 768
+    "toy_sweep/v32k.short_grid": [
+        "toy-sweep", "--vocab-size", "32768", "--t-grid", "0.25:2:0.25"],
+    # at tau 1e-3, 0.005 ** 1000 underflows against 0.5 ** 1000: two of the four
+    # requested ranks lie past the prefix that has any mass
+    "sensitivity/curve.underflow": [
+        "sensitivity", "--mode", "curve", "--probs", "0.5,0.49,0.005,0.005",
+        "--tau", "0.001"],
+    "sensitivity/feasible.underflow": [
+        "sensitivity", "--mode", "feasible", "--lock-probs", "0.5,0.49,0.005,0.005",
+        "--fork-probs", "0.3,0.299,0.25,0.1", "--tau", "0.001"],
+}
+
+
+@pytest.mark.parametrize("cell", sorted(ARGV_CELLS))
+def test_argv_report(cell):
+    expected = (ROOT / f"{cell}.txt").read_text(encoding="utf-8")
+    assert _run(ARGV_CELLS[cell]) == expected
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -110,3 +143,7 @@ if __name__ == "__main__":
         for cell in CELLS:
             (REPORTS / f"{cell}.txt").write_text(render(cell, Path(scratch)),
                                                  encoding="utf-8")
+    for cell, argv in ARGV_CELLS.items():
+        path = ROOT / f"{cell}.txt"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(_run(argv), encoding="utf-8")
