@@ -11,7 +11,9 @@ row p^(1/T) on a rank prefix, cut by top-k, then top-p. Only the longest
 prefix is then ranked by token index, lowest index on ties. The sorted
 values are contiguous, since numpy's SIMD log can round a strided view
 differently. Each row is computed alone at the full positive width, so it
-does not depend on the other rows.
+does not depend on the other rows. The rows stay in rank space, one column
+per token of the longest prefix: callers read them by rank, and only
+retained_support, for its Categorical, writes its one row into the alphabet.
 retained_support is its one-temperature case and DecodeConfig has no order
 field; temper, top_k_set, top_p_set and decode_normal_form run the
 operators literally, in any order, and are its reference. Tempering shifts
@@ -59,9 +61,9 @@ GREEDY_THRESHOLD = 1e-5
 # Absolute epsilon for cumulative-mass threshold tests.
 TOP_P_EPS = 1e-12
 
-# Byte budget of one (rows, V) float64 block of batched temperature rows, which
-# are taken in row chunks of this size. Each chunk sorts p again, so chunks are
-# large: every V=16 grid is one block.
+# Byte budget of _prefix_power's temporaries for a chunk of batched temperature
+# rows, which are taken in row chunks of this size (_block_rows). Each chunk
+# sorts p again, so chunks are large: every V=16 grid is one block.
 BLOCK_BYTES = 64 << 20
 
 # Byte budget of one (rows, V) chunk of sampler uniforms, about half a 2 MiB L2.
@@ -197,8 +199,11 @@ def top_p_set(p: Categorical, threshold: float) -> np.ndarray:
 
 
 def _block_rows(width: int) -> int:
-    """Rows of a float64 block of the given width that fit in BLOCK_BYTES; at least 1."""
-    return max(1, BLOCK_BYTES // (8 * width))
+    """Temperature rows whose _prefix_power temporaries fit in BLOCK_BYTES, at
+    least 1, for a p with width positive tokens. At most three (rows, width)
+    arrays are alive at once: the float64 rows w and their cumsum, and a
+    comparison mask, 17 bytes an entry in all."""
+    return max(1, BLOCK_BYTES // (17 * width))
 
 
 def _prefix_power(
@@ -206,16 +211,17 @@ def _prefix_power(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The standard pipeline at each temperature of a column, in one sort-once pass.
 
-    Returns the tokens of the longest row prefix in rank order (lowest
-    index on ties), each row's prefix length (positive count, then top_k,
-    then the top-p cut) and the (n_T, V) rows, each p^(1/T) normalized over
-    its prefix. Every row is computed from p's sorted positive values alone
-    at the full positive width, so row i is the evaluation at
-    temperatures[i] alone, bit for bit. Only the longest prefix is ranked
-    by index. The sorted values must be contiguous: numpy's SIMD log can
-    differ by an ulp on a strided view.
+    Returns order, the tokens of the longest row prefix in rank order
+    (lowest index on ties), each row's prefix length m (positive count, then
+    top_k, then the top-p cut) and the (n_T, order.size) rows in rank space:
+    column j is token order[j], and row i is p^(1/T) normalized over its
+    first m[i] columns and 0 past them. Every row is computed from p's
+    sorted positive values alone at the full positive width, so row i is
+    the evaluation at temperatures[i] alone, bit for bit. Only the longest
+    prefix is ranked by index. The sorted values must be contiguous: numpy's
+    SIMD log can differ by an ulp on a strided view.
     """
-    if not np.all(temperatures > 0):
+    if not (temperatures > 0).all():  # not np.all, whose wrapper costs 1.4 us a call
         raise NonPositiveTemperatureError("temperatures must be positive")
     if not 0.0 < top_p <= 1.0:
         raise OutOfRangeError(f"top_p must lie in (0, 1], got {top_p!r}")
@@ -235,9 +241,7 @@ def _prefix_power(
     n = int(m.max())
     head = np.flatnonzero(p.probs >= ranked[n - 1])  # ascending, so ties keep index order
     order = head[np.argsort(-p.probs[head], kind="stable")[:n]]
-    operational = np.zeros((temperatures.size, p.alphabet_size))
-    operational[:, order] = w[:, :n]
-    return order, m, operational
+    return order, m, w[:, :n]
 
 
 def retained_support(p0: Categorical, cfg: DecodeConfig) -> RetainedSupport:
@@ -247,12 +251,14 @@ def retained_support(p0: Categorical, cfg: DecodeConfig) -> RetainedSupport:
     operational distribution is the tempered restriction to the survivors.
     """
     t = np.array([cfg.temperature])
-    order, m, operational = _prefix_power(p0, t, cfg.top_k, cfg.top_p)
+    order, m, w = _prefix_power(p0, t, cfg.top_k, cfg.top_p)
     members = _read_only(order[: m[0]])
+    operational = np.zeros(p0.alphabet_size)
+    operational[members] = w[0]
     return RetainedSupport(
         support=members,
         kept_mass=float(p0.probs[members].sum()),
-        operational=Categorical(operational[0]),
+        operational=Categorical(operational),
     )
 
 
@@ -404,9 +410,12 @@ def power_rigidity_check(policy: PrefixPolicy, base: Categorical) -> float:
     """Max over surviving pairs of |log-odds(policy) - exponent * log-odds(base)|.
 
     Equals the spread of log(dist) - exponent * log(base) over the
-    survivors, so it is computed in O(prefix_len).
+    survivors, so it is computed in O(prefix_len). Survivors whose mass is
+    subnormal are left out: their rounding error is absolute, up to 2**-1075,
+    so their log can be off by far more than the ulps of a normal mass. The
+    top survivor holds at least 1/V, so one is always left.
     """
-    survivors = np.flatnonzero(policy.dist.probs)
+    survivors = np.flatnonzero(policy.dist.probs >= np.finfo(float).tiny)
     residual = np.log(policy.dist.probs[survivors]) - policy.exponent * np.log(
         base.probs[survivors]
     )

@@ -148,9 +148,9 @@ def prefix_mass_curve(p: Categorical, tau: float, k: int) -> np.ndarray:
         raise KTooLargeError(
             f"k = {k} exceeds the {positive} positive-probability tokens"
         )
-    order, _, rows = _prefix_power(p, np.array([tau]), k, 1.0)
+    order, _, w = _prefix_power(p, np.array([tau]), k, 1.0)
     # order stops where p^(1/tau) underflows; the masses past it add 0
-    csum = np.pad(np.cumsum(rows[0, order]), (0, k - order.size), mode="edge")
+    csum = np.pad(np.cumsum(w[0]), (0, k - order.size), mode="edge")
     return csum / csum[-1]
 
 

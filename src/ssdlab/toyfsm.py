@@ -11,13 +11,15 @@ state only token 0 advances.
 Success is scored with decode's prefix-power kernel, the one behind
 retained_support, over a vector of temperatures: each state's p is ranked
 once, every row is cut to its top-p prefix, and success is the root, fork
-and lock masses of correct tokens multiplied straight from the kernel's
-rows. optimize_temperature and temperature_sweep score their whole grids
-that way, in row chunks under decode.BLOCK_BYTES, and exact_success is the
-one-temperature case of the same pass. monte_carlo_success checks it by
-sampling, with its batches split across CPUs through pool.fork_map; the
-sampler draws each batch's uniforms in cache-sized chunks under
-decode.SAMPLE_BLOCK_BYTES, the same stream as one block.
+and lock masses of correct tokens, read by rank from the kernel's
+rank-space rows and multiplied; no row is as wide as the alphabet.
+optimize_temperature and temperature_sweep score their whole grids that
+way, in row chunks whose kernel temporaries, sized by the states' positive
+width, fit in decode.BLOCK_BYTES, and exact_success is the one-temperature
+case of the same pass. monte_carlo_success checks it by sampling, with its
+batches split across CPUs through pool.fork_map; the sampler draws each
+batch's uniforms in cache-sized chunks under decode.SAMPLE_BLOCK_BYTES, the
+same stream as one block.
 """
 
 from __future__ import annotations
@@ -186,15 +188,20 @@ def operational_policy(arch: Archetype, temperature: float, top_p: float) -> Cat
 def _success(fsm: Fsm, temperatures: np.ndarray, top_p: float) -> np.ndarray:
     """Exact success at each temperature, scored in batched prefix-power passes.
 
-    The temperatures are taken in chunks whose (rows, V) blocks fit in
-    decode.BLOCK_BYTES; each row is computed alone, so chunking changes no bit.
+    The temperatures are taken in chunks whose kernel temporaries, at the
+    largest positive width of the three states, fit in decode.BLOCK_BYTES;
+    each row is computed alone, so chunking changes no bit.
     """
 
     def mass(arch: Archetype, ts: np.ndarray) -> np.ndarray:
-        rows = _prefix_power(arch.dist, ts, 0, top_p)[2]
-        return rows[:, arch.correct_tokens].sum(axis=1)
+        order, _, w = _prefix_power(arch.dist, ts, 0, top_p)
+        # a 0/1 row per correct token, 1 at the token's rank in order: its product
+        # with the rows is the token's mass at each temperature, or 0 past the
+        # prefix, and the tokens' masses are then added in token order
+        return ((arch.correct_tokens[:, None] == order) @ w.T).sum(axis=0)
 
-    step = _block_rows(fsm.root.dist.alphabet_size)
+    states = (fsm.root, fsm.fork, fsm.lock)
+    step = _block_rows(max(np.count_nonzero(a.dist.probs) for a in states))
     return np.concatenate([
         mass(fsm.root, ts) * mass(fsm.fork, ts) * mass(fsm.lock, ts) ** fsm.n_locks
         for ts in (temperatures[i:i + step] for i in range(0, temperatures.size, step))

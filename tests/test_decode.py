@@ -639,6 +639,20 @@ class TestNormalForm:
         )
         assert power_rigidity_check(broken, p) > 1e-3
 
+    def test_subnormal_survivor_is_not_a_violation(self):
+        # (4/9) ** 891 is about 2.4e-314, a subnormal mass that keeps only about 30
+        # bits, so its log is off by about 1.3e-10; it still survives, as in the kernel
+        p = normalize([4, 9])
+        policy = decode_normal_form(p, DEFAULT_ORDER, alpha=891.0, k=0, top_p=1.0)
+        assert policy.prefix_len == 2
+        assert 0.0 < policy.dist.probs[0] < np.finfo(float).tiny
+        assert power_rigidity_check(policy, p) <= 1e-10
+        # a normal survivor bent by one part in 1e9 is still flagged
+        bent = np.array(normalize([1, 1, 1e-300]).probs)
+        bent[0] *= 1.0 + 1e-9
+        broken = PrefixPolicy(prefix_len=3, exponent=1.0, dist=Categorical(bent))
+        assert power_rigidity_check(broken, normalize([1, 1, 1e-300])) > 5e-10
+
     def test_parameter_validation(self):
         p = normalize([0.5, 0.5])
         with pytest.raises(OutOfRangeError):

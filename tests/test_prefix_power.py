@@ -37,6 +37,13 @@ mixed_temperature = st.one_of(
 )
 
 
+def _in_alphabet(p, order, rows):
+    """The kernel's rank-space rows written into p's alphabet: column j is token order[j]."""
+    out = np.zeros((rows.shape[0], p.alphabet_size))
+    out[:, order] = rows
+    return out
+
+
 @settings(max_examples=300)
 @given(weights, st.lists(any_temperature, min_size=1, max_size=6), top_ks, top_ps)
 def test_support_is_rank_prefix(w, temperatures, top_k, top_p):
@@ -44,10 +51,10 @@ def test_support_is_rank_prefix(w, temperatures, top_k, top_p):
     order, m, rows = _prefix_power(p, np.array(temperatures), top_k, top_p)
     positive = int(np.count_nonzero(p.probs))
     assert order.tolist() == rank_descending(p)[: m.max()].tolist()
-    assert rows.shape == (len(temperatures), p.alphabet_size)
+    assert rows.shape == (len(temperatures), m.max())
     for k, row in zip(m.tolist(), rows):
         assert 1 <= k <= (min(top_k, positive) if top_k else positive)
-        assert set(np.flatnonzero(row).tolist()) == set(order[:k].tolist())
+        assert np.flatnonzero(row).tolist() == list(range(k))  # ranks 0..k-1, tokens order[:k]
         assert abs(row.sum() - 1.0) <= 1e-14
 
 
@@ -97,7 +104,8 @@ def _assert_bit_equal_to_full_rank(p, temperatures, top_k, top_p):
     ref_order, ref_m, ref_rows = _full_rank_prefix_power(p, temperatures, top_k, top_p)
     assert order.tobytes() == ref_order[: ref_m.max()].tobytes()
     assert m.tobytes() == ref_m.tobytes()
-    assert rows.tobytes() == ref_rows.tobytes()
+    assert rows.shape == (temperatures.size, order.size)
+    assert _in_alphabet(p, order, rows).tobytes() == ref_rows.tobytes()
 
 
 @settings(max_examples=500)
@@ -147,7 +155,9 @@ def test_matches_literal_pipeline(w, alpha, top_k, top_p):
     order, m, rows = _prefix_power(p, np.array([1.0 / alpha]), top_k, top_p)
     policy = decode_normal_form(p, DEFAULT_ORDER, alpha, top_k, top_p)
     assert int(m[0]) == policy.prefix_len
-    np.testing.assert_allclose(rows[0], policy.dist.probs, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(
+        _in_alphabet(p, order, rows)[0], policy.dist.probs, rtol=0, atol=1e-14
+    )
 
 
 @settings(max_examples=300)
@@ -177,11 +187,11 @@ def test_rows_independent_of_batch(w, temperatures, top_k, top_p):
     # row i and its prefix length are the one-row call at temperatures[i], bit
     # for bit, whatever the other rows' prefix lengths are
     p = normalize(w)
-    _, m, rows = _prefix_power(p, np.array(temperatures), top_k, top_p)
-    for t, k, row in zip(temperatures, m.tolist(), rows):
-        _, m1, rows1 = _prefix_power(p, np.array([t]), top_k, top_p)
+    order, m, rows = _prefix_power(p, np.array(temperatures), top_k, top_p)
+    for t, k, row in zip(temperatures, m.tolist(), _in_alphabet(p, order, rows)):
+        order1, m1, rows1 = _prefix_power(p, np.array([t]), top_k, top_p)
         assert int(m1[0]) == k
-        np.testing.assert_array_equal(rows1[0], row, strict=True)
+        np.testing.assert_array_equal(_in_alphabet(p, order1, rows1)[0], row, strict=True)
 
 
 @settings(max_examples=300)

@@ -247,13 +247,47 @@ class TestBatchedSuccess:
             for arch in (fsm.root, fsm.fork, fsm.lock):
                 for top_k, top_p in itertools.product((0, 1, 3, 16), (1.0, 0.8, 0.35)):
                     order, m, rows = _prefix_power(arch.dist, temps, top_k, top_p)
-                    for t, k, row in zip(temps.tolist(), m.tolist(), rows):
+                    assert rows.shape == (temps.size, order.size)
+                    full = np.zeros((temps.size, arch.dist.alphabet_size))
+                    full[:, order] = rows  # column j of the rank-space rows is token order[j]
+                    for t, k, row in zip(temps.tolist(), m.tolist(), full):
                         cfg = DecodeConfig(temperature=t, top_k=top_k, top_p=top_p)
                         rs = retained_support(arch.dist, cfg)
                         assert order[:k].tolist() == rs.support.tolist()
                         np.testing.assert_array_equal(
                             Categorical(row).probs, rs.operational.probs, strict=True
                         )
+
+    @pytest.mark.parametrize("correct", [None, [9, 0, 14, 3, 7, 1, 12, 5, 2, 15]],
+                             ids=["toy-tokens", "ten-tokens"])
+    def test_masses_read_by_rank_are_the_alphabet_gather(self, teacher, student, correct):
+        # success reads each correct token's mass from the kernel's rank-space rows
+        # by rank; it is the product of those rows written into the alphabet,
+        # gathered at the correct tokens and summed in token order, bit for bit.
+        # Ten correct tokens out of index order pin the order of that sum (from 8
+        # terms numpy sums a contiguous row pairwise, where the gather's
+        # column-major block is summed one token after another), and the
+        # student's states leave some of them past every prefix.
+        temps = np.concatenate([self.EDGE_TEMPERATURES, np.geomspace(1e-2, 1e2, 60)])
+
+        def wide_mass(arch, top_p):
+            order, _, rows = _prefix_power(arch.dist, temps, 0, top_p)
+            full = np.zeros((temps.size, arch.dist.alphabet_size))
+            full[:, order] = rows
+            return full[:, arch.correct_tokens].sum(axis=1)
+
+        for fsm in (teacher, student):
+            if correct is not None:
+                fsm = toyfsm.Fsm(*(
+                    toyfsm.Archetype(a.dist, np.array(correct))
+                    for a in (fsm.root, fsm.fork, fsm.lock)
+                ), n_locks=fsm.n_locks)
+            for top_p in (1.0, 0.8, 0.35):
+                expected = (
+                    wide_mass(fsm.root, top_p) * wide_mass(fsm.fork, top_p)
+                    * wide_mass(fsm.lock, top_p) ** fsm.n_locks
+                )
+                assert _success(fsm, temps, top_p).tobytes() == expected.tobytes()
 
     def test_edges_are_finite_limits(self, teacher):
         # the cold limit is greedy: the root's argmax (token 2) is wrong
@@ -440,7 +474,7 @@ class _CountingPhilox(np.random.Philox):
 
 class TestBlockBudget:
     V = 4096
-    ROWS = 7  # a lowered budget of 7 rows of V floats, so the last chunk is short
+    ROWS = 7  # a lowered budget of 7 rows, so the last chunk is short
     # a V=16 policy with several retained tokens, so its uniforms go through the row loop
     V16 = Categorical(np.r_[FORK_HEAD, np.full(12, (1.0 - sum(FORK_HEAD)) / 12)])
 
@@ -456,15 +490,35 @@ class TestBlockBudget:
         gumbel_max_sample(self.V16, np.random.Generator(bitgen), size=MC_BATCH)
         assert bitgen.shapes == [(MC_BATCH // 4, VOCAB_SIZE)] * 4
 
+    @staticmethod
+    def _positive_width(fsm):
+        return max(np.count_nonzero(a.dist.probs) for a in (fsm.root, fsm.fork, fsm.lock))
+
     def test_temperature_rows_are_scored_in_chunks(self, monkeypatch):
         fsm = build_toy_fsm(vocab_size=self.V)
+        width = self._positive_width(fsm)  # the tail underflows: 1077 of 4096 tokens
         temperatures = np.linspace(0.3, 3.0, 500)
         whole, whole_peak = _traced_peak(lambda: _success(fsm, temperatures, 0.8))
-        monkeypatch.setattr(decode, "BLOCK_BYTES", self.ROWS * 8 * self.V)
+        # a lowered budget of ROWS rows of the kernel's 17 bytes an entry
+        monkeypatch.setattr(decode, "BLOCK_BYTES", self.ROWS * 17 * width)
         chunked, peak = _traced_peak(lambda: _success(fsm, temperatures, 0.8))
         assert chunked.tobytes() == whole.tobytes()
-        assert whole_peak > 500 * 8 * self.V  # one (500, V) block at the default budget
-        assert peak < 1 << 21
+        # one chunk at the default budget: w and its cumsum are (500, width) each
+        assert whole_peak > 500 * 16 * width
+        # a chunk's temporaries, beside a few V-wide vectors: p's sort and its mask
+        assert peak < self.ROWS * 17 * width + 8 * 8 * self.V
+
+    def test_vocabulary_scale_rows_are_bounded_by_positive_width(self):
+        # at V = 262 144 the kernel's rows are as wide as the positive support, not
+        # V: 64 temperatures take one chunk of 64 rows, beside p's sort, where
+        # (rows, V) blocks took 64 MiB each
+        fsm = build_toy_fsm(vocab_size=MAX_VOCAB_SIZE)
+        width = self._positive_width(fsm)
+        assert 1000 < width < 1100
+        temperatures = np.geomspace(0.05, 5.0, 64)
+        values, peak = _traced_peak(lambda: _success(fsm, temperatures, 0.8))
+        assert values.min() == 0.0 and 0.07 < values.max() < TEACHER_P_STAR  # cold rows are greedy
+        assert peak < 64 * 17 * width + 2 * 8 * MAX_VOCAB_SIZE
 
     def test_draws_are_taken_in_chunks_from_one_stream(self, monkeypatch):
         w = np.random.default_rng(self.V).gamma(0.5, size=self.V)
