@@ -92,11 +92,15 @@ def _softmax(x: np.ndarray, temperature: float = 1.0) -> np.ndarray:
 
 
 def _int64_members(members, name: str, outside: str) -> np.ndarray:
-    """Set members as an int64 array; a float member or one past int64 is refused."""
+    """Set members as a 1-d int64 array; a float member or one past int64 is refused."""
     if isinstance(members, np.ndarray) and members.ndim == 1 and members.dtype.kind in "biu":
         return members.astype(np.int64, copy=False)  # as it is; other input item by item
-    items = tuple(members)
-    idx = np.asarray(items)
+    try:
+        idx = np.asarray(items := tuple(members))
+    except (TypeError, ValueError):  # a scalar, a 0-d array or a ragged collection
+        idx = None
+    if idx is None or idx.ndim != 1 or getattr(members, "ndim", 1) != 1:  # (0, n) is 2-d, too
+        raise InvalidEntryError(f"{name} must be a 1-d collection of integers")
     if items and idx.dtype.kind not in "biu":  # floats, or ints with no common int type
         if not all(isinstance(v, (int, np.integer)) for v in items):
             raise InvalidEntryError(f"{name} contains a non-integer member")

@@ -18,7 +18,9 @@ retained_support is its one-temperature case and DecodeConfig has no order
 field; temper, top_k_set, top_p_set and decode_normal_form run the
 operators literally, in any order, and are its reference. Tempering shifts
 by log p_max before dividing by T: T -> 0 gives the argmax (tied maxima
-share the mass) and a huge T never lets top-k reorder tokens.
+share the mass) and a huge T never lets top-k reorder tokens. Building a
+DecodeConfig is the one check of a temperature, top-k or top-p, made on
+entry to every public function that takes one; _prefix_power checks nothing.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ def _check_order(order) -> tuple[str, str, str]:
 
 @dataclass(frozen=True)
 class DecodeConfig:
-    """Decode-time knobs: temperature, top-k (0 disables), top-p (1 disables)."""
+    """Decode-time knobs, checked here alone: temperature, top-k (0 off), top-p (1 off)."""
 
     temperature: float = 1.0
     top_k: int = 0
@@ -154,10 +156,7 @@ def temper(p: Categorical, temperature: float, members=None) -> Categorical:
     Computed in log space so extreme temperatures neither overflow nor
     lose the ranking; zero entries stay exactly zero.
     """
-    if not temperature > 0:
-        raise NonPositiveTemperatureError(
-            f"temperature must be positive, got {temperature!r}"
-        )
+    DecodeConfig(temperature=temperature)
     mask = p.probs > 0
     if members is not None:
         idx = as_index_array(members, p.alphabet_size)
@@ -176,7 +175,7 @@ def top_k_set(p: Categorical, k: int) -> np.ndarray:
 
     Returned as a read-only int64 array in descending rank order.
     """
-    _check_count("top_k", k, 0)
+    DecodeConfig(top_k=k)
     if k == 0 or k >= p.alphabet_size:
         k = np.count_nonzero(p.probs)  # zeros rank last
     return _read_only(rank_descending(p)[:k])
@@ -188,8 +187,7 @@ def top_p_set(p: Categorical, threshold: float) -> np.ndarray:
     Never empty; threshold 1 keeps the full positive support. Returned as a
     read-only int64 array in descending rank order.
     """
-    if not 0.0 < threshold <= 1.0:
-        raise OutOfRangeError(f"top_p threshold must lie in (0, 1], got {threshold!r}")
+    DecodeConfig(top_p=threshold)
     order = rank_descending(p)[: np.count_nonzero(p.probs)]  # zeros rank last
     if threshold == 1.0:
         return _read_only(order)
@@ -219,12 +217,8 @@ def _prefix_power(
     sorted positive values alone at the full positive width, so row i is
     the evaluation at temperatures[i] alone, bit for bit. Only the longest
     prefix is ranked by index. The sorted values must be contiguous: numpy's
-    SIMD log can differ by an ulp on a strided view.
+    SIMD log can differ by an ulp on a strided view. The callers check every setting.
     """
-    if not (temperatures > 0).all():  # not np.all, whose wrapper costs 1.4 us a call
-        raise NonPositiveTemperatureError("temperatures must be positive")
-    if not 0.0 < top_p <= 1.0:
-        raise OutOfRangeError(f"top_p must lie in (0, 1], got {top_p!r}")
     ranked = -np.sort(-p.probs)[: np.count_nonzero(p.probs)]  # contiguous, zeros last
     w = _shifted_exp(np.log(ranked), temperatures[:, None])
     w /= w.sum(axis=1, keepdims=True)
@@ -250,8 +244,7 @@ def retained_support(p0: Categorical, cfg: DecodeConfig) -> RetainedSupport:
     kept_mass is measured against the raw base distribution; the
     operational distribution is the tempered restriction to the survivors.
     """
-    t = np.array([cfg.temperature])
-    order, m, w = _prefix_power(p0, t, cfg.top_k, cfg.top_p)
+    order, m, w = _prefix_power(p0, np.array([cfg.temperature]), cfg.top_k, cfg.top_p)
     members = _read_only(order[: m[0]])
     operational = np.zeros(p0.alphabet_size)
     operational[members] = w[0]
@@ -385,9 +378,7 @@ def decode_normal_form(
     order = _check_order(order)
     if not 0 < alpha < np.inf:  # 1 / inf would reach temper as temperature 0
         raise OutOfRangeError(f"exponent must be finite and positive, got {alpha!r}")
-    _check_count("top_k", k, 0)
-    if not 0.0 < top_p <= 1.0:
-        raise OutOfRangeError(f"top_p must lie in (0, 1], got {top_p!r}")
+    DecodeConfig(top_k=k, top_p=top_p)
     final = _run_pipeline(p, order, alpha, k, top_p)
     survivors = np.flatnonzero(final.probs)
     m = int(survivors.size)

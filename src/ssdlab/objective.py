@@ -391,12 +391,8 @@ def train_local_student(
     return Trajectory(*(_read_only(np.frombuffer(c)) for c in columns), z, stop)
 
 
-def ideal_fit_eval(target: SsdTarget, tau: float) -> Categorical:
-    """Temper the fitted target at eval temperature tau.
-
-    Must coincide with the source tempered at train_temperature * tau and
-    restricted to the support; the equality is asserted to 1e-12.
-    """
+def _tempered_target(target: SsdTarget, tau: float) -> tuple[Categorical, Categorical]:
+    """ideal_fit_eval's tempered target, and the composed form it is checked against."""
     if not tau > 0:
         raise OutOfRangeError(f"tau must be positive, got {tau!r}")
     fitted = temper(target.q, tau)
@@ -408,7 +404,16 @@ def ideal_fit_eval(target: SsdTarget, tau: float) -> Categorical:
         raise CompositionViolationError(
             f"tempered target deviates from the composed form by {gap!r}"
         )
-    return fitted
+    return fitted, composed
+
+
+def ideal_fit_eval(target: SsdTarget, tau: float) -> Categorical:
+    """Temper the fitted target at eval temperature tau.
+
+    Must coincide with the source tempered at train_temperature * tau and
+    restricted to the support; the equality is asserted to 1e-12.
+    """
+    return _tempered_target(target, tau)[0]
 
 
 def local_gain(p0: Categorical, cfg: DecodeConfig, tau: float, event) -> LocalGain:
@@ -418,22 +423,18 @@ def local_gain(p0: Categorical, cfg: DecodeConfig, tau: float, event) -> LocalGa
     support_gain is the inverse retained mass of the tempered teacher and
     reshape_gain is the ratio of the two escort probabilities of the event.
     """
-    if not tau > 0:
-        raise OutOfRangeError(f"tau must be positive, got {tau!r}")
     target = ssd_target(p0, cfg)
+    fitted, train_escort = _tempered_target(target, tau)
     idx = _event_array(event, target.support, "retained support")
     p0_tau = temper(p0, tau)
     m_tau = float(p0_tau.probs[target.support].sum())
-    train_escort = restrict(
-        temper(p0, cfg.temperature * tau), target.support
-    )
     eval_escort = restrict(p0_tau, target.support)
     denom = float(eval_escort.probs[idx].sum())
     if denom == 0.0:
         raise ZeroMassEventError("event carries zero mass under the eval escort")
     reshape_gain = float(train_escort.probs[idx].sum()) / denom
     base_prob = float(p0_tau.probs[idx].sum())
-    student_prob = float(ideal_fit_eval(target, tau).probs[idx].sum())
+    student_prob = float(fitted.probs[idx].sum())
     return LocalGain(
         support_gain=1.0 / m_tau,
         reshape_gain=reshape_gain,

@@ -16,10 +16,10 @@ rank-space rows and multiplied; no row is as wide as the alphabet.
 optimize_temperature and temperature_sweep score their whole grids that
 way, in row chunks whose kernel temporaries, sized by the states' positive
 width, fit in decode.BLOCK_BYTES, and exact_success is the one-temperature
-case of the same pass. monte_carlo_success checks it by sampling, with its
-batches split across CPUs through pool.fork_map; the sampler draws each
-batch's uniforms in cache-sized chunks under decode.SAMPLE_BLOCK_BYTES, the
-same stream as one block.
+case of the same pass, bit-equal to its row of any batch; the kernel checks
+nothing, as each public entry checks its settings with a DecodeConfig.
+monte_carlo_success samples success, its batches split over CPUs by
+pool.fork_map and drawn in chunks under decode.SAMPLE_BLOCK_BYTES, one stream.
 """
 
 from __future__ import annotations
@@ -181,8 +181,7 @@ def build_toy_fsm(
 
 def operational_policy(arch: Archetype, temperature: float, top_p: float) -> Categorical:
     """The post-truncation, post-temperature distribution at one state (k disabled)."""
-    cfg = DecodeConfig(temperature=temperature, top_k=0, top_p=top_p)
-    return retained_support(arch.dist, cfg).operational
+    return retained_support(arch.dist, DecodeConfig(temperature, 0, top_p)).operational
 
 
 def _success(fsm: Fsm, temperatures: np.ndarray, top_p: float) -> np.ndarray:
@@ -195,10 +194,10 @@ def _success(fsm: Fsm, temperatures: np.ndarray, top_p: float) -> np.ndarray:
 
     def mass(arch: Archetype, ts: np.ndarray) -> np.ndarray:
         order, _, w = _prefix_power(arch.dist, ts, 0, top_p)
-        # a 0/1 row per correct token, 1 at the token's rank in order: its product
-        # with the rows is the token's mass at each temperature, or 0 past the
-        # prefix, and the tokens' masses are then added in token order
-        return ((arch.correct_tokens[:, None] == order) @ w.T).sum(axis=0)
+        # a 0/1 row per correct token, 1 at the token's rank in order, times the rows
+        # is each token's mass, or 0 past the prefix; cumsum adds the masses in token
+        # order at any batch width, where sum adds a one-temperature block pairwise
+        return np.cumsum((arch.correct_tokens[:, None] == order) @ w.T, axis=0)[-1]
 
     states = (fsm.root, fsm.fork, fsm.lock)
     step = _block_rows(max(np.count_nonzero(a.dist.probs) for a in states))
@@ -212,8 +211,9 @@ def exact_success(fsm: Fsm, temperature: float, top_p: float) -> float:
     """Closed-form success probability: product of correct-token masses per state.
 
     The one-temperature case of the batched pass optimize_temperature and
-    temperature_sweep score their grids with.
+    temperature_sweep score their grids with, bit-equal to its row of any batch.
     """
+    DecodeConfig(float(temperature), top_p=top_p)
     return float(_success(fsm, np.array([float(temperature)]), top_p)[0])
 
 
@@ -244,6 +244,7 @@ def temperature_sweep(
         raise EmptySetError("temperature grid is empty")
     if any(not t > 0 for t in grid):
         raise OutOfRangeError("temperature grid entries must be positive")
+    DecodeConfig(top_p=top_p)
     temperatures = np.array(grid)
     rows = []
     for t, ts, ss in zip(
@@ -289,6 +290,7 @@ def optimize_temperature(
             f"bounds {bounds!r} need more than {GRID_MAX_POINTS} grid points "
             f"at step {GRID_STEP}"
         )
+    DecodeConfig(top_p=top_p)
     ts = np.arange(lo, hi + GRID_STEP / 2, GRID_STEP)
     grid = np.clip(ts, lo, hi)  # grid accumulation can overshoot by an ulp
     values = _success(fsm, grid, top_p)

@@ -7,6 +7,7 @@ import pytest
 
 from ssdlab import (
     AllZeroError,
+    EmptyEventError,
     Categorical,
     EmptySetError,
     InvalidEntryError,
@@ -124,8 +125,35 @@ class TestIndexSets:
             _int64_members([-(2**63) - 1, np.uint64(3)], "index set", "outside")
 
     def test_a_0d_index_array_is_not_one_member(self):
-        with pytest.raises(TypeError, match="0-d"):
+        with pytest.raises(InvalidEntryError, match="^index set must be a 1-d collection"):
             as_index_array(np.array(1), alphabet_size=4)
+
+    @pytest.mark.parametrize("members", [
+        np.array([[0, 1]]), [[0, 1]], [np.array([0, 1])], np.array(1), 3, np.int64(3),
+        [[0], [1, 2]], [0, [1]], np.zeros((2, 0), dtype=int), np.zeros((0, 2), dtype=int),
+    ], ids=["2d-array", "2d-list", "list-of-arrays", "0d-array", "int", "numpy-int",
+            "ragged", "mixed", "2d-empty-rows", "2d-no-rows"])
+    def test_members_that_are_not_a_1d_collection_are_refused(self, members):
+        with pytest.raises(InvalidEntryError, match="^index set must be a 1-d collection"):
+            as_index_array(members, alphabet_size=4)
+        with pytest.raises(InvalidEntryError, match="^event set must be a 1-d collection"):
+            _event_array(members, [0, 1, 2], "support")
+
+    @pytest.mark.parametrize("members", [[], (), np.array([], dtype=np.int64), iter([])])
+    def test_an_empty_collection_is_an_empty_set(self, members):
+        with pytest.raises(EmptySetError):
+            as_index_array(members, alphabet_size=4)
+
+    @pytest.mark.parametrize("event", [[], np.array([], dtype=np.int64)])
+    def test_an_empty_event_is_an_empty_event(self, event):
+        with pytest.raises(EmptyEventError):
+            _event_array(event, [0, 1, 2], "support")
+
+    @pytest.mark.parametrize("members", [
+        {2, 0}, (m for m in (2, 0)), range(0, 4, 2), np.array([2, 0], dtype=np.uint8),
+    ], ids=["set", "generator", "range", "uint8-array"])
+    def test_any_1d_collection_of_integers_is_taken(self, members):
+        assert sorted(as_index_array(members, alphabet_size=4).tolist()) == [0, 2]
 
     @pytest.mark.parametrize("event", [[10**20], [0, 2**63]])
     def test_event_past_int64_is_outside_container(self, event):

@@ -78,6 +78,16 @@ GRID_GAPS_PP = {
 TRAIN_T = 0.9
 TRAIN_TOP_P = 0.85
 
+# Ten correct tokens out of index order: from 8, numpy may sum them pairwise.
+TEN_TOKENS = [9, 0, 14, 3, 7, 1, 12, 5, 2, 15]
+
+
+def _with_correct(fsm, correct):
+    """fsm with every state's correct tokens replaced."""
+    return toyfsm.Fsm(*(
+        toyfsm.Archetype(a.dist, np.array(correct)) for a in (fsm.root, fsm.fork, fsm.lock)
+    ), n_locks=fsm.n_locks)
+
 
 @pytest.fixture(scope="module")
 def teacher():
@@ -258,7 +268,7 @@ class TestBatchedSuccess:
                             Categorical(row).probs, rs.operational.probs, strict=True
                         )
 
-    @pytest.mark.parametrize("correct", [None, [9, 0, 14, 3, 7, 1, 12, 5, 2, 15]],
+    @pytest.mark.parametrize("correct", [None, TEN_TOKENS],
                              ids=["toy-tokens", "ten-tokens"])
     def test_masses_read_by_rank_are_the_alphabet_gather(self, teacher, student, correct):
         # success reads each correct token's mass from the kernel's rank-space rows
@@ -278,16 +288,23 @@ class TestBatchedSuccess:
 
         for fsm in (teacher, student):
             if correct is not None:
-                fsm = toyfsm.Fsm(*(
-                    toyfsm.Archetype(a.dist, np.array(correct))
-                    for a in (fsm.root, fsm.fork, fsm.lock)
-                ), n_locks=fsm.n_locks)
+                fsm = _with_correct(fsm, correct)
             for top_p in (1.0, 0.8, 0.35):
                 expected = (
                     wide_mass(fsm.root, top_p) * wide_mass(fsm.fork, top_p)
                     * wide_mass(fsm.lock, top_p) ** fsm.n_locks
                 )
                 assert _success(fsm, temps, top_p).tobytes() == expected.tobytes()
+
+    def test_one_temperature_is_its_batch_row_with_ten_correct_tokens(self, teacher):
+        # from 8 terms numpy sums a one-row (tokens, 1) block pairwise, where a
+        # batch adds its tokens one after another; success adds them in sequence
+        fsm = _with_correct(teacher, TEN_TOKENS)
+        temps = np.geomspace(0.05, 5.0, 200)
+        for top_p in (1.0, 0.9, 0.8, 0.65):
+            batch = _success(fsm, temps, top_p)
+            single = np.array([exact_success(fsm, t, top_p) for t in temps.tolist()])
+            assert single.tobytes() == batch.tobytes()
 
     def test_edges_are_finite_limits(self, teacher):
         # the cold limit is greedy: the root's argmax (token 2) is wrong
@@ -296,16 +313,19 @@ class TestBatchedSuccess:
         hot = exact_success(teacher, 1e20, 1.0)
         assert hot == pytest.approx((2 / 16) * (1 / 16) * (1 / 16) ** 3, abs=1e-15)
 
-    def test_invalid_settings_rejected(self, teacher):
+    def test_invalid_settings_rejected(self, teacher, student):
         with pytest.raises(NonPositiveTemperatureError):
-            _success(teacher, np.array([0.5, 0.0]), 0.8)
+            exact_success(teacher, 0.0, 0.8)
+        with pytest.raises(OutOfRangeError):
+            temperature_sweep(teacher, student, [0.5, 0.0], 0.8)
         with pytest.raises(NonPositiveTemperatureError):
             exact_success(teacher, float("nan"), 0.8)
         with pytest.raises(OutOfRangeError):
             exact_success(teacher, 1.0, 1.5)
 
     def test_top_p_zero_rejected(self, teacher, student):
-        # _prefix_power's `0 < top_p` is the only top-p check on this path
+        # each public entry checks top-p on entry through DecodeConfig, as the
+        # kernel behind it checks nothing
         with pytest.raises(OutOfRangeError, match="^top_p must lie in"):
             exact_success(teacher, 1.0, 0.0)
         with pytest.raises(OutOfRangeError, match="^top_p must lie in"):
