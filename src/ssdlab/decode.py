@@ -18,9 +18,9 @@ retained_support is its one-temperature case and DecodeConfig has no order
 field; temper, top_k_set, top_p_set and decode_normal_form run the
 operators literally, in any order, and are its reference. Tempering shifts
 by log p_max before dividing by T: T -> 0 gives the argmax (tied maxima
-share the mass) and a huge T never lets top-k reorder tokens. Building a
-DecodeConfig is the one check of a temperature, top-k or top-p, made on
-entry to every public function that takes one; _prefix_power checks nothing.
+share the mass) and a huge T never lets top-k reorder tokens. DecodeConfig
+and each public entry check settings with _check_temperature, _check_count
+and _check_top_p, the one copy of each rule; _prefix_power checks nothing.
 """
 
 from __future__ import annotations
@@ -82,6 +82,18 @@ def _check_count(name: str, value, minimum: int) -> None:
         raise OutOfRangeError(f"{name} must be >= {minimum}, got {value!r}")
 
 
+def _check_temperature(temperature) -> None:
+    """Refuse a temperature that is not positive; nan is refused too."""
+    if not temperature > 0:
+        raise NonPositiveTemperatureError(f"temperature must be positive, got {temperature!r}")
+
+
+def _check_top_p(top_p) -> None:
+    """Refuse a top-p threshold outside (0, 1]; nan is refused too."""
+    if not 0.0 < top_p <= 1.0:
+        raise OutOfRangeError(f"top_p must lie in (0, 1], got {top_p!r}")
+
+
 def _check_order(order) -> tuple[str, str, str]:
     order = tuple(order)
     if sorted(order) != sorted(DEFAULT_ORDER):
@@ -93,20 +105,16 @@ def _check_order(order) -> tuple[str, str, str]:
 
 @dataclass(frozen=True)
 class DecodeConfig:
-    """Decode-time knobs, checked here alone: temperature, top-k (0 off), top-p (1 off)."""
+    """Decode-time knobs: temperature, top-k (0 disables), top-p (1 disables)."""
 
     temperature: float = 1.0
     top_k: int = 0
     top_p: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.temperature > 0:
-            raise NonPositiveTemperatureError(
-                f"temperature must be positive, got {self.temperature!r}"
-            )
+        _check_temperature(self.temperature)
         _check_count("top_k", self.top_k, 0)
-        if not 0.0 < self.top_p <= 1.0:
-            raise OutOfRangeError(f"top_p must lie in (0, 1], got {self.top_p!r}")
+        _check_top_p(self.top_p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,7 +164,7 @@ def temper(p: Categorical, temperature: float, members=None) -> Categorical:
     Computed in log space so extreme temperatures neither overflow nor
     lose the ranking; zero entries stay exactly zero.
     """
-    DecodeConfig(temperature=temperature)
+    _check_temperature(temperature)
     mask = p.probs > 0
     if members is not None:
         idx = as_index_array(members, p.alphabet_size)
@@ -175,7 +183,7 @@ def top_k_set(p: Categorical, k: int) -> np.ndarray:
 
     Returned as a read-only int64 array in descending rank order.
     """
-    DecodeConfig(top_k=k)
+    _check_count("top_k", k, 0)
     if k == 0 or k >= p.alphabet_size:
         k = np.count_nonzero(p.probs)  # zeros rank last
     return _read_only(rank_descending(p)[:k])
@@ -187,7 +195,7 @@ def top_p_set(p: Categorical, threshold: float) -> np.ndarray:
     Never empty; threshold 1 keeps the full positive support. Returned as a
     read-only int64 array in descending rank order.
     """
-    DecodeConfig(top_p=threshold)
+    _check_top_p(threshold)
     order = rank_descending(p)[: np.count_nonzero(p.probs)]  # zeros rank last
     if threshold == 1.0:
         return _read_only(order)
@@ -244,7 +252,8 @@ def retained_support(p0: Categorical, cfg: DecodeConfig) -> RetainedSupport:
     kept_mass is measured against the raw base distribution; the
     operational distribution is the tempered restriction to the survivors.
     """
-    order, m, w = _prefix_power(p0, np.array([cfg.temperature]), cfg.top_k, cfg.top_p)
+    t = np.array([cfg.temperature])
+    order, m, w = _prefix_power(p0, t, cfg.top_k, cfg.top_p)
     members = _read_only(order[: m[0]])
     operational = np.zeros(p0.alphabet_size)
     operational[members] = w[0]
@@ -378,7 +387,8 @@ def decode_normal_form(
     order = _check_order(order)
     if not 0 < alpha < np.inf:  # 1 / inf would reach temper as temperature 0
         raise OutOfRangeError(f"exponent must be finite and positive, got {alpha!r}")
-    DecodeConfig(top_k=k, top_p=top_p)
+    _check_count("top_k", k, 0)
+    _check_top_p(top_p)
     final = _run_pipeline(p, order, alpha, k, top_p)
     survivors = np.flatnonzero(final.probs)
     m = int(survivors.size)

@@ -17,7 +17,7 @@ optimize_temperature and temperature_sweep score their whole grids that
 way, in row chunks whose kernel temporaries, sized by the states' positive
 width, fit in decode.BLOCK_BYTES, and exact_success is the one-temperature
 case of the same pass, bit-equal to its row of any batch; the kernel checks
-nothing, as each public entry checks its settings with a DecodeConfig.
+nothing, as each public entry checks its settings with decode's checkers.
 monte_carlo_success samples success, its batches split over CPUs by
 pool.fork_map and drawn in chunks under decode.SAMPLE_BLOCK_BYTES, one stream.
 """
@@ -34,6 +34,8 @@ from .decode import (
     DecodeConfig,
     _block_rows,
     _check_count,
+    _check_temperature,
+    _check_top_p,
     _prefix_power,
     _skip_uniforms,
     gumbel_max_sample,
@@ -181,7 +183,8 @@ def build_toy_fsm(
 
 def operational_policy(arch: Archetype, temperature: float, top_p: float) -> Categorical:
     """The post-truncation, post-temperature distribution at one state (k disabled)."""
-    return retained_support(arch.dist, DecodeConfig(temperature, 0, top_p)).operational
+    cfg = DecodeConfig(temperature=temperature, top_k=0, top_p=top_p)
+    return retained_support(arch.dist, cfg).operational
 
 
 def _success(fsm: Fsm, temperatures: np.ndarray, top_p: float) -> np.ndarray:
@@ -213,7 +216,8 @@ def exact_success(fsm: Fsm, temperature: float, top_p: float) -> float:
     The one-temperature case of the batched pass optimize_temperature and
     temperature_sweep score their grids with, bit-equal to its row of any batch.
     """
-    DecodeConfig(float(temperature), top_p=top_p)
+    _check_temperature(float(temperature))
+    _check_top_p(top_p)
     return float(_success(fsm, np.array([float(temperature)]), top_p)[0])
 
 
@@ -244,7 +248,7 @@ def temperature_sweep(
         raise EmptySetError("temperature grid is empty")
     if any(not t > 0 for t in grid):
         raise OutOfRangeError("temperature grid entries must be positive")
-    DecodeConfig(top_p=top_p)
+    _check_top_p(top_p)
     temperatures = np.array(grid)
     rows = []
     for t, ts, ss in zip(
@@ -290,7 +294,7 @@ def optimize_temperature(
             f"bounds {bounds!r} need more than {GRID_MAX_POINTS} grid points "
             f"at step {GRID_STEP}"
         )
-    DecodeConfig(top_p=top_p)
+    _check_top_p(top_p)
     ts = np.arange(lo, hi + GRID_STEP / 2, GRID_STEP)
     grid = np.clip(ts, lo, hi)  # grid accumulation can overshoot by an ulp
     values = _success(fsm, grid, top_p)

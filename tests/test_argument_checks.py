@@ -1,9 +1,10 @@
 """One table of refused decode settings: each public entry's error class and message.
 
-Temperatures, top-k and top-p are checked by DecodeConfig's construction, on
-entry to every public function that takes them, and the prefix-power kernel
-behind those functions checks nothing; the other arguments here (an
-exponent, a temperature grid, bounds, tau, k) have checks of their own.
+Temperatures, top-k and top-p are checked by decode's _check_temperature,
+_check_count and _check_top_p, which DecodeConfig and every public function
+that takes a setting call on entry; the prefix-power kernel behind those
+functions checks nothing. The other arguments here (an exponent, a
+temperature grid, bounds, tau, k) have checks of their own.
 """
 
 import math
@@ -97,6 +98,9 @@ GROUPS = [
      NonPositiveTemperatureError, _floated(TEMPERATURE_MSG)),
     ("temperature_sweep.grid", lambda v: temperature_sweep(TEACHER, STUDENT, [0.5, v], 1.5),
      TEMPERATURES, OutOfRangeError, "temperature grid entries must be positive"),
+    ("temperature_sweep.grid_at_top_p_0.8",
+     lambda v: temperature_sweep(TEACHER, STUDENT, [0.5, v], 0.8), (0.0,),
+     OutOfRangeError, "temperature grid entries must be positive"),
     ("temperature_sweep.top_p",
      lambda v: temperature_sweep(TEACHER, STUDENT, [0.5, 1.0], v), TOP_PS,
      OutOfRangeError, TOP_P_MSG),
