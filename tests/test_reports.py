@@ -70,10 +70,30 @@ def _logits_utf8() -> bytes:
     return b"".join(line + b"\n" for line in lines)
 
 
+def _number_shapes() -> bytes:
+    # every way a JSON number can spell an entry, and booleans hidden where
+    # they read as 0 or 1: among many zeros and among few
+    lines = [
+        b'{"context_id": "int-logits", "logits": [3, 1, 0, -2, 5, 12345678901234567890]}',
+        b'{"context_id": "int-zeros", "probs": [0, 0, 0.5, 0, 0, 0.25, 0, 0.25]}',
+        b'{"context_id": "float-zeros", "probs": [0.0, 0.25, 0.0, 0.0, 0.75, 0.0]}',
+        b'{"context_id": "neg-zero", "probs": [-0.0, 0.5, -0.0, 0.5], "label": "-0.0"}',
+        b'{"context_id": "one-hot", "probs": [0.0, 0.0, 1.0, 0.0]}',
+        b'{"context_id": "int-one-hot", "probs": [0, 1, 0]}',
+        b'{"context_id": "hidden-true", "probs": [' + b"0, " * 40 + b"true, 0]}",
+        b'{"context_id": "hidden-false", "logits": [0.5, -1.25, 2.0, false, 3.5, 0.125]}',
+        b'{"context_id": "nested", "probs": [[0.5, 0.5], [0.25, 0.75]]}',
+        b'{"context_id": "mixed", "logits": [0, 1, 0.0, 1.0, -0.0, 2, 2.5]}',
+    ]
+    lines[3:3] = list(_records(4, 3))
+    return b"".join(line + b"\n" for line in lines)
+
+
 DUMPS = {
     "bad_lines": (_bad_lines, []),
     "crlf_blank": (_crlf_blank, ["--temperature", "0.8", "--top-p", "0.9"]),
     "logits_utf8": (_logits_utf8, ["--top-k", "5"]),
+    "number_shapes": (_number_shapes, ["--top-p", "0.9"]),
 }
 CELLS = [f"{name}.{mode}.{fmt}" for name in DUMPS
          for mode in ("strict", "skip-bad") for fmt in ("csv", "json")]
