@@ -888,6 +888,22 @@ def expected_dump_row(line, cfg):
             entropy(rs.operational), entropy(p), top20)
 
 
+def zeros_around(entry, zero):
+    """A probs record of 4096 entries: entry at index 1234 among zeros spelled zero."""
+    entries = ",".join([zero] * 1234 + [entry] + [zero] * 2861)
+    return '{"context_id":"a","probs":[' + entries + "]}"
+
+
+def zeros_off_the_sample(entry):
+    """A probs record of 4096 entries: 0.5 at each entry _numbers samples and
+    entry at index 1 among int zeros everywhere else, so the record looks
+    mostly nonzero from its sample and is mostly zero."""
+    stride = 4096 // dump._SAMPLE + 1
+    entries = ["0.5" if k % stride == 0 else "0" for k in range(4096)]
+    entries[1] = entry
+    return '{"context_id":"a","probs":[' + ",".join(entries) + "]}"
+
+
 def force_dump_workers(monkeypatch, n):
     """Give analyze-dump n CPUs and lift its one-range-per-MiB cap, so every
     dump of n or more bytes is split n ways where its lines allow."""
@@ -926,6 +942,18 @@ class TestDumpIngestion:
             '{"context_id":"a","logits":[0.0,false]}',
             '{"context_id":"a","probs":[[0.5],0.5]}',
             '{"context_id":"a","probs":{"a":1}}',
+            '{"context_id":"a","probs":{}}',
+            # booleans read as 1.0 and 0.0 wherever they hide: among many entries
+            # equal to 0 or 1, whose types are all scanned, and among few, whose
+            # types are looked up one by one
+            pytest.param(zeros_around("true", "0"), id="true-among-4095-int-zeros"),
+            pytest.param(zeros_around("true", "0.0"), id="true-among-4095-float-zeros"),
+            pytest.param(zeros_off_the_sample("true"), id="true-among-zeros-off-the-sample"),
+            '{"context_id":"a","logits":'
+            '[0.5,0.0,-1.25,1.0,2.0,false,0.125,-0.75,1.5,2.25,-3.0,0.25]}',
+            '{"context_id":"a","probs":[0.0,0.0,true,0.0]}',  # the one-hot's only 1
+            '{"context_id":"a","probs":[0.25,0.5,true,0.25]}',  # one 0-or-1 entry in four
+            '{"context_id":"a","probs":[1,true]}',
         ],
     )
     def test_booleans_strings_and_nulls_are_not_numeric(self, tmp_path, capsys, record):
@@ -941,6 +969,42 @@ class TestDumpIngestion:
         assert code == 0
         assert [row[0] for row in csv_rows(out)[1]] == ["b"]
         assert err == f"warning: skipped line 1: {message}\n"
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ('{"context_id":"a","probs":[[0.5,0.5]]}',
+             "probability vector must be 1-d and nonempty"),
+            ('{"context_id":"a","probs":[]}', "probability vector must be 1-d and nonempty"),
+            ('{"context_id":"a","probs":[NaN,1.0]}',
+             "probability vector contains NaN or infinity"),
+            ('{"context_id":"a","logits":[[0.5,0.5]]}', "logits must be a finite 1-d array"),
+            ('{"context_id":"a","logits":[]}', "logits must be a finite 1-d array"),
+            ('{"context_id":"a","logits":[0.0,NaN]}', "logits must be a finite 1-d array"),
+        ],
+    )
+    def test_shapes_and_nan_are_invalid_distributions(self, record, message):
+        with pytest.raises(InvalidDistributionError, match=f"^{re.escape(message)}$"):
+            _parse_record(record.encode())
+
+    @pytest.mark.parametrize("key", ["probs", "logits"])
+    def test_values_are_numpys_doubles_bit_for_bit(self, monkeypatch, key):
+        rng = np.random.default_rng(33)
+        big = [int(rng.integers(1, 2**62)) << int(rng.integers(960)) | int(rng.integers(2**62))
+               for _ in range(200)]  # about 2**62 up to 2**1022: rounded to 53 bits
+        ties = [2**53 + 1, 2**53 + 3, 2**63 - 1, 2**63, 2**64 - 1, 2**64 + 2**11,
+                int(np.finfo(float).max) - 1]  # rounds up to DBL_MAX
+        ints = [int(v) for v in rng.integers(-(2**62), 2**62, size=50)] + [0, 1, -1]
+        entries = [*ints, *big, *ties, -0.0, 0.0, 1.0, 5e-324, -5e-324, 1e308, -1e308,
+                   *rng.normal(size=50).tolist()]
+        line = json.dumps({"context_id": "a", key: entries})
+        seen = []  # the doubles _parse_record hands to _softmax or Categorical
+        monkeypatch.setattr(dump, "_softmax", lambda values: seen.append(values) or values)
+        monkeypatch.setattr(dump, "Categorical", lambda values: seen.append(values))
+        _parse_record(line.encode())
+        expected = np.asarray(json.loads(line)[key], dtype=float)
+        assert seen[0].dtype == np.float64 and seen[0].shape == expected.shape
+        np.testing.assert_array_equal(seen[0].view(np.int64), expected.view(np.int64))
 
     def test_strict_mode_names_bad_lines(self, tmp_path, capsys):
         path = self._write(
@@ -1142,6 +1206,15 @@ class TestDumpIngestion:
         assert code == 0
         assert [row[0] for row in csv_rows(out)[1]] == ["b"]
         assert err == f"warning: skipped line 2: {expected.value}\n"
+
+    def test_integer_past_double_max_after_unicode_whitespace(self):
+        # str.strip drops a leading form feed and json.loads would not
+        spelled = '\x0c{"context_id":"a","probs":[0.5,1e400]}'
+        big = f'\x0c{{"context_id":"a","probs":[0.5,1{"0" * 400}]}}'
+        with pytest.raises(InvalidDistributionError) as expected:
+            _parse_record(spelled.encode())
+        with pytest.raises(InvalidDistributionError, match=re.escape(str(expected.value))):
+            _parse_record(big.encode())
 
     def test_integer_past_double_max_beside_a_string_is_not_numeric(self):
         with pytest.raises(ParseError, match="not a numeric array"):
