@@ -28,10 +28,14 @@ _NOT_NUMERIC = "probability field is not a numeric array"
 # most 1/_LOOKUP_SHARE of a record: at V=262 144 one lookup by index took
 # 60-80 ns, two to three steps of the type scan over every entry (26 ns).
 _LOOKUP_SHARE = 4
-# A record is judged mostly 0 or 1 from this many entries spread across it.
-# Such a record needs the type scan anyway, and array("d") converts an int
-# in about 48 ns where numpy takes 30, so it keeps numpy's path.
-_SAMPLE = 64
+
+
+def _text(raw: bytes) -> str:
+    """The line raw as text, without its surrounding whitespace."""
+    try:
+        return raw.decode("utf-8").strip()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"invalid UTF-8: {exc.reason} at byte {exc.start}")
 
 
 def _numbers(field, raw: bytes, key: str) -> np.ndarray:
@@ -42,12 +46,10 @@ def _numbers(field, raw: bytes, key: str) -> np.ndarray:
     """
     values = None
     if isinstance(field, list):
-        sample = field[:: len(field) // _SAMPLE + 1]
-        if (sample.count(0) + sample.count(1)) * _LOOKUP_SHARE <= len(sample):
-            try:
-                values = np.frombuffer(array("d", field))
-            except (TypeError, OverflowError):  # null, a string, a list, an int past DBL_MAX
-                pass
+        try:
+            values = np.frombuffer(array("d", field))
+        except (TypeError, OverflowError):  # null, a string, a list, an int past DBL_MAX
+            pass
     if values is not None:
         hits = values == 0  # true and false read as 1.0 and 0.0
         hits |= values == 1
@@ -64,8 +66,7 @@ def _numbers(field, raw: bytes, key: str) -> np.ndarray:
         try:
             return np.asarray(field, dtype=float)
         except OverflowError:  # an integer past DBL_MAX: read it as 1e400 reads, inf
-            line = raw.decode("utf-8").strip()
-            return np.asarray(json.loads(line, parse_int=float)[key], dtype=float)
+            return np.asarray(json.loads(_text(raw), parse_int=float)[key], dtype=float)
     except (TypeError, ValueError):
         raise ParseError(_NOT_NUMERIC)
 
@@ -80,17 +81,13 @@ def _parse_record(raw: bytes) -> tuple[str, str, Categorical] | None:
     false as 0.0, so only an entry equal to 0 or 1 can be a boolean, and
     only those entries' types are looked up. When more than a quarter of
     the entries are 0 or 1, every entry's type is scanned instead, which
-    costs less than that many lookups; and when more than a quarter of 64
-    entries spread across the field are, the field takes numpy's path.
+    costs less than that many lookups.
 
     The line's text is let go once parsed, and the parsed list once
     converted: at V=262 144 they are about 4 and 8 MB, and holding them
     beside the record's arrays set analyze-dump's peak memory.
     """
-    try:
-        line = raw.decode("utf-8").strip()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"invalid UTF-8: {exc.reason} at byte {exc.start}")
+    line = _text(raw)
     if not line:
         return None
     try:

