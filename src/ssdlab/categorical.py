@@ -184,8 +184,9 @@ def renyi_entropy(p: Categorical, alpha: float) -> float:
 
     An infinite order gives the limit, the min-entropy -log max p.
     """
-    if not alpha > 0:
-        raise InvalidOrderError(f"Renyi order must be positive, got {alpha!r}")
+    from .decode import _check_positive  # decode imports this module
+
+    _check_positive("Renyi order", alpha, error=InvalidOrderError)
     if alpha == 1.0:
         return entropy(p)
     logp = np.log(p.probs[p.probs > 0])

@@ -28,6 +28,7 @@ import argparse
 import csv
 import io
 import sys
+from functools import partial
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -37,6 +38,11 @@ import numpy as np
 from .categorical import Categorical, entropy, normalize
 from .decode import (
     DecodeConfig,
+    _check_count,
+    _check_finite_positive,
+    _check_open_unit,
+    _check_positive,
+    _check_unit,
     argmax_token,
     greedy_guard,
     retained_support,
@@ -109,36 +115,9 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _positive(x) -> bool:
-    return x > 0
-
-
-def _non_negative(x) -> bool:
-    return x >= 0
-
-
-def _unit_interval(x) -> bool:
-    return 0.0 < x <= 1.0
-
-
-def _positive_finite(x) -> bool:
-    return 0 < x < np.inf
-
-
-def _open_unit(x) -> bool:
-    return 0.0 < x < 1.0
-
-
-def _all_positive(xs) -> bool:
-    return all(x > 0 for x in xs)
-
-
-def _all_unit(xs) -> bool:
-    return all(0.0 < x <= 1.0 for x in xs)
-
-
 class Flag(NamedTuple):
-    """One CLI option: converter, default, range check, and help text."""
+    """One CLI option: converter, default, help text, and range check, a decode
+    checker that resolve_args runs as check(name without dashes, value)."""
 
     name: str  # long option, e.g. "--top-p"
     convert: Callable[[str], Any] | None  # None for a switch, which takes no value
@@ -146,8 +125,7 @@ class Flag(NamedTuple):
     help: str = ""
     required: bool = False
     choices: tuple[str, ...] | None = None
-    check: Callable[[Any], bool] | None = None
-    check_msg: str = ""
+    check: Callable[[str, Any], None] | None = None
 
     @property
     def dest(self) -> str:
@@ -161,12 +139,10 @@ _OUTPUT_FLAGS = [
 ]
 
 _DECODE_CONFIG_FLAGS = [
-    Flag("--temperature", float, 1.0, "decode temperature",
-         check=_positive, check_msg="temperature must be > 0"),
+    Flag("--temperature", float, 1.0, "decode temperature", check=_check_positive),
     Flag("--top-k", int, 0, "top-k cutoff (0 disables)",
-         check=_non_negative, check_msg="top-k must be >= 0"),
-    Flag("--top-p", float, 1.0, "top-p threshold (1 disables)",
-         check=_unit_interval, check_msg="top-p must lie in (0, 1]"),
+         check=partial(_check_count, minimum=0)),
+    Flag("--top-p", float, 1.0, "top-p threshold (1 disables)", check=_check_unit),
 ]
 
 _DECODE_FLAGS = [
@@ -176,13 +152,13 @@ _DECODE_FLAGS = [
 
 _TRAIN_FLAGS = [
     Flag("--learning-rate", float, 0.5, "gradient descent step size",
-         check=_positive_finite, check_msg="learning-rate must be finite and > 0"),
+         check=_check_finite_positive),
     Flag("--max-steps", int, 100_000, "iteration cap",
-         check=_non_negative, check_msg="max-steps must be >= 0"),
+         check=partial(_check_count, minimum=0)),
     Flag("--tv-tolerance", float, 1e-6, "on-support TV stopping threshold",
-         check=_positive, check_msg="tv-tolerance must be > 0"),
+         check=_check_positive),
     Flag("--log-every", int, 1, "record every Nth step (last step always kept)",
-         check=_positive, check_msg="log-every must be >= 1"),
+         check=partial(_check_count, minimum=1)),
 ]
 
 _SENSITIVITY_FLAGS = [
@@ -190,54 +166,47 @@ _SENSITIVITY_FLAGS = [
          choices=("escort", "entropy", "curve", "feasible")),
     Flag("--probs", _floats, None, "token weights for escort/entropy/curve modes"),
     Flag("--support", _ints, None, "support index set (default: full alphabet)"),
-    Flag("--gamma", float, 1.0, "escort exponent",
-         check=_positive_finite, check_msg="gamma must be finite and > 0"),
+    Flag("--gamma", float, 1.0, "escort exponent", check=_check_finite_positive),
     Flag("--event", _ints, None, "event index set inside the support"),
-    Flag("--tau", float, 1.0, "evaluation temperature",
-         check=_positive, check_msg="tau must be > 0"),
+    Flag("--tau", float, 1.0, "evaluation temperature", check=_check_positive),
     Flag("--k", int, 0, "prefix length (0 = all positive tokens)",
-         check=_non_negative, check_msg="k must be >= 0"),
+         check=partial(_check_count, minimum=0)),
     Flag("--lock-probs", _floats, None, "lock-side weights (feasible mode)"),
     Flag("--fork-probs", _floats, None, "fork-side weights (feasible mode)"),
     Flag("--lock-rank", int, 1, "required lock rank",
-         check=_positive, check_msg="lock-rank must be >= 1"),
+         check=partial(_check_count, minimum=1)),
     Flag("--fork-rank", int, 2, "required fork rank",
-         check=_positive, check_msg="fork-rank must be >= 1"),
+         check=partial(_check_count, minimum=1)),
 ]
 
 # The machine's shape; a flag left unset stays None and build_toy_fsm applies
 # its own default.
 _SHAPE_FLAGS = [
-    Flag("--tail-ratio", float, None, "geometric tail ratio",
-         check=_open_unit, check_msg="tail-ratio must lie in (0, 1)"),
+    Flag("--tail-ratio", float, None, "geometric tail ratio", check=_check_open_unit),
     Flag("--lock-head", _floats, None, "lock head values"),
     Flag("--fork-head", _floats, None, "fork head values"),
     Flag("--root-head", _floats, None, "root head values"),
     Flag("--vocab-size", int, None, "alphabet size",
-         check=lambda v: v >= 2, check_msg="vocab-size must be >= 2"),
+         check=partial(_check_count, minimum=2)),
     Flag("--n-locks", int, None, "lock states per path",
-         check=_positive, check_msg="n-locks must be >= 1"),
+         check=partial(_check_count, minimum=1)),
 ]
 
 _FSM_FLAGS = [
     *_SHAPE_FLAGS,
     Flag("--t-train", float, 0.9, "distillation training temperature",
-         check=_positive, check_msg="t-train must be > 0"),
-    Flag("--train-top-p", float, 0.85, "distillation training top-p",
-         check=_unit_interval, check_msg="train-top-p must lie in (0, 1]"),
+         check=_check_positive),
+    Flag("--train-top-p", float, 0.85, "distillation training top-p", check=_check_unit),
 ]
 
 _ROLE_FLAG = Flag("--role", str, "teacher", "which machine to evaluate",
                   choices=("teacher", "student"))
 
-_EVAL_TOP_P_FLAG = Flag("--top-p", float, 0.80, "evaluation top-p",
-                        check=_unit_interval, check_msg="top-p must lie in (0, 1]")
+_EVAL_TOP_P_FLAG = Flag("--top-p", float, 0.80, "evaluation top-p", check=_check_unit)
 
 _T_BOUND_FLAGS = [
-    Flag("--t-min", float, 0.05, "lower temperature bound",
-         check=_positive_finite, check_msg="t-min must be finite and > 0"),
-    Flag("--t-max", float, 5.0, "upper temperature bound",
-         check=_positive_finite, check_msg="t-max must be finite and > 0"),
+    Flag("--t-min", float, 0.05, "lower temperature bound", check=_check_finite_positive),
+    Flag("--t-max", float, 5.0, "upper temperature bound", check=_check_finite_positive),
 ]
 
 class _UsageError(Exception):
@@ -313,8 +282,12 @@ def resolve_args(ns: argparse.Namespace) -> dict[str, Any]:
                 value = flag.default
         if value is None and flag.required:
             raise _UsageError(f"missing required option {flag.name}")
-        if value is not None and flag.check is not None and not flag.check(value):
-            raise _UsageError(flag.check_msg)
+        if value is not None and flag.check is not None:
+            try:
+                for entry in value if isinstance(value, list) else [value]:
+                    flag.check(flag.name[2:], entry)
+            except SsdLabError as exc:
+                raise _UsageError(str(exc)) from None
         resolved[flag.dest] = value
     return resolved
 
@@ -580,8 +553,7 @@ SUBCOMMANDS: dict[str, tuple[Callable[[dict], tuple[list[str], list]], list[Flag
     "sensitivity": (_run_sensitivity, _SENSITIVITY_FLAGS),
     "toy-sweep": (_run_toy_sweep, _FSM_FLAGS + [
         Flag("--t-grid", _grid, None, "temperatures: list or lo:hi:step",
-             required=True, check=_all_positive,
-             check_msg="t-grid entries must be > 0"),
+             required=True, check=_check_positive),
         _EVAL_TOP_P_FLAG,
     ]),
     "toy-optimize": (_run_toy_optimize, _FSM_FLAGS + [
@@ -591,19 +563,17 @@ SUBCOMMANDS: dict[str, tuple[Callable[[dict], tuple[list[str], list]], list[Flag
     ]),
     "toy-grid": (_run_toy_grid, _FSM_FLAGS + [
         Flag("--top-p", _floats, [0.65, 0.70, 0.75, 0.80, 0.85, 0.90],
-             "top-p values, comma separated",
-             check=_all_unit, check_msg="top-p values must lie in (0, 1]"),
+             "top-p values, comma separated", check=_check_unit),
         *_T_BOUND_FLAGS,
     ]),
     "toy-mc": (_run_toy_mc, _FSM_FLAGS + [
         _ROLE_FLAG,
         Flag("--temperature", float, None, "evaluation temperature", required=True,
-             check=_positive, check_msg="temperature must be > 0"),
+             check=_check_positive),
         _EVAL_TOP_P_FLAG,
         Flag("--n", int, 1_000_000, "trajectory count",
-             check=_positive, check_msg="n must be >= 1"),
-        Flag("--seed", int, 0, "random seed",
-             check=_non_negative, check_msg="seed must be >= 0"),
+             check=partial(_check_count, minimum=1)),
+        Flag("--seed", int, 0, "random seed", check=partial(_check_count, minimum=0)),
     ]),
     "analyze-dump": (_run_analyze_dump, [
         Flag("--input", str, None, "line-delimited record file", required=True),

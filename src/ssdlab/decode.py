@@ -18,14 +18,18 @@ retained_support is its one-temperature case and DecodeConfig has no order
 field; temper, top_k_set, top_p_set and decode_normal_form run the
 operators literally, in any order, and are its reference. Tempering shifts
 by log p_max before dividing by T: T -> 0 gives the argmax (tied maxima
-share the mass) and a huge T never lets top-k reorder tokens. DecodeConfig
-and each public entry check settings with _check_temperature, _check_count
-and _check_top_p, the one copy of each rule; _prefix_power checks nothing.
+share the mass) and a huge T never lets top-k reorder tokens. Each argument
+rule has one checker: _check_count, _check_positive, _check_finite_positive,
+_check_unit and _check_open_unit, which the library and the command line's
+flags share; _check_temperature and _check_top_p name the decode settings'
+forms. DecodeConfig and each public entry check their settings with them;
+_prefix_power checks nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -82,16 +86,32 @@ def _check_count(name: str, value, minimum: int) -> None:
         raise OutOfRangeError(f"{name} must be >= {minimum}, got {value!r}")
 
 
-def _check_temperature(temperature) -> None:
-    """Refuse a temperature that is not positive; nan is refused too."""
-    if not temperature > 0:
-        raise NonPositiveTemperatureError(f"temperature must be positive, got {temperature!r}")
+# The other argument rules' checkers, (0, 1] being top-p's and (0, 1) a tail
+# ratio's. Each refuses nan too and raises error, OutOfRangeError unless a
+# caller keeps an older class.
+
+def _check_positive(name: str, value, error=OutOfRangeError) -> None:
+    if not value > 0:
+        raise error(f"{name} must be positive, got {value!r}")
 
 
-def _check_top_p(top_p) -> None:
-    """Refuse a top-p threshold outside (0, 1]; nan is refused too."""
-    if not 0.0 < top_p <= 1.0:
-        raise OutOfRangeError(f"top_p must lie in (0, 1], got {top_p!r}")
+def _check_finite_positive(name: str, value, error=OutOfRangeError) -> None:
+    if not 0 < value < np.inf:
+        raise error(f"{name} must be finite and positive, got {value!r}")
+
+
+def _check_unit(name: str, value, error=OutOfRangeError) -> None:
+    if not 0.0 < value <= 1.0:
+        raise error(f"{name} must lie in (0, 1], got {value!r}")
+
+
+def _check_open_unit(name: str, value, error=OutOfRangeError) -> None:
+    if not 0.0 < value < 1.0:
+        raise error(f"{name} must lie in (0, 1), got {value!r}")
+
+
+_check_temperature = partial(_check_positive, "temperature", error=NonPositiveTemperatureError)
+_check_top_p = partial(_check_unit, "top_p")
 
 
 def _check_order(order) -> tuple[str, str, str]:
@@ -385,8 +405,7 @@ def decode_normal_form(
     ranking; any deviation beyond 1e-10 is an implementation bug.
     """
     order = _check_order(order)
-    if not 0 < alpha < np.inf:  # 1 / inf would reach temper as temperature 0
-        raise OutOfRangeError(f"exponent must be finite and positive, got {alpha!r}")
+    _check_finite_positive("exponent", alpha)  # 1 / inf would reach temper as temperature 0
     _check_count("top_k", k, 0)
     _check_top_p(top_p)
     final = _run_pipeline(p, order, alpha, k, top_p)

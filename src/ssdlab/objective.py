@@ -25,7 +25,15 @@ from .categorical import (
     as_index_array,
     restrict,
 )
-from .decode import DecodeConfig, _check_count, make_stream, retained_support, temper
+from .decode import (
+    DecodeConfig,
+    _check_count,
+    _check_finite_positive,
+    _check_positive,
+    make_stream,
+    retained_support,
+    temper,
+)
 from .errors import (
     CompositionViolationError,
     DivergenceError,
@@ -271,12 +279,9 @@ def _student_steps(
     until the generator is resumed after their block's last step; the last step's
     stay valid for good.
     """
-    if not 0 < learning_rate < np.inf:
-        raise OutOfRangeError("learning_rate must be finite and positive, "
-                              f"got {learning_rate!r}")
+    _check_finite_positive("learning_rate", learning_rate)
     _check_count("max_steps", max_steps, 0)
-    if not tv_tolerance > 0:
-        raise OutOfRangeError(f"tv_tolerance must be positive, got {tv_tolerance!r}")
+    _check_positive("tv_tolerance", tv_tolerance)
     # the support, ascending, not rank order: the summing order is part of the output bits
     idx = np.flatnonzero(target.q.probs)
     qv = target.q.probs[idx]
@@ -393,8 +398,7 @@ def train_local_student(
 
 def _tempered_target(target: SsdTarget, tau: float) -> tuple[Categorical, Categorical]:
     """ideal_fit_eval's tempered target, and the composed form it is checked against."""
-    if not tau > 0:
-        raise OutOfRangeError(f"tau must be positive, got {tau!r}")
+    _check_positive("tau", tau)
     fitted = temper(target.q, tau)
     composed = restrict(
         temper(target.source, target.train_temperature * tau), target.support

@@ -22,12 +22,11 @@ from .categorical import (
     entropy,
     restrict,
 )
-from .decode import _check_count, _prefix_power, temper
+from .decode import _check_count, _check_finite_positive, _check_positive, _prefix_power, temper
 from .errors import (
     InvalidEntryError,
     KTooLargeError,
     NonPositiveTemperatureError,
-    OutOfRangeError,
     RankOutOfRangeError,
     ZeroProbabilityOnSupportError,
 )
@@ -62,8 +61,7 @@ class FeasibilityReport:
 
 def escort_distribution(p0: Categorical, members, gamma: float) -> Categorical:
     """The distribution proportional to p0^gamma on the set, zero elsewhere."""
-    if not 0 < gamma < np.inf:  # 1 / inf would reach temper as temperature 0
-        raise OutOfRangeError(f"gamma must be finite and positive, got {gamma!r}")
+    _check_finite_positive("gamma", gamma)  # 1 / inf would reach temper as temperature 0
     return temper(p0, 1.0 / gamma, members)
 
 
@@ -140,8 +138,7 @@ def prefix_mass_curve(p: Categorical, tau: float, k: int) -> np.ndarray:
     S_m is the mass of the m highest-ranked tokens of p^(1/tau)
     renormalized over the k highest; S_k is exactly 1.
     """
-    if not tau > 0:
-        raise NonPositiveTemperatureError(f"tau must be positive, got {tau!r}")
+    _check_positive("tau", tau, error=NonPositiveTemperatureError)
     _check_count("k", k, 1)
     positive = int(np.count_nonzero(p.probs))
     if k > positive:
@@ -167,10 +164,10 @@ def feasible_topp_interval(
     lower is the fork prefix mass just below fork_rank (0 when rank 1,
     strict bound); upper is the lock prefix mass at lock_rank (non-strict).
     """
-    if lock_rank < 1 or lock_rank > k:
-        raise RankOutOfRangeError(f"lock_rank must lie in [1, {k}], got {lock_rank!r}")
-    if fork_rank < 1 or fork_rank > k:
-        raise RankOutOfRangeError(f"fork_rank must lie in [1, {k}], got {fork_rank!r}")
+    for name, rank in (("lock_rank", lock_rank), ("fork_rank", fork_rank)):
+        _check_count(name, rank, -np.inf)  # the integer test alone: no integer is below -inf
+        if not 1 <= rank <= k:
+            raise RankOutOfRangeError(f"{name} must lie in [1, {k}], got {rank!r}")
     lock_curve = prefix_mass_curve(lock_p, tau, k)
     fork_curve = prefix_mass_curve(fork_p, tau, k)
     lower = 0.0 if fork_rank == 1 else float(fork_curve[fork_rank - 2])

@@ -34,6 +34,7 @@ from .decode import (
     DecodeConfig,
     _block_rows,
     _check_count,
+    _check_open_unit,
     _check_temperature,
     _check_top_p,
     _prefix_power,
@@ -128,8 +129,7 @@ class McResult:
 
 def geometric_tail(residual: float, ratio: float, length: int) -> np.ndarray:
     """A length-term geometric sequence with the given ratio summing to residual."""
-    if not 0.0 < ratio < 1.0:
-        raise InvalidRatioError(f"tail ratio must lie in (0, 1), got {ratio!r}")
+    _check_open_unit("tail ratio", ratio, error=InvalidRatioError)
     _check_count("tail length", length, 1)
     first = residual * (1.0 - ratio) / (1.0 - ratio**length)
     return first * ratio ** np.arange(length)

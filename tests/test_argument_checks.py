@@ -1,10 +1,12 @@
-"""One table of refused decode settings: each public entry's error class and message.
+"""One table of refused arguments: each public entry's error class and message.
 
 Temperatures, top-k and top-p are checked by decode's _check_temperature,
 _check_count and _check_top_p, which DecodeConfig and every public function
 that takes a setting call on entry; the prefix-power kernel behind those
-functions checks nothing. The other arguments here (an exponent, a
-temperature grid, bounds, tau, k) have checks of their own.
+functions checks nothing. An exponent, gamma, a learning rate, tau, a TV
+tolerance and a tail ratio go through the same rule checkers
+(_check_finite_positive, _check_positive, _check_open_unit), each site
+keeping its error class; a temperature grid and bounds have checks of their own.
 """
 
 import math
@@ -14,12 +16,15 @@ import pytest
 from ssdlab import (
     Categorical,
     DecodeConfig,
+    InvalidRatioError,
     NonPositiveTemperatureError,
     OutOfRangeError,
     build_toy_fsm,
     decode_normal_form,
     distill_fsm,
+    escort_distribution,
     exact_success,
+    geometric_tail,
     ideal_fit_eval,
     local_gain,
     optimize_temperature,
@@ -31,6 +36,7 @@ from ssdlab import (
     top_k_set,
     top_p_set,
     topp_robustness_grid,
+    train_local_student,
 )
 from ssdlab.decode import DEFAULT_ORDER
 
@@ -38,6 +44,9 @@ NAN, INF = math.nan, math.inf
 TEMPERATURES = (0, -1.0, NAN)  # an infinite temperature is the uniform limit
 TOP_PS = (0, -1.0, NAN, INF, 1.5)
 COUNTS = (True, 2.5, -1)
+POSITIVES = (0, -1.0, NAN)  # an infinite tau or TV tolerance is taken
+FINITE_POSITIVES = POSITIVES + (INF,)
+RATIOS = FINITE_POSITIVES + (1,)
 
 P = Categorical([0.5, 0.3, 0.2])
 CFG = DecodeConfig(temperature=0.9, top_p=0.85)
@@ -122,6 +131,16 @@ GROUPS = [
      OutOfRangeError, TAU_MSG),
     ("local_gain.tau", lambda v: local_gain(P, CFG, v, [0]), TEMPERATURES,
      OutOfRangeError, TAU_MSG),
+    ("escort_distribution.gamma", lambda v: escort_distribution(P, [0, 1, 2], v),
+     FINITE_POSITIVES, OutOfRangeError, "gamma must be finite and positive, got {!r}"),
+    ("train_local_student.learning_rate",
+     lambda v: train_local_student(P, CFG, learning_rate=v), FINITE_POSITIVES,
+     OutOfRangeError, "learning_rate must be finite and positive, got {!r}"),
+    ("train_local_student.tv_tolerance",
+     lambda v: train_local_student(P, CFG, tv_tolerance=v), POSITIVES,
+     OutOfRangeError, "tv_tolerance must be positive, got {!r}"),
+    ("geometric_tail.ratio", lambda v: geometric_tail(0.5, v, 4), RATIOS,
+     InvalidRatioError, "tail ratio must lie in (0, 1), got {!r}"),
 ]
 
 CASES = [

@@ -181,7 +181,9 @@ class TestNormalize:
         with pytest.raises(AllZeroError):
             normalize([0.0, 0.0])
 
-    @pytest.mark.parametrize("values", [[1.0, -1.0], [np.nan, 1.0], [np.inf, 1.0]])
+    @pytest.mark.parametrize(
+        "values", [[1.0, -1.0], [np.nan, 1.0], [np.inf, 1.0], [[0.5, 0.5]]]
+    )
     def test_bad_weights_rejected(self, values):
         with pytest.raises(InvalidEntryError):
             normalize(values)
@@ -323,8 +325,9 @@ class TestDivergences:
     def test_alphabet_mismatch_rejected(self):
         p = Categorical(np.array([0.5, 0.5]))
         q = Categorical(np.array([0.5, 0.25, 0.25]))
-        with pytest.raises(InvalidEntryError):
-            kl_divergence(p, q)
+        for divergence in (kl_divergence, cross_entropy):
+            with pytest.raises(InvalidEntryError, match="^alphabet sizes differ$"):
+                divergence(p, q)
 
     def test_gibbs_identity_randomized(self, make_dists):
         # cross entropy = entropy + KL, and KL >= 0, for any support-compatible pair

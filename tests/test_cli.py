@@ -32,6 +32,7 @@ from ssdlab.categorical import _softmax
 from ssdlab.cli import (
     DECOMPOSITION_HEADER,
     DUMP_HEADER,
+    SUBCOMMANDS,
     SWEEP_HEADER,
     _cell,
     _grid,
@@ -253,8 +254,8 @@ class TestTrainCommand:
             capsys, "train-student", "--probs", "0.5,0.3,0.2,0.1", "--top-p", "0.8",
             "--temperature", "0.7", "--learning-rate", "inf", "--max-steps", "3",
         )
-        assert (code, out) == (1, "")
-        assert "learning-rate must be finite and > 0" in err
+        assert (code, out, err) == (
+            1, "", "error: learning-rate must be finite and positive, got inf\n")
 
     def test_infinite_train_temperature_exits_two(self, capsys):
         # total and align were nan on every row
@@ -531,7 +532,7 @@ class TestSensitivityCommand:
             "--probs", "0.5,0.3,0.2", "--gamma", gamma,
         )
         assert (code, out) == (1, "")
-        assert err == "error: gamma must be finite and > 0\n"
+        assert err == f"error: gamma must be finite and positive, got {gamma}\n"
 
     def test_escort_at_huge_gamma_has_finite_slope(self, capsys):
         code, out, _ = run(
@@ -656,7 +657,7 @@ class TestToyCommands:
     def test_infinite_t_bound_exits_one(self, capsys, command, bound):
         code, out, err = run(capsys, command, bound, "inf")
         assert (code, out) == (1, "")
-        assert err == f"error: {bound[2:]} must be finite and > 0\n"
+        assert err == f"error: {bound[2:]} must be finite and positive, got inf\n"
 
     @pytest.mark.parametrize("command", ["toy-optimize", "toy-grid"])
     def test_oversized_t_grid_exits_two(self, capsys, command):
@@ -684,7 +685,7 @@ class TestToyCommands:
         config.write_text("seed = -1\n")
         flags = ["--seed", "-1"] if source == "flag" else ["--config", str(config)]
         code, out, err = run(capsys, "toy-mc", "--temperature", "1", "--n", "100000", *flags)
-        assert (code, out, err) == (1, "", "error: seed must be >= 0\n")
+        assert (code, out, err) == (1, "", "error: seed must be >= 0, got -1\n")
 
     @pytest.mark.parametrize("argv", [
         ("toy-sweep", "--t-grid", "0.6"),
@@ -824,6 +825,15 @@ class TestConfigFile:
         assert [row[0] for row in csv_rows(out)[1]] == ["a"]
         assert err.startswith("warning: skipped line 2: ")
 
+    def test_a_false_boolean_keeps_strict_mode(self, tmp_path, capsys):
+        dump = tmp_path / "dump.jsonl"
+        dump.write_text('{"context_id":"a","probs":[0.5,0.5]}\ngarbage\n')
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("skip_bad = no\n")
+        code, out, err = run(capsys, "analyze-dump", "--input", str(dump), "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 2: invalid JSON")
+
     @pytest.mark.parametrize("text, message", [
         ("skip_bad = maybe\n", "config key skip_bad: expected a boolean, got 'maybe'"),
         ("format xml\n", "config line 1: expected key = value"),
@@ -842,6 +852,60 @@ class TestConfigFile:
         cfg.write_text("probs = 0.5,0.5\ntemperature = -2\n")
         code, _, _ = run(capsys, "decode", "--config", str(cfg))
         assert code == 1
+
+
+# Each checked flag's refused value and the message of the library checker it
+# runs, under the flag's name; a list flag's entries are checked one by one.
+FLAG_REFUSALS = {
+    "--temperature": ("0", "temperature must be positive, got 0.0"),
+    "--top-k": ("-1", "top-k must be >= 0, got -1"),
+    "--top-p": ("1.5", "top-p must lie in (0, 1], got 1.5"),
+    "--learning-rate": ("inf", "learning-rate must be finite and positive, got inf"),
+    "--max-steps": ("-1", "max-steps must be >= 0, got -1"),
+    "--tv-tolerance": ("0", "tv-tolerance must be positive, got 0.0"),
+    "--log-every": ("0", "log-every must be >= 1, got 0"),
+    "--gamma": ("nan", "gamma must be finite and positive, got nan"),
+    "--tau": ("-1", "tau must be positive, got -1.0"),
+    "--k": ("-1", "k must be >= 0, got -1"),
+    "--lock-rank": ("0", "lock-rank must be >= 1, got 0"),
+    "--fork-rank": ("0", "fork-rank must be >= 1, got 0"),
+    "--tail-ratio": ("1", "tail-ratio must lie in (0, 1), got 1.0"),
+    "--vocab-size": ("1", "vocab-size must be >= 2, got 1"),
+    "--n-locks": ("0", "n-locks must be >= 1, got 0"),
+    "--t-train": ("0", "t-train must be positive, got 0.0"),
+    "--train-top-p": ("0", "train-top-p must lie in (0, 1], got 0.0"),
+    "--t-grid": ("0.5,-1", "t-grid must be positive, got -1.0"),
+    "--t-min": ("inf", "t-min must be finite and positive, got inf"),
+    "--t-max": ("0", "t-max must be finite and positive, got 0.0"),
+    "--n": ("0", "n must be >= 1, got 0"),
+    "--seed": ("-1", "seed must be >= 0, got -1"),
+}
+
+# a passing value of each required flag
+REQUIRED_VALUES = {
+    "--probs": "0.5,0.5", "--t-grid": "1", "--temperature": "1", "--input": "unread.jsonl",
+}
+
+
+@pytest.mark.parametrize("command, name, source", [
+    pytest.param(command, flag.name, source, id=f"{command}{flag.name}-{source}")
+    for command, (_, flags) in SUBCOMMANDS.items()
+    for flag in flags if flag.check is not None
+    for source in ("flag", "config")
+])
+def test_refused_flag_exits_one_with_the_library_message(capsys, tmp_path, command, name,
+                                                          source):
+    value, message = FLAG_REFUSALS[name]
+    _, flags = SUBCOMMANDS[command]
+    settings = {f.name: REQUIRED_VALUES[f.name] for f in flags if f.required}
+    settings[name] = value
+    if source == "flag":
+        argv = [x for pair in settings.items() for x in pair]
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(f"{key[2:]} = {v}\n" for key, v in settings.items()))
+        argv = ["--config", str(config)]
+    assert run(capsys, command, *argv) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv, reason", [

@@ -6,6 +6,7 @@ import pytest
 from ssdlab import (
     Categorical,
     EmptyEventError,
+    InvalidEntryError,
     KTooLargeError,
     NonPositiveTemperatureError,
     OutOfRangeError,
@@ -117,6 +118,18 @@ class TestEscortSensitivity:
         p = normalize([0.5, 0.3, 0.2])
         got = escort_sensitivity(p, (0, 1, 2), 1.5, np.full(3, 7.0))
         assert got == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("f, message", [
+        ([1.0, 2.0], "f must be a vector over the full alphabet"),
+        ([[1.0, 2.0, 3.0]], "f must be a vector over the full alphabet"),
+        ([1.0, np.nan, 3.0], "f must be finite"),
+        ([1.0, 2.0, -np.inf], "f must be finite"),
+    ], ids=["short", "2-d", "nan", "infinite"])
+    def test_bad_observable_refused(self, f, message):
+        p = normalize([0.5, 0.3, 0.2])
+        with pytest.raises(InvalidEntryError) as info:
+            escort_sensitivity(p, (0, 1, 2), 1.5, f)
+        assert type(info.value) is InvalidEntryError and str(info.value) == message
 
 
 class TestSetMassSensitivity:
@@ -371,10 +384,27 @@ class TestFeasibleInterval:
 
     def test_rank_validation(self):
         p = normalize([0.4, 0.3, 0.2, 0.1])
-        with pytest.raises(RankOutOfRangeError):
+        with pytest.raises(RankOutOfRangeError, match=r"^lock_rank must lie in \[1, 4\], got 0$"):
             feasible_topp_interval(p, 0, p, 2, 1.0, 4)
-        with pytest.raises(RankOutOfRangeError):
+        with pytest.raises(RankOutOfRangeError, match=r"^fork_rank must lie in \[1, 4\], got 5$"):
             feasible_topp_interval(p, 1, p, 5, 1.0, 4)
+
+    @pytest.mark.parametrize("rank", [1.5, 2.0, True, np.float64(2.0)],
+                             ids=["1.5", "2.0", "True", "float64"])
+    @pytest.mark.parametrize("side", ["lock_rank", "fork_rank"])
+    def test_a_rank_that_is_not_an_integer_is_refused(self, side, rank):
+        # a float rank inside [1, k] would reach the prefix curves as a float index
+        p = normalize([0.4, 0.3, 0.2, 0.1])
+        ranks = {"lock_rank": 1, "fork_rank": 2, side: rank}
+        with pytest.raises(OutOfRangeError) as info:
+            feasible_topp_interval(p, ranks["lock_rank"], p, ranks["fork_rank"], 1.0, 4)
+        assert type(info.value) is OutOfRangeError
+        assert str(info.value) == f"{side} must be an integer, got {rank!r}"
+
+    def test_numpy_integer_ranks_are_taken(self):
+        p = normalize([0.4, 0.3, 0.2, 0.1])
+        assert feasible_topp_interval(p, np.int64(2), p, np.int32(1), 1.0, 4) == (
+            feasible_topp_interval(p, 2, p, 1, 1.0, 4))
 
     def test_first_rank_lower_bound_is_zero(self):
         p = normalize([0.4, 0.3, 0.2, 0.1])
