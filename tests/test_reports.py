@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ssdlab import cli, dump
+from ssdlab import cli, dump, toyfsm
 
 ROOT = Path(__file__).resolve().parent / "reports"
 REPORTS = ROOT / "analyze_dump"
@@ -147,6 +147,32 @@ ARGV_CELLS = {
         "sensitivity", "--mode", "feasible", "--lock-probs", "0.5,0.49,0.005,0.005",
         "--fork-probs", "0.3,0.299,0.25,0.1", "--tau", "0.001"],
 }
+
+
+def _train_argv(probs: np.ndarray, spec: str, *flags: str) -> list[str]:
+    return ["train-student", "--probs", ",".join(format(float(x), spec) for x in probs),
+            "--temperature", "0.9", "--top-p", "0.85", *flags]
+
+
+def _heavy_tail_1024(seed: int) -> np.ndarray:
+    """The seeded V=1024 training context of the benchmark's smoke run: noisy Zipf ranks."""
+    rng = np.random.default_rng([seed, 0x75])
+    w = np.arange(1, 1025, dtype=float) ** -1.1 * rng.gamma(64.0, 1.0 / 64.0, size=1024)
+    w = rng.permutation(w)
+    return w / w.sum()
+
+
+# The local student on the toy world's lock head (2 of 16 tokens kept) at the
+# benchmark's step cap and at its smoke size, and on a V=1024 heavy tail.
+_LOCK = toyfsm.build_toy_fsm().lock.dist.probs
+ARGV_CELLS.update({
+    "train_student/lock.25000_steps": _train_argv(
+        _LOCK, ".17g", "--log-every", "100", "--max-steps", "25000"),
+    "train_student/lock.500_steps": _train_argv(
+        _LOCK, ".17g", "--log-every", "100", "--max-steps", "500"),
+    "train_student/v1024.seed_1.50_steps": _train_argv(
+        _heavy_tail_1024(1), ".10g", "--max-steps", "50"),
+})
 
 
 @pytest.mark.parametrize("cell", sorted(ARGV_CELLS))
