@@ -56,7 +56,8 @@ class Categorical:
             raise InvalidEntryError("probability vector contains NaN or infinity")
         if np.any(p < 0):
             raise InvalidEntryError("probability vector contains negative entries")
-        total = float(p.sum())
+        with np.errstate(over="ignore"):  # finite entries can sum past DBL_MAX, to inf
+            total = float(p.sum())
         if abs(total - 1.0) > CONSTRUCTION_TOL:
             raise InvalidEntryError(
                 f"probabilities sum to {total!r}, more than {CONSTRUCTION_TOL} from 1"

@@ -31,11 +31,19 @@ _LOOKUP_SHARE = 4
 
 
 def _text(raw: bytes) -> str:
-    """The line raw as text, without its surrounding whitespace."""
+    """The line raw as text, without its surrounding whitespace.
+
+    The line is decoded without its newline, so strip copies nothing unless the
+    text has other whitespace at an end.
+    """
     try:
-        return raw.decode("utf-8").strip()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"invalid UTF-8: {exc.reason} at byte {exc.start}")
+        return str(memoryview(raw)[:len(raw) - raw.endswith(b"\n")], "utf-8").strip()
+    except UnicodeDecodeError:
+        try:  # the whole line's error: a sequence the newline cuts short has its own reason
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"invalid UTF-8: {exc.reason} at byte {exc.start}") from None
+        raise
 
 
 def _numbers(field, raw: bytes, key: str) -> np.ndarray:

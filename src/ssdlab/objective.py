@@ -72,6 +72,10 @@ STEP_BLOCK_BYTES = 1 << 19
 _ROW_BLOCK_BYTES = 1 << 17
 _ROW_DELAY_STEPS = 1 << 12
 
+# np.add.reduce adds fewer than eight float64 values left to right, so the training
+# loop sums a support of at most this many tokens on Python floats, to the same bits.
+_LEFT_TO_RIGHT_SUM = 7
+
 
 @dataclass(frozen=True, eq=False)
 class SsdTarget:
@@ -272,12 +276,14 @@ def _student_steps(
     """Yield (stop_reason, logits, softmax, loss, on_support_tv, off_support_mass) per step.
 
     Starts from target.source at step 0; stop_reason is None until the last step.
-    Steps run in blocks. A step is some sixteen numpy calls into reused buffers, its
-    logits and softmax rows of (rows, V) ones; the block's stopping rules are then
-    checked at once as row reductions and its steps yielded in order, dropping any
-    past the first stop. The yielded logits and softmax are read-only views, valid
-    until the generator is resumed after their block's last step; the last step's
-    stay valid for good.
+    Steps run in blocks. A step is seven V-wide numpy calls into reused buffers, its
+    logits and softmax rows of (rows, V) ones, and a gather of its support. Its kept
+    mass and the next step's gradient on the support take eight more numpy calls, or
+    on a support of at most _LEFT_TO_RIGHT_SUM tokens the same doubles on Python
+    floats. The block's stopping rules are then checked at once as row reductions
+    and its steps yielded in order, dropping any past the first stop. The yielded
+    logits and softmax are read-only views, valid until the generator is resumed
+    after their block's last step; the last step's stay valid for good.
     """
     _check_finite_positive("learning_rate", learning_rate)
     _check_count("max_steps", max_steps, 0)
@@ -285,46 +291,67 @@ def _student_steps(
     # the support, ascending, not rank order: the summing order is part of the output bits
     idx = np.flatnonzero(target.q.probs)
     qv = target.q.probs[idx]
+    small = idx.size <= _LEFT_TO_RIGHT_SUM
+    pairs = list(zip(idx.tolist(), qv.tolist())) if small else None
     p0 = target.source.probs
     cap = max(1, min(STEP_BLOCK_ROWS, STEP_BLOCK_BYTES // (16 * p0.size), max_steps + 1))
     Z, P = np.empty((2, cap, p0.size))
-    PS, D = np.empty((2, cap, idx.size))  # each row's p on the support and p(v|S) - q
+    PS = np.empty((cap, idx.size))  # each row's p on the support
+    D = np.empty((0 if small else cap, idx.size))  # on numpy, each row's p(v|S) - q
     KM = np.empty(cap)  # each row's kept mass
     Z[0] = np.where(p0 > 0, np.log(np.maximum(p0, 1e-300)), LOGIT_FLOOR)
-    rows = list(zip(Z, P, PS, D, (KM[k, ...] for k in range(cap))))  # KM[k, ...] is 0-d
+    rows = list(zip(Z, P, PS, (KM[k, ...] for k in range(cap))))  # KM[k, ...] is 0-d
     views = list(zip(*(_read_only(a.view()) for a in (Z, P))))
     cond, g = np.empty(idx.size), np.empty(p0.size)
     # 0-d operands, which ufuncs take without converting a Python float on each call;
     # every ufunc below takes its out array positionally, the cheaper way to pass it
     rate, one, top, total, shrink = map(np.array, (float(learning_rate), 1.0, 0.0, 0.0, 0.0))
+    lr = float(learning_rate)
     prev, rises = np.inf, 0  # the last loss and the run of increases ending at it
-    first, n, last = 0, 1, None  # last: the previous row's z, p, kept mass and d
+    first, n, last = 0, 1, None  # last: the previous row's z, p and gradient on the support
     while True:
-        for m, (z, p, p_s, d, km) in enumerate(rows[:min(n, max_steps + 1 - first)], 1):
+        for m, (z, p, p_s, km) in enumerate(rows[:min(n, max_steps + 1 - first)], 1):
             if last:  # the previous row's gradient step, taken only when a row follows it
-                z_last, p_last, km_last, d_last = last
-                # rate * p off the support, rate * (-(1 - km) p(v|S) + d) on it; cond
-                # holds the previous row's p(v|S), and km - 1 is -(1 - km) to the bit
-                np.multiply(p_last, rate, g)
-                np.multiply(cond, np.subtract(km_last, one, shrink), cond)
-                cond += d_last
-                cond *= rate
-                g[idx] = cond
+                z_last, p_last, grad = last
+                np.multiply(p_last, rate, g)  # rate * p off the support
+                if small:
+                    for i, x in grad:
+                        g[i] = x
+                else:
+                    g[idx] = grad
                 np.subtract(z_last, g, z)
             # the softmax of z: exp(z - max z), over its sum
             np.exp(np.subtract(z, np.maximum.reduce(z, None, None, top), p), p)
             np.divide(p, np.add.reduce(p, None, None, total), p)
             p.take(idx, out=p_s, mode="clip")  # idx is in range; "raise" would buffer out
-            if not float(np.add.reduce(p_s, None, None, km)) > 0:
-                break  # p_s / km would be 0 / 0; the checks below stop at this row
-            np.divide(p_s, km, cond)
-            np.subtract(cond, qv, d)
-            last = z, p, km, d
+            # rate * (-(1 - km) p(v|S) + (p(v|S) - q)) on the support for the next row's
+            # step, where km - 1 is -(1 - km) to the bit
+            if small:
+                s = 0.0
+                xs = p_s.tolist()
+                for x in xs:  # np.add.reduce's order on so few values
+                    s += x
+                KM[m - 1] = s
+                if not s > 0:
+                    break  # x / s would be 0 / 0; the checks below stop at this row
+                grad = [(i, ((c := x / s) * (s - 1.0) + (c - q)) * lr)
+                        for (i, q), x in zip(pairs, xs)]
+            else:
+                if not float(np.add.reduce(p_s, None, None, km)) > 0:
+                    break
+                np.divide(p_s, km, cond)
+                d = np.subtract(cond, qv, D[m - 1])
+                np.multiply(cond, np.subtract(km, one, shrink), cond)
+                cond += d
+                grad = np.multiply(cond, rate, cond)
+            last = z, p, grad
         # a zero or NaN on the support makes the loss inf or NaN: refuse it before np.log
         # warns, so only the rows before the first that vanishes are checked and yielded
         whole = np.logical_and.reduce(PS[:m] > 0, axis=1)
         good = m if whole.all() else int(whole.argmin())
-        tvs = (0.5 * np.add.reduce(np.abs(D[:good]), axis=1)).tolist()
+        # p(v|S) - q; on Python floats, from the loop's own divisions, to the bit
+        dev = np.subtract(np.divide(PS[:good], KM[:good, None]), qv) if small else D[:good]
+        tvs = (0.5 * np.add.reduce(np.abs(dev), axis=1)).tolist()
         losses = (-np.add.reduce(qv * np.log(PS[:good]), axis=1)).tolist()
         for k, (tv, loss, km) in enumerate(zip(tvs, losses, KM[:good].tolist())):
             step = first + k

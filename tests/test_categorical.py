@@ -1,6 +1,7 @@
 """Distribution construction, restriction, and entropy/divergence identities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,13 @@ class TestConstruction:
         assert p.probs.tolist() == [0.5 / (1.0 + offset), (0.5 + offset) / (1.0 + offset)]
         with pytest.raises(InvalidEntryError, match="more than"):
             Categorical(np.array([0.5, 0.5 + 2.0 * offset]))
+
+    def test_a_sum_past_double_max_is_refused_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidEntryError,
+                               match="^probabilities sum to inf, more than 1e-09 from 1$"):
+                Categorical(np.array([1e308, 1e308]))
 
     def test_probs_are_read_only(self):
         p = Categorical(np.array([0.4, 0.6]))

@@ -1239,6 +1239,18 @@ class TestDumpIngestion:
         assert [row[0] for row in csv_rows(out)[1]] == ["a"]
         assert err == "warning: skipped line 2: invalid UTF-8: invalid start byte at byte 0\n"
 
+    @pytest.mark.parametrize("end", ["\xa0", "\x1c", "\r", " \xa0\x1c\r"],
+                             ids=["nbsp", "file-separator", "cr", "mixed"])
+    def test_unicode_whitespace_before_the_newline(self, tmp_path, capsys, end):
+        # str.strip drops these and bytes.strip keeps NBSP and \x1c
+        line = '{"context_id":"a","probs":[0.5,0.5]}'
+        assert dump._text(f"{line}{end}\n".encode()) == line
+        path = tmp_path / "dump.jsonl"
+        path.write_bytes(f"{line}{end}\n{line}{end}".encode())
+        code, out, err = run(capsys, "analyze-dump", "--input", str(path))
+        assert (code, err) == (0, "")
+        assert [row[0] for row in csv_rows(out)[1]] == ["a", "a"]
+
     @pytest.mark.parametrize("key", ["probs", "logits"])
     @pytest.mark.parametrize("sign", ["", "-"])
     def test_integer_past_double_max_reads_as_its_float_spelling(
@@ -1293,6 +1305,56 @@ class TestDumpIngestion:
         code, out, err = run(capsys, "analyze-dump", "--input", str(path))
         assert (code, err) == (0, "")
         assert csv_rows(out)[1] == [["a", "", "1", "1", "0", "0", "1"]]
+
+
+class TestDumpLines:
+    """One dump line read: its text, and the stderr of a record that is refused."""
+
+    def test_probs_summing_past_double_max_print_only_the_error(self, tmp_path):
+        # numpy's overflow warning would print before the error, in a real process
+        path = tmp_path / "dump.jsonl"
+        path.write_bytes(b'{"context_id": "a", "probs": [1e+308, 1.0, 0.5, 1e+308, 1]}\n')
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        reason = b"line 1: probabilities sum to inf, more than 1e-09 from 1\n"
+        for flags, err in [([], b"error: " + reason),
+                           (["--skip-bad"], b"warning: skipped " + reason
+                            + b"error: no rows to report\n")]:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ssdlab.cli", "analyze-dump", "--input", str(path),
+                 *flags], capture_output=True, env=env, check=False, timeout=120)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", err)
+
+    @pytest.mark.parametrize("entries, lookups", [([0.0, 0.5, 0.25, 0.25], 1),
+                                                  ([0.0, 1.0, 0.5, 0.5], 0)],
+                             ids=["a-quarter-looked-up", "a-half-scanned"])
+    def test_booleans_are_looked_up_while_at_most_a_quarter_can_hide_one(self, entries,
+                                                                         lookups):
+        class Field(list):
+            calls = 0
+
+            def __getitem__(self, k):
+                Field.calls += 1
+                return super().__getitem__(k)
+
+        assert dump._numbers(Field(entries), b"", "probs").tolist() == entries
+        assert Field.calls == len(entries) + lookups  # array("d") reads each entry by index
+
+    @pytest.mark.parametrize("raw", [
+        b"", b"\n", b"\r\n", b" \t\r\n", b"\xc2\xa0\n", b"\x1c", b"x \n", b"\n\n",
+        b"\xff\n", b"ok\xe2\x82", b"ok\xe2\x82\n", b"a\xc2\n", b"\xf0\x9f\x98\n",
+        b"\xc2\xa0\xff\n", "\u00e9t\u00e9\n".encode(), "\u00e9\xa0\n".encode()])
+    def test_line_text_is_the_decoded_line_stripped(self, raw):
+        # a sequence the newline cuts short has the reason the whole line gives it
+        try:
+            expected = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            message = f"^invalid UTF-8: {exc.reason} at byte {exc.start}$"
+            with pytest.raises(ParseError, match=message):
+                dump._text(raw)
+        else:
+            assert dump._text(raw) == expected
 
 
 ROOT = Path(__file__).resolve().parents[1]

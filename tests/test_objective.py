@@ -474,10 +474,17 @@ class TestStepBlocks:
         stops = [step[0] for step in _student_steps(target, self.RATE, max_steps, tol)]
         assert stops == [None] * at + [stop]
 
-    def test_vanishing_inside_a_block_raises_at_its_step(self):
+    # (p0, config) on each side of objective._LEFT_TO_RIGHT_SUM: 2 and 16 support tokens
+    PATHS = {"python-floats": ([0.5, 0.3, 0.2], DecodeConfig(temperature=0.7, top_p=0.8)),
+             "numpy": (LOCK_WEIGHTS, DecodeConfig(temperature=0.7))}
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_vanishing_inside_a_block_raises_at_its_step(self, path):
         # a learning rate of 1e300 underflows a support token at step 1, the first
         # row of a two-row block; the row computed past it must not warn
-        target = ssd_target(normalize([0.5, 0.3, 0.2]), DecodeConfig(temperature=0.7, top_p=0.8))
+        weights, cfg = self.PATHS[path]
+        target = ssd_target(normalize(weights), cfg)
+        assert (target.support.size <= objective._LEFT_TO_RIGHT_SUM) == (path == "python-floats")
         stops = []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -488,15 +495,21 @@ class TestStepBlocks:
                     stops.append(step[0])
         assert stops == [None]
 
+    # the seven-token run's loss rises at most 33 times in a row in its first 3000 steps
+    @pytest.mark.parametrize("top_k, window", [(7, 30), (0, 35)],
+                             ids=["python-floats", "numpy"])
     def test_rise_window_inside_a_block_raises_after_the_same_step(self, monkeypatch,
-                                                                  reference_student_steps):
-        monkeypatch.setattr(objective, "DIVERGENCE_WINDOW", 35)
-        target = ssd_target(normalize(TestDivergence.WEIGHTS), DecodeConfig(temperature=0.3))
+                                                                  reference_student_steps,
+                                                                  top_k, window):
+        monkeypatch.setattr(objective, "DIVERGENCE_WINDOW", window)
+        target = ssd_target(normalize(TestDivergence.WEIGHTS),
+                            DecodeConfig(temperature=0.3, top_k=top_k))
+        assert (target.support.size <= objective._LEFT_TO_RIGHT_SUM) == (top_k > 0)
         expected = [loss for _, loss, _, _ in reference_student_steps(target, 5, 5000, 1e-6)]
         rises, last = 0, None
         for k in range(1, len(expected)):
             rises = rises + 1 if expected[k] > expected[k - 1] else 0
-            if rises == 35:
+            if rises == window:
                 last = k
                 break
         after = next(k for k in _block_starts(target.q.alphabet_size, 12) if k > last)
@@ -505,7 +518,7 @@ class TestStepBlocks:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError,
-                               match="^loss increased for 35 consecutive steps$"):
+                               match=f"^loss increased for {window} consecutive steps$"):
                 for _, _, _, loss, _, _ in _student_steps(target, 5, 5000, 1e-6):
                     losses.append(loss)
         assert losses == expected[:last + 1]
@@ -528,6 +541,62 @@ class TestStepBlocks:
         # that kept doubling past 64 rows 384 KiB.
         peak(700)  # warm-up: first-call caches
         assert peak(3000) <= peak(700) + (16 << 10)
+
+
+def _left_to_right(values) -> float:
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
+class TestSupportPaths:
+    """A support of at most _LEFT_TO_RIGHT_SUM tokens steps on Python floats, a larger
+    one on numpy; both keep every bit of the reference step."""
+
+    def test_add_reduce_sums_few_values_left_to_right(self):
+        # the rule the Python-float path rests on, in the form the numpy path sums a
+        # row's kept mass: a numpy that sums fewer than eight doubles in another order
+        # fails here. Nonnegative doubles from subnormals to 2**1000, and zeros. Half
+        # the rows hold near magnitudes, where another order shows in about a third
+        # of the rows of eight values; the other half any magnitudes.
+        rng = np.random.default_rng(20261020)
+        out = np.zeros(())
+        for n in range(1, objective._LEFT_TO_RIGHT_SUM + 1):
+            near = rng.integers(-1080, 1000, (2000, 1)) + rng.integers(0, 4, (2000, n))
+            wide = rng.integers(-1074, 1000, (2000, n))
+            draws = np.ldexp(rng.random((4000, n)), np.concatenate([near, wide]))
+            draws[rng.random(draws.shape) < 0.05] = 0.0
+            for row in draws:
+                assert float(np.add.reduce(row, None, None, out)) == _left_to_right(row.tolist())
+
+    @pytest.mark.parametrize("size", range(1, 9))
+    def test_trajectory_matches_reference(self, reference_student_steps, size):
+        p0 = normalize(np.random.default_rng(1).dirichlet(np.ones(12)))
+        cfg = DecodeConfig(temperature=0.9, top_k=size)
+        target = ssd_target(p0, cfg)
+        assert target.support.size == size
+        traj = train_local_student(p0, cfg, learning_rate=2.0, max_steps=300)
+        logits, *columns = zip(*reference_student_steps(target, 2.0, 300, 1e-6))
+        assert traj.loss.size == len(logits)
+        for got, expected in zip((traj.loss, traj.on_support_tv, traj.off_support_mass),
+                                 columns):
+            assert np.array_equal(got, np.array(expected))
+        assert np.array_equal(traj.logits, logits[-1])
+
+    def test_eight_tokens_take_the_numpy_path(self, reference_student_steps):
+        # this support's step-0 mass summed left to right differs from np.add.reduce's,
+        # so the Python-float path would print another off-support mass at step 0
+        p0 = normalize(np.random.default_rng(1).dirichlet(np.ones(12)))
+        target = ssd_target(p0, DecodeConfig(temperature=0.9, top_k=8))
+        z = next(reference_student_steps(target, 2.0, 0, 1e-6))[0]
+        w = np.exp(z - z.max())
+        p_s = (w / w.sum())[np.flatnonzero(target.q.probs)]
+        assert p_s.size == objective._LEFT_TO_RIGHT_SUM + 1
+        off = 1.0 - float(np.add.reduce(p_s))
+        assert off != 1.0 - _left_to_right(p_s.tolist())
+        traj = train_local_student(p0, DecodeConfig(temperature=0.9, top_k=8), max_steps=0)
+        assert traj.off_support_mass.tolist() == [off]
 
 
 class TestDivergence:
