@@ -37,13 +37,13 @@ def _text(raw: bytes) -> str:
     text has other whitespace at an end.
     """
     try:
-        return str(memoryview(raw)[:len(raw) - raw.endswith(b"\n")], "utf-8").strip()
-    except UnicodeDecodeError:
-        try:  # the whole line's error: a sequence the newline cuts short has its own reason
-            raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"invalid UTF-8: {exc.reason} at byte {exc.start}") from None
-        raise
+        try:
+            return str(memoryview(raw)[:len(raw) - raw.endswith(b"\n")], "utf-8").strip()
+        except UnicodeDecodeError:
+            # the whole line, for its error: a sequence the newline cuts short has its own reason
+            return raw.decode("utf-8").strip()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"invalid UTF-8: {exc.reason} at byte {exc.start}")
 
 
 def _numbers(field, raw: bytes, key: str) -> np.ndarray:

@@ -33,6 +33,7 @@ SPELLING = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "=="
 # left out of the copy: version control, caches and benchmark inputs
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",
                                  ".bench_cache", ".benchmarks")
+TIMEOUT_S = 600.0  # one run of the suite past this counts as a kill
 
 
 def _offset(lines: list[str], line: int, col: int) -> int:
@@ -66,14 +67,14 @@ def sites(source: str) -> list[tuple[int, int, str, str]]:
     return sorted(found)
 
 
-def run_suite(tree: Path, timeout: float) -> tuple[str, int]:
+def run_suite(tree: Path) -> tuple[str, int]:
     """(outcome, tests run) of the suite in tree: "pass", "fail" or "timeout"."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
              "--continue-on-collection-errors"],
-            cwd=tree, env=env, capture_output=True, text=True, timeout=timeout)
+            cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return "timeout", 0
     counts = re.findall(r"(\d+) (passed|failed|error|errors|skipped|xfailed|xpassed)",
@@ -85,14 +86,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("modules", nargs="+", type=Path,
                         help="module files, relative to the checkout")
-    parser.add_argument("--timeout", type=float, default=600.0,
-                        help="seconds one run of the suite may take (default 600)")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="flip-") as scratch:
         tree = Path(scratch) / "checkout"
         shutil.copytree(ROOT, tree, ignore=IGNORED)
         t0 = time.perf_counter()
-        outcome, baseline = run_suite(tree, args.timeout)
+        outcome, baseline = run_suite(tree)
         if outcome != "pass":
             print(f"the unmutated suite does not pass ({outcome})")
             return 2
@@ -107,7 +106,7 @@ def main(argv: list[str] | None = None) -> int:
             for offset, line, old, new in found:
                 path.write_text(original[:offset] + new + original[offset + len(old):],
                                 encoding="utf-8")
-                outcome, ran = run_suite(tree, args.timeout)
+                outcome, ran = run_suite(tree)
                 if outcome == "pass" and ran < baseline:
                     outcome = f"short run ({ran} tests)"
                 text = original.splitlines()[line - 1].strip()
