@@ -1,6 +1,7 @@
 """Distribution construction, restriction, and entropy/divergence identities."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -53,19 +54,20 @@ class TestConstruction:
         assert p.probs.sum() == 1.0
 
     @pytest.mark.parametrize(
-        "values",
+        "values, message",
         [
-            [0.5, 0.6],  # sum far from 1
-            [0.5, 0.5 - 1e-6],
-            [1.2, -0.2],
-            [0.5, np.nan],
-            [0.5, np.inf],
-            [],
-            [[0.5, 0.5]],
+            ([0.5, 0.6], "probabilities sum to 1.1, more than 1e-09 from 1"),
+            ([0.5, 0.5 - 1e-6], "probabilities sum to 0.9999990000000001, more than 1e-09 from 1"),
+            ([1.2, -0.2], "probability vector contains negative entries"),
+            ([0.5, np.nan], "probability vector contains NaN or infinity"),
+            ([0.5, np.inf], "probability vector contains NaN or infinity"),
+            ([], "probability vector must be 1-d and nonempty"),
+            ([[0.5, 0.5]], "probability vector must be 1-d and nonempty"),
         ],
+        ids=["sum-far", "sum-near", "negative", "nan", "inf", "empty", "2-d"],
     )
-    def test_rejects_bad_vectors(self, values):
-        with pytest.raises(InvalidEntryError):
+    def test_rejects_bad_vectors(self, values, message):
+        with pytest.raises(InvalidEntryError, match=f"^{re.escape(message)}$"):
             Categorical(np.asarray(values, dtype=float))
 
     @pytest.mark.parametrize("offset", [2.0**-30, -(2.0**-30)])
@@ -190,10 +192,18 @@ class TestNormalize:
             normalize([0.0, 0.0])
 
     @pytest.mark.parametrize(
-        "values", [[1.0, -1.0], [np.nan, 1.0], [np.inf, 1.0], [[0.5, 0.5]]]
+        "values, message",
+        [
+            ([1.0, -1.0], "weight vector contains negative entries"),
+            ([np.nan, 1.0], "weight vector contains NaN or infinity"),
+            ([np.inf, 1.0], "weight vector contains NaN or infinity"),
+            ([], "weight vector must be 1-d and nonempty"),
+            ([[0.5, 0.5]], "weight vector must be 1-d and nonempty"),
+        ],
+        ids=["negative", "nan", "inf", "empty", "2-d"],
     )
-    def test_bad_weights_rejected(self, values):
-        with pytest.raises(InvalidEntryError):
+    def test_bad_weights_rejected(self, values, message):
+        with pytest.raises(InvalidEntryError, match=f"^{re.escape(message)}$"):
             normalize(values)
 
 

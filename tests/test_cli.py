@@ -117,6 +117,14 @@ class TestDecodeCommand:
         code, _, err = run(capsys, "decode", "--probs", "0.5,oops")
         assert code == 1
 
+    @pytest.mark.parametrize("probs, reason", [
+        ("0.5,-0.5", "contains negative entries"),
+        ("0.5,nan", "contains NaN or infinity"),
+    ], ids=["negative", "nan"])
+    def test_refused_weights_exit_two(self, capsys, probs, reason):
+        assert run(capsys, "decode", "--probs", probs) == (
+            2, "", f"error: weight vector {reason}\n")
+
     def test_top_k_beyond_int64_keeps_every_token(self, capsys):
         code, out, err = run(
             capsys, "decode", "--probs", "0.5,0.3,0.2", "--top-k", "99999999999999999999"

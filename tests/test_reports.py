@@ -175,6 +175,35 @@ ARGV_CELLS.update({
 })
 
 
+# The decomposition of one student against a three-token target from T = 1 up to
+# T = 1e17, where reshape and const cancel to fewer and fewer digits, and the
+# refusal of a student over another alphabet.
+_RESIDUE = ["decompose", "--probs", "0.5,0.3,0.2", "--student-probs", "0.2,0.3,0.5"]
+ARGV_CELLS.update({
+    f"decompose/residue.t_{t}": [*_RESIDUE, "--temperature", t]
+    for t in ("1", "1e8", "1e12", "1e17")})
+ARGV_CELLS.update({
+    "decompose/residue.t_0.7.json": [*_RESIDUE, "--temperature", "0.7", "--format", "json"],
+    "decompose/alphabet_mismatch": [
+        "decompose", "--probs", "0.5,0.3,0.2", "--student-probs", "0.5,0.5"],
+})
+
+# decode and target on a zero and a tie cut by top-k, on a top-p boundary, on a
+# tie at a temperature the greedy guard takes (decode keeps one token, target
+# both), and as JSON.
+for _command in ("decode", "target"):
+    ARGV_CELLS.update({
+        f"{_command}/zero_tie.top_k_2": [
+            _command, "--probs", "0.3,0,0.3,0.2,0.2", "--top-k", "2"],
+        f"{_command}/top_p_0.8": [_command, "--probs", "0.5,0.3,0.2", "--top-p", "0.8"],
+        f"{_command}/tie.t_1e-6": [
+            _command, "--probs", "0.4,0.4,0.2", "--temperature", "1e-6"],
+        f"{_command}/zero_tie.t_0.7.json": [
+            _command, "--probs", "0.3,0,0.3,0.2,0.2", "--temperature", "0.7",
+            "--top-p", "0.9", "--format", "json"],
+    })
+
+
 @pytest.mark.parametrize("cell", sorted(ARGV_CELLS))
 def test_argv_report(cell):
     expected = (ROOT / f"{cell}.txt").read_text(encoding="utf-8")
