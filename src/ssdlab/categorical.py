@@ -38,6 +38,18 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _checked_vector(values, noun: str) -> np.ndarray:
+    """values as a float64 array, refused unless 1-d, nonempty, finite and nonnegative."""
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 1 or v.size == 0:
+        raise InvalidEntryError(f"{noun} must be 1-d and nonempty")
+    if not np.all(np.isfinite(v)):
+        raise InvalidEntryError(f"{noun} contains NaN or infinity")
+    if np.any(v < 0):
+        raise InvalidEntryError(f"{noun} contains negative entries")
+    return v
+
+
 @dataclass(frozen=True, eq=False)
 class Categorical:
     """A probability vector over a finite token alphabet.
@@ -49,13 +61,7 @@ class Categorical:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.probs, dtype=float)
-        if p.ndim != 1 or p.size == 0:
-            raise InvalidEntryError("probability vector must be 1-d and nonempty")
-        if not np.all(np.isfinite(p)):
-            raise InvalidEntryError("probability vector contains NaN or infinity")
-        if np.any(p < 0):
-            raise InvalidEntryError("probability vector contains negative entries")
+        p = _checked_vector(self.probs, "probability vector")
         with np.errstate(over="ignore"):  # finite entries can sum past DBL_MAX, to inf
             total = float(p.sum())
         if abs(total - 1.0) > CONSTRUCTION_TOL:
@@ -149,13 +155,7 @@ def _event_array(event, container, name: str) -> np.ndarray:
 
 def normalize(weights) -> Categorical:
     """Scale a nonnegative weight vector into a Categorical."""
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise InvalidEntryError("weight vector must be 1-d and nonempty")
-    if not np.all(np.isfinite(w)):
-        raise InvalidEntryError("weight vector contains NaN or infinity")
-    if np.any(w < 0):
-        raise InvalidEntryError("weight vector contains negative entries")
+    w = _checked_vector(weights, "weight vector")
     peak = float(w.max())
     if peak == 0.0:
         raise AllZeroError("all weights are zero")

@@ -382,7 +382,7 @@ def _run_decompose(args):
     p_theta = p0 if student is None else normalize(student)
     target = ssd_target(p0, _decode_config(args))
     return DECOMPOSITION_HEADER, list(
-        _decomposition_rows(target, *_support_row(target, p_theta.probs), [0]))
+        _decomposition_rows(target, _support_row(target, p_theta.probs), [0]))
 
 
 def _run_train_student(args):

@@ -31,17 +31,9 @@ _LOOKUP_SHARE = 4
 
 
 def _text(raw: bytes) -> str:
-    """The line raw as text, without its surrounding whitespace.
-
-    The line is decoded without its newline, so strip copies nothing unless the
-    text has other whitespace at an end.
-    """
+    """The line raw as text, without its surrounding whitespace."""
     try:
-        try:
-            return str(memoryview(raw)[:len(raw) - raw.endswith(b"\n")], "utf-8").strip()
-        except UnicodeDecodeError:
-            # the whole line, for its error: a sequence the newline cuts short has its own reason
-            return raw.decode("utf-8").strip()
+        return raw.decode("utf-8").strip()
     except UnicodeDecodeError as exc:
         raise ParseError(f"invalid UTF-8: {exc.reason} at byte {exc.start}")
 

@@ -143,17 +143,17 @@ def kept_mass(p_theta: Categorical, members) -> float:
     return float(p_theta.probs[idx].sum())
 
 
-def _support_row(target: SsdTarget, p: np.ndarray):
-    """p at target.support, the order kept_mass sums in, as a one-row block and its unit sum."""
+def _support_row(target: SsdTarget, p: np.ndarray) -> np.ndarray:
+    """The distribution p at target.support, the order kept_mass sums in, as a one-row block."""
     if p.size != target.q.alphabet_size:
         raise InvalidEntryError("alphabet sizes differ")
-    return p[target.support][None], np.ones(1)
+    return p[target.support][None]
 
 
-def _conditional(ps: np.ndarray, sums: np.ndarray):
-    """p(v|S) of the rows of ps / sums, in place, O(|S|) a row: the count of rows before
-    the first with a zero on the support, and their kept masses and p(v|S)."""
-    whole = np.all(np.divide(ps, sums[:, None], out=ps), axis=1)  # q > 0 all over the support
+def _conditional(ps: np.ndarray):
+    """p(v|S) of the rows of ps, in place, O(|S|) a row: the count of rows before the
+    first with a zero on the support, and their kept masses and p(v|S)."""
+    whole = np.all(ps, axis=1)  # q > 0 all over the support
     good = len(whole) if whole.all() else int(whole.argmin())
     km = np.add.reduce(ps[:good], axis=1)
     cond = np.divide(ps[:good], km[:, None], out=ps[:good])
@@ -161,16 +161,16 @@ def _conditional(ps: np.ndarray, sums: np.ndarray):
     return good, km, cond
 
 
-def _support_terms(target: SsdTarget, ps: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """Gate, reshape, align, const, total, on-support TV and kept mass of ps / sums: (7, rows).
+def _support_terms(target: SsdTarget, ps: np.ndarray) -> np.ndarray:
+    """Gate, reshape, align, const, total, on-support TV and kept mass of ps: (7, rows).
 
-    ps is a C-contiguous (rows, |S|) block of raw probabilities at target.support in
-    rank order, overwritten here, and sums their rows' full sums. log q and const are
+    ps is a C-contiguous (rows, |S|) block, overwritten here, whose rows are
+    distributions' probabilities at target.support in rank order. log q and const are
     taken once and every other term as a row reduction, so each row gets the bits a
     block of it alone would. Raises the error of the first row that has one.
     """
     T = target.train_temperature
-    good, km, cond = _conditional(ps, sums)
+    good, km, cond = _conditional(ps)
     if good and T == np.inf:  # reshape tends to -inf and const to +inf: their sum has no value
         raise OutOfRangeError(f"the loss decomposition needs a finite train temperature, got {T!r}")
     q = target.q.probs[target.support]
@@ -196,15 +196,15 @@ def _support_terms(target: SsdTarget, ps: np.ndarray, sums: np.ndarray) -> np.nd
     return np.array([gate, reshape, align, const, gate + reshape + align + const, tv, km])
 
 
-def _decomposition_rows(target: SsdTarget, ps: np.ndarray, sums: np.ndarray, steps):
-    """Report rows of a block of support probabilities over their sums, one per step."""
-    gate, reshape, align, _, total, tv, km = _support_terms(target, ps, sums).tolist()
+def _decomposition_rows(target: SsdTarget, ps: np.ndarray, steps):
+    """Report rows of a block of support probabilities, one per step."""
+    gate, reshape, align, _, total, tv, km = _support_terms(target, ps).tolist()
     return zip(steps, total, gate, reshape, align, tv, [1.0 - k for k in km])
 
 
 def gate_conditional_split(target: SsdTarget, p_theta: Categorical) -> tuple[float, float]:
     """Split cross_entropy(q, p_theta) into -log KeptMass plus the conditional CE, in O(|S|)."""
-    good, km, cond = _conditional(*_support_row(target, p_theta.probs))
+    good, km, cond = _conditional(_support_row(target, p_theta.probs))
     if not good:
         raise ZeroMassSupportError("student vanishes on a target-support token")
     q = target.q.probs[target.support]
@@ -219,7 +219,7 @@ def three_term_decomposition(target: SsdTarget, p_theta: Categorical) -> LossBre
     are computed on the support index, in O(|S|). An infinite train
     temperature is refused with OutOfRangeError: reshape and const diverge.
     """
-    terms = _support_terms(target, *_support_row(target, p_theta.probs))
+    terms = _support_terms(target, _support_row(target, p_theta.probs))
     return LossBreakdown(*terms[:5, 0].tolist())
 
 
@@ -372,22 +372,24 @@ def _student_steps(
 
 def _logged_rows(target: SsdTarget, learning_rate: float, max_steps: int,
                  tv_tolerance: float, every: int) -> tuple[list[tuple], str, float]:
-    """train-student's rows, at each multiple of every and the last step; stop reason, last TV."""
+    """train-student's rows, at each multiple of every and the last step; stop reason, last TV.
+
+    A logged step's softmax is divided by its full sum on the support only, the bits a
+    Categorical of it has there, and scored with the other rows of its block.
+    """
     rows, logged = [], []
     steps = _student_steps(target, learning_rate, max_steps, tv_tolerance)
     size = target.support.size
     ps = np.empty((max(1, min(_ROW_BLOCK_BYTES // (8 * size), _ROW_DELAY_STEPS // every)), size))
-    sums = np.empty(len(ps))
 
     def score():
-        rows.extend(_decomposition_rows(target, ps[:len(logged)], sums[:len(logged)], logged))
+        rows.extend(_decomposition_rows(target, ps[:len(logged)], logged))
         logged.clear()
     try:
         for step, (stop, _, p, _, tv, _) in enumerate(steps):
             if step % every == 0 or stop:
-                # the step's softmax renormalized as a Categorical is, on the support only
-                p.take(target.support, out=ps[len(logged)], mode="clip")
-                sums[len(logged)] = np.add.reduce(p, axis=None)
+                row = p.take(target.support, out=ps[len(logged)], mode="clip")
+                row /= np.add.reduce(p, axis=None)
                 logged.append(step)
                 if len(logged) == len(ps):
                     score()

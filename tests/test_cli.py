@@ -306,7 +306,7 @@ def listed_train_report(argv, reference_steps):
     logged = [(k, z) for k, (z, *_) in enumerate(steps)
               if k % args["log_every"] == 0 or k == last]
     rows = [row for k, z in logged for row in _decomposition_rows(
-        target, *_support_row(target, Categorical(_softmax(z)).probs), [k])]
+        target, _support_row(target, Categorical(_softmax(z)).probs), [k])]
     emit_report(rows, args["format"], args["output"], DECOMPOSITION_HEADER)
 
 
