@@ -372,11 +372,8 @@ def _student_steps(
 
 def _logged_rows(target: SsdTarget, learning_rate: float, max_steps: int,
                  tv_tolerance: float, every: int) -> tuple[list[tuple], str, float]:
-    """train-student's rows, at each multiple of every and the last step; stop reason, last TV.
-
-    A logged step's softmax is divided by its full sum on the support only, the bits a
-    Categorical of it has there, and scored with the other rows of its block.
-    """
+    """train-student's rows at each multiple of every and the last step, each from the step's
+    softmax over its full sum, as a Categorical reads it; the stop reason and last TV."""
     rows, logged = [], []
     steps = _student_steps(target, learning_rate, max_steps, tv_tolerance)
     size = target.support.size

@@ -298,6 +298,13 @@ class TestEntropyDecomposition:
         assert bd.tail_entropy == 0.0
         assert bd.total == pytest.approx(entropy(p), abs=1e-14)
 
+    def test_massless_set_has_zero_head(self):
+        # the head's restriction would carry no mass: the convention gives 0, not an error
+        p = Categorical(np.array([0.5, 0.5, 0.0]))
+        bd = entropy_decomposition(p, (2,))
+        assert (bd.gate_entropy, bd.head_entropy) == (0.0, 0.0)
+        assert bd.tail_entropy == bd.total == entropy(p)
+
 
 class TestPrefixMassCurve:
     def test_terminal_value_is_exactly_one(self, make_dists):
@@ -381,6 +388,13 @@ class TestFeasibleInterval:
             assert len(kept_after_both(fork_p)) >= fork_rank
             checked += 1
         assert checked >= 20
+
+    def test_empty_window_is_infeasible(self):
+        # lower is a strict bound: a top-p of exactly S_1 keeps one fork token, not two
+        p = normalize([0.4, 0.3, 0.2, 0.1])
+        report = feasible_topp_interval(p, 1, p, 2, 1.0, 4)
+        assert report.lower == report.upper
+        assert not report.feasible
 
     def test_rank_validation(self):
         p = normalize([0.4, 0.3, 0.2, 0.1])
